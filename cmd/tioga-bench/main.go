@@ -467,7 +467,7 @@ func runParallelEval(out string, quick, verbose bool) error {
 
 	// Output identity first: the speedup claim is vacuous if the
 	// schedulers disagree.
-	serialRes, err := evalOnce(dataflow.Serial(), dataflow.WithLabel("bench-serial"))
+	serialRes, err := evalOnce(dataflow.WithWorkers(1), dataflow.WithLabel("bench-serial"))
 	if err != nil {
 		return fmt.Errorf("parallel_eval: serial eval: %w", err)
 	}
@@ -504,7 +504,7 @@ func runParallelEval(out string, quick, verbose bool) error {
 		}
 		return r.NsPerOp(), nil
 	}
-	serialNs, err := time_(dataflow.Serial())
+	serialNs, err := time_(dataflow.WithWorkers(1))
 	if err != nil {
 		return fmt.Errorf("parallel_eval: serial bench: %w", err)
 	}
@@ -917,10 +917,13 @@ func runQueryBench(out string, quick, verbose bool) error {
 			rel.SetCompileDisabled(prevC)
 			rel.SetScanWorkers(prevW)
 		}()
-		return iterate(dataflow.WithoutFusion(), dataflow.Serial())
+		return iterate(dataflow.WithoutFusion(), dataflow.WithWorkers(1))
 	}
 	fast := func() (dataflow.Value, *rel.Relation, error) {
-		return iterate(dataflow.Serial()) // scan chunking parallelizes inside the firing
+		// One eval worker: the fused scan inherits it and runs on one
+		// worker too, so scan chunking does not parallelize inside the
+		// firing either.
+		return iterate(dataflow.WithWorkers(1))
 	}
 
 	// Output identity first (fingerprinting happens here, outside the

@@ -855,7 +855,7 @@ func (s *shell) evalCmd(args []string) error {
 	for i := 1; i < len(args); i++ {
 		switch args[i] {
 		case "serial":
-			opts = append(opts, dataflow.Serial())
+			opts = append(opts, dataflow.WithWorkers(1))
 		case "workers":
 			if i+1 >= len(args) {
 				return fmt.Errorf("workers needs a count")
@@ -927,9 +927,8 @@ func (s *shell) stats() error {
 		}
 		s.printf("canvas %-10s %s\n", name, v.CacheStats())
 	}
-	s.printf("query engine: compile=%s fusion=%s scan_workers=%d threshold=%d\n",
-		onOff(!rel.CompileDisabled()), onOff(!dataflow.FusionDisabled()),
-		rel.ScanWorkers(), rel.ScanThreshold())
+	s.printf("query engine: compile=%s scan_workers=%d\n",
+		onOff(!rel.CompileDisabled()), rel.ScanWorkers())
 	snap := obs.TakeSnapshot()
 	names := make([]string, 0, len(snap.Counters))
 	for n := range snap.Counters {

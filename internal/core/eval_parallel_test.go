@@ -50,7 +50,7 @@ func TestFigure7ParallelEvalDeterminism(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	serial := render(dataflow.Serial(), dataflow.WithLabel("determinism-serial"))
+	serial := render(dataflow.WithWorkers(1), dataflow.WithLabel("determinism-serial"))
 	parallel := render(dataflow.WithWorkers(4), dataflow.WithLabel("determinism-parallel"))
 	if !bytes.Equal(serial, parallel) {
 		t.Fatalf("parallel render differs from serial (%d vs %d PNG bytes)", len(serial), len(parallel))

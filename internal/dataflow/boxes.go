@@ -122,22 +122,18 @@ func registerDatabaseBoxes(r *Registry) {
 			if err != nil {
 				return nil, err
 			}
-			attrs := p.List("attrs")
-			if len(attrs) == 0 {
-				return nil, fmt.Errorf("project needs attrs=")
+			op, err := fusedOp("project", p)
+			if err != nil {
+				return nil, err
 			}
-			out, err := rel.Project(e.Rel, attrs)
+			out, err := rel.Project(e.Rel, op.Project)
 			if err != nil {
 				return nil, err
 			}
 			return []Value{rederive(e, out)}, nil
 		},
 		FireDelta: func(ctx context.Context, fc *FireContext, p Params, d *DeltaFire) ([]Value, *rel.TupleDelta, bool, error) {
-			attrs := p.List("attrs")
-			if len(attrs) == 0 {
-				return nil, nil, false, nil
-			}
-			return fusedBoxDelta(ctx, d, rel.FusedOp{Project: attrs})
+			return fusedBoxDelta(ctx, d, "project", p)
 		},
 	})
 
@@ -151,26 +147,18 @@ func registerDatabaseBoxes(r *Registry) {
 			if err != nil {
 				return nil, err
 			}
-			src, err := p.Need("pred")
+			op, err := fusedOp("restrict", p)
 			if err != nil {
 				return nil, err
 			}
-			pred, err := expr.Parse(src)
-			if err != nil {
-				return nil, err
-			}
-			out, err := rel.Restrict(e.Rel, pred)
+			out, err := rel.Restrict(e.Rel, op.Pred)
 			if err != nil {
 				return nil, err
 			}
 			return []Value{rederive(e, out)}, nil
 		},
 		FireDelta: func(ctx context.Context, fc *FireContext, p Params, d *DeltaFire) ([]Value, *rel.TupleDelta, bool, error) {
-			pred, ok := parsePredParam(p)
-			if !ok {
-				return nil, nil, false, nil
-			}
-			return fusedBoxDelta(ctx, d, rel.FusedOp{Pred: pred})
+			return fusedBoxDelta(ctx, d, "restrict", p)
 		},
 	})
 
@@ -455,7 +443,11 @@ func registerMoreDatabaseBoxes(r *Registry) {
 			if err != nil {
 				return nil, err
 			}
-			return []Value{rederive(e, rel.Distinct(e.Rel))}, nil
+			out, err := rel.Distinct(e.Rel)
+			if err != nil {
+				return nil, err
+			}
+			return []Value{rederive(e, out)}, nil
 		},
 	})
 

@@ -413,29 +413,23 @@ func (e *Evaluator) applyFusedDelta(ctx context.Context, n *planNode, ch *fusedC
 func fusedOps(ch *fusedChain) ([]rel.FusedOp, bool) {
 	ops := make([]rel.FusedOp, len(ch.steps))
 	for i, s := range ch.steps {
-		switch s.box.Kind {
-		case "restrict":
-			pred, ok := parsePredParam(s.box.Params)
-			if !ok {
-				return nil, false
-			}
-			ops[i] = rel.FusedOp{Pred: pred}
-		case "project":
-			attrs := s.box.Params.List("attrs")
-			if len(attrs) == 0 {
-				return nil, false
-			}
-			ops[i] = rel.FusedOp{Project: attrs}
-		default:
+		op, err := fusedOp(s.box.Kind, s.box.Params)
+		if err != nil {
 			return nil, false
 		}
+		ops[i] = op
 	}
 	return ops, true
 }
 
 // fusedBoxDelta maintains an individual restrict or project box (one not
 // absorbed into a fused chain) through the one-step fused delta path.
-func fusedBoxDelta(ctx context.Context, d *DeltaFire, op rel.FusedOp) ([]Value, *rel.TupleDelta, bool, error) {
+// A parameter problem falls back to the full firing, which reports it.
+func fusedBoxDelta(ctx context.Context, d *DeltaFire, kind string, p Params) ([]Value, *rel.TupleDelta, bool, error) {
+	op, err := fusedOp(kind, p)
+	if err != nil {
+		return nil, nil, false, nil
+	}
 	in, err := asExtended(d.In[0])
 	if err != nil {
 		return nil, nil, false, nil

@@ -25,15 +25,14 @@ type EvalStats struct {
 }
 
 // EvalOptions configures one evaluation request. Build it with the
-// functional options (WithWorkers, Serial, WithLabel) passed to Eval.
+// functional options (WithWorkers, WithLabel, ...) passed to Eval.
 type EvalOptions struct {
-	// Workers bounds concurrent box firings within one request. Zero or
-	// negative means GOMAXPROCS.
-	Workers int
-	// Serial forces the single-threaded fallback: the wavefront runs
+	// Workers bounds concurrent box firings within one request, and the
+	// scan workers of a fused chain's firing. Zero or negative means
+	// GOMAXPROCS. One is the single-threaded fallback: the wavefront runs
 	// level by level in one goroutine, firing boxes in deterministic
-	// order. Useful for debugging and as the determinism baseline.
-	Serial bool
+	// order — useful for debugging and as the determinism baseline.
+	Workers int
 	// Label annotates the request's trace span and Result, so concurrent
 	// requests can be told apart in a Chrome trace.
 	Label string
@@ -52,9 +51,6 @@ type EvalOption func(*EvalOptions)
 
 // WithWorkers bounds the number of boxes firing concurrently.
 func WithWorkers(n int) EvalOption { return func(o *EvalOptions) { o.Workers = n } }
-
-// Serial forces the single-threaded fallback scheduler.
-func Serial() EvalOption { return func(o *EvalOptions) { o.Serial = true } }
 
 // WithLabel names the request in traces and results.
 func WithLabel(label string) EvalOption { return func(o *EvalOptions) { o.Label = label } }
@@ -391,7 +387,6 @@ func (e *Evaluator) preflight(target int) error {
 // lazy-vs-eager ablation benchmark and for whole-program validation.
 func (e *Evaluator) EvaluateAll() error {
 	var o EvalOptions
-	o.Serial = true
 	o.Workers = 1
 	o.NoFusion = true // eager mode wants a memo entry for every box
 	for _, b := range e.g.Boxes() {

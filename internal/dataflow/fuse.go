@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync/atomic"
 
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -27,15 +26,30 @@ import (
 // staleness stamp already covers the interiors (they are on its input
 // walk), and Invalidate sweeps dependents over the real edge set.
 
-var fusionOff atomic.Bool
-
-// SetFusionDisabled turns restrict/project chain fusion off (true) or on
-// (false) process-wide and returns the previous setting; the per-request
-// WithoutFusion option does the same for one evaluation.
-func SetFusionDisabled(off bool) bool { return fusionOff.Swap(off) }
-
-// FusionDisabled reports whether chain fusion is disabled process-wide.
-func FusionDisabled() bool { return fusionOff.Load() }
+// fusedOp reads a restrict or project box's parameters into the
+// rel.FusedOp it runs as, whether it fires alone, inside a fused chain,
+// or incrementally.
+func fusedOp(kind string, p Params) (rel.FusedOp, error) {
+	switch kind {
+	case "restrict":
+		src, err := p.Need("pred")
+		if err != nil {
+			return rel.FusedOp{}, err
+		}
+		pred, err := expr.Parse(src)
+		if err != nil {
+			return rel.FusedOp{}, err
+		}
+		return rel.FusedOp{Pred: pred}, nil
+	case "project":
+		attrs := p.List("attrs")
+		if len(attrs) == 0 {
+			return rel.FusedOp{}, fmt.Errorf("project needs attrs=")
+		}
+		return rel.FusedOp{Project: attrs}, nil
+	}
+	return rel.FusedOp{}, fmt.Errorf("box kind %q does not fuse", kind)
+}
 
 // fusedStep is one box of a fused chain, head to tail.
 type fusedStep struct {
@@ -152,30 +166,13 @@ func (e *Evaluator) fireFused(ctx context.Context, p *plan, n *planNode, ch *fus
 	// blamed on its own box, like an individual firing.
 	ops := make([]rel.FusedOp, len(ch.steps))
 	for i, s := range ch.steps {
-		switch s.box.Kind {
-		case "restrict":
-			src, err := s.box.Params.Need("pred")
-			if err != nil {
-				return nil, 0, evalErr("fire", s.id, s.box.Kind, err)
-			}
-			pred, err := expr.Parse(src)
-			if err != nil {
-				return nil, 0, evalErr("fire", s.id, s.box.Kind, err)
-			}
-			ops[i] = rel.FusedOp{Pred: pred}
-		case "project":
-			attrs := s.box.Params.List("attrs")
-			if len(attrs) == 0 {
-				return nil, 0, evalErr("fire", s.id, s.box.Kind, fmt.Errorf("project needs attrs="))
-			}
-			ops[i] = rel.FusedOp{Project: attrs}
+		op, err := fusedOp(s.box.Kind, s.box.Params)
+		if err != nil {
+			return nil, 0, evalErr("fire", s.id, s.box.Kind, err)
 		}
+		ops[i] = op
 	}
 
-	workers := o.Workers
-	if o.Serial {
-		workers = 1
-	}
 	fctx := ctx
 	var sp *obs.Span
 	if obs.Recording() {
@@ -183,7 +180,7 @@ func (e *Evaluator) fireFused(ctx context.Context, p *plan, n *planNode, ch *fus
 			"box", strconv.Itoa(n.id), "kind", obs.FusedKindPrefix+strconv.Itoa(len(ch.steps)))
 	}
 	t := obs.StartTimer(obs.EvalFireNS)
-	res, err := rel.FusedScanCtx(fctx, ein.Rel, ops, workers)
+	res, err := rel.FusedScanCtx(fctx, ein.Rel, ops, o.Workers)
 	t.Stop()
 	sp.End()
 	if err != nil {

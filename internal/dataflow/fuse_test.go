@@ -87,19 +87,6 @@ func TestFusedChainMatchesUnfused(t *testing.T) {
 	}
 }
 
-func TestGlobalFusionKnobDisables(t *testing.T) {
-	_, ev, boxes := buildChain(t)
-	prev := SetFusionDisabled(true)
-	defer SetFusionDisabled(prev)
-	res, err := ev.Eval(context.Background(), Request{Box: boxes["r2"].ID})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Fires != 4 {
-		t.Fatalf("with fusion disabled fired %d boxes, want 4", res.Fires)
-	}
-}
-
 // A chain interior with a second consumer must keep firing individually:
 // fusing it away would starve the other consumer's memo read.
 func TestMultiConsumerInteriorNotFused(t *testing.T) {
@@ -252,7 +239,7 @@ func TestFusedParallelMatchesSerialUnfused(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	serial, err := ev.Eval(ctx, Request{Box: ub.ID}, Serial(), WithoutFusion())
+	serial, err := ev.Eval(ctx, Request{Box: ub.ID}, WithWorkers(1), WithoutFusion())
 	if err != nil {
 		t.Fatal(err)
 	}

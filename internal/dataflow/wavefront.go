@@ -102,7 +102,7 @@ func (e *Evaluator) evalTarget(ctx context.Context, target int, o EvalOptions) (
 	if err != nil {
 		return nil, res, err
 	}
-	if !o.NoFusion && !fusionOff.Load() {
+	if !o.NoFusion {
 		e.fuseChains(p, target)
 	}
 	e.applyDeltas(ctx, p)
@@ -164,9 +164,6 @@ func (rs *runStats) fill(res *Result) {
 // the level is wide and the request allows it.
 func (e *Evaluator) runLevel(ctx context.Context, p *plan, level []*planNode, o EvalOptions, rs *runStats) error {
 	workers := o.Workers
-	if o.Serial {
-		workers = 1
-	}
 	if workers > len(level) {
 		workers = len(level)
 	}

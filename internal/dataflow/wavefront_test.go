@@ -74,7 +74,7 @@ func TestParallelEvalMatchesSerial(t *testing.T) {
 	_, ev, root := buildFanout(t, 8)
 	ctx := context.Background()
 
-	serial, err := ev.Eval(ctx, Request{Box: root}, Serial())
+	serial, err := ev.Eval(ctx, Request{Box: root}, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}

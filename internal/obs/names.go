@@ -98,7 +98,7 @@ const (
 	ServerFrameBytes = "server.frame_bytes" // encoded PNG bytes shipped
 	ServerOps        = "server.ops"         // client viewer operations applied
 	ServerBroadcasts = "server.broadcasts"  // generation-bump fan-outs to sessions
-	ServerFrameNS    = "server.frame_ns"    // histogram: render+encode latency per pushed frame
+	ServerFrameNS    = "server.frame_ns"    // histogram: latency per pushed frame, render only; PNG encode excluded
 )
 
 // Canonical span names, same taxonomy as the metrics above. Call sites

@@ -10,11 +10,15 @@ import (
 	"repro/internal/types"
 )
 
-// This file wires the expression compiler (internal/expr/compile.go) into
-// the relational operators and provides the chunked parallel-scan
-// machinery they share. Compilation is best-effort: every call site keeps
-// the interpreted path as a fallback, and the ablation knobs below turn
-// the fast paths off wholesale so benchmarks can measure them.
+// This file prepares predicates and expressions for row evaluation and
+// provides the chunked parallel-scan machinery the operators share.
+// Every operator evaluates rows through one handle, compiledPred or
+// compiledExpr, that holds either closures compiled by internal/expr or
+// — with compilation disabled — the tree-walking interpreter over the
+// same positional tuple layout. That switch is the differential oracle:
+// flipping it changes how each row is evaluated (and turns the columnar
+// kernel off along with the closures), never which scan runs, its row
+// order or its chunking.
 
 // DefaultScanThreshold is the row count below which scans stay
 // single-threaded: chunk bookkeeping and goroutine handoff cost more than
@@ -22,14 +26,14 @@ import (
 const DefaultScanThreshold = 4096
 
 var (
-	compileOff    atomic.Bool
-	scanWorkers   atomic.Int64 // 0 = GOMAXPROCS
-	scanThreshold atomic.Int64 // 0 = DefaultScanThreshold
+	compileOff  atomic.Bool
+	scanWorkers atomic.Int64 // 0 = GOMAXPROCS
 )
 
 // SetCompileDisabled turns expression compilation off (true) or on
 // (false) process-wide and returns the previous setting. With compilation
-// off every operator takes its interpreted path — the ablation baseline.
+// off every operator evaluates rows with the interpreter — the ablation
+// baseline and differential oracle.
 func SetCompileDisabled(off bool) bool { return compileOff.Swap(off) }
 
 // CompileDisabled reports whether expression compilation is disabled.
@@ -42,18 +46,6 @@ func SetScanWorkers(n int) int { return int(scanWorkers.Swap(int64(n))) }
 
 // ScanWorkers returns the configured scan worker count (0 = GOMAXPROCS).
 func ScanWorkers() int { return int(scanWorkers.Load()) }
-
-// SetScanThreshold sets the minimum row count for parallel scans and
-// returns the previous setting. Zero or negative restores the default.
-func SetScanThreshold(n int) int { return int(scanThreshold.Swap(int64(n))) }
-
-// ScanThreshold returns the effective parallel-scan row threshold.
-func ScanThreshold() int {
-	if t := int(scanThreshold.Load()); t > 0 {
-		return t
-	}
-	return DefaultScanThreshold
-}
 
 // effectiveWorkers resolves a caller-requested worker count (0 = inherit
 // the package setting, which itself defaults to GOMAXPROCS).
@@ -72,7 +64,7 @@ func effectiveWorkers(n int) int {
 // effective worker count.
 func scanChunks(n, workers int) int {
 	w := effectiveWorkers(workers)
-	if w <= 1 || n < ScanThreshold() {
+	if w <= 1 || n < DefaultScanThreshold {
 		return 1
 	}
 	if w > n {
@@ -121,25 +113,44 @@ func runChunks(n, chunks int, fn func(chunk, lo, hi int) error) error {
 	return nil
 }
 
-// matScope adapts a relation to expr.CompileScope: stored columns
-// resolve to their tuple ordinal and computed attributes listed in mat
-// resolve to their materialized slot past the stored columns (see
-// matPlan). Computed attributes outside mat inline their definitions
-// (with the same evaluate-to-null error swallowing as Row).
-type matScope struct {
-	r   *Relation
-	mat map[string]int
+// concatRows joins per-chunk row lists in chunk order.
+func concatRows(chunkRows [][]int) []int {
+	total := 0
+	for _, rs := range chunkRows {
+		total += len(rs)
+	}
+	rows := make([]int, 0, total)
+	for _, rs := range chunkRows {
+		rows = append(rows, rs...)
+	}
+	return rows
+}
+
+// mappedScope adapts a relation's attribute names to expr.CompileScope
+// over a positional tuple layout. Stored columns resolve to their
+// ordinal, mapped through colMap when the tuples are another relation's
+// (a fused scan's steps all read the SOURCE tuples; nil means identity).
+// Computed attributes listed in mat resolve to their materialized slot
+// past the stored columns (see matPlan); the others inline their
+// definitions, with the same evaluate-to-null error swallowing as Row.
+type mappedScope struct {
+	shape  *Relation
+	colMap []int
+	mat    map[string]int
 }
 
 // ResolveAttr implements expr.CompileScope.
-func (s matScope) ResolveAttr(name string) (int, expr.Node, bool) {
-	if i := s.r.schema.Index(name); i >= 0 {
+func (s mappedScope) ResolveAttr(name string) (int, expr.Node, bool) {
+	if i := s.shape.schema.Index(name); i >= 0 {
+		if s.colMap != nil {
+			i = s.colMap[i]
+		}
 		return i, nil, true
 	}
 	if j, ok := s.mat[name]; ok {
 		return j, nil, true
 	}
-	for _, c := range s.r.computed {
+	for _, c := range s.shape.computed {
 		if c.Name == name {
 			return -1, c.Expr, true
 		}
@@ -176,9 +187,9 @@ func (m *matPlan) extend(t, scratch []types.Value) []types.Value {
 
 // buildMat plans materialization for the computed attributes
 // transitively referenced by nodes: the map gives each its extended
-// ordinal for matScope, the plan evaluates them per row. Returns nils
+// ordinal for mappedScope, the plan evaluates them per row. Returns nils
 // when nothing is referenced or a definition fails to compile (the
-// caller then compiles with plain inlining or falls back entirely).
+// caller then compiles with plain inlining).
 func (r *Relation) buildMat(nodes ...expr.Node) (*matPlan, map[string]int) {
 	if len(r.computed) == 0 {
 		return nil, nil
@@ -212,7 +223,7 @@ func (r *Relation) buildMat(nodes ...expr.Node) (*matPlan, map[string]int) {
 		}
 		// mat holds only earlier names here, so a definition compiles
 		// against the slots already materialized when it runs.
-		ce, err := expr.Compile(c.Expr, matScope{r: r, mat: mat})
+		ce, err := expr.Compile(c.Expr, mappedScope{shape: r, mat: mat})
 		if err != nil {
 			return nil, nil
 		}
@@ -222,66 +233,126 @@ func (r *Relation) buildMat(nodes ...expr.Node) (*matPlan, map[string]int) {
 	return plan, mat
 }
 
-// compiledPred is a compiled predicate plus its materialization plan.
-type compiledPred struct {
-	p   *expr.CompiledPredicate
-	mat *matPlan
-}
-
-// eval evaluates the predicate over tuple t; scratch is the caller's
-// reusable materialization buffer (one per goroutine), returned possibly
-// grown for the next row.
-func (cp *compiledPred) eval(t, scratch []types.Value) (bool, []types.Value, error) {
-	if cp.mat != nil {
-		scratch = cp.mat.extend(t, scratch)
-		t = scratch
+// prepare is where a scan reads the oracle switch. With compilation on
+// it plans materialization of the computed attributes nodes reference —
+// one plan shared by all of them — and reports compile=true, so callers
+// compile each node against a mappedScope carrying mat. With compilation off
+// it returns no plan and compile=false: every handle interprets.
+func (r *Relation) prepare(nodes ...expr.Node) (plan *matPlan, mat map[string]int, compile bool) {
+	if compileOff.Load() {
+		return nil, nil, false
 	}
-	ok, err := cp.p.Eval(t)
-	return ok, scratch, err
+	plan, mat = r.buildMat(nodes...)
+	return plan, mat, true
 }
 
-// compiledExpr is a compiled expression plus its materialization plan.
+// oracleEnv is the interpreter's view of one positional tuple: names
+// resolve through the same scope the compiler uses, and a computed
+// attribute evaluates its definition with the evaluate-to-null error
+// swallowing of Row.AttrValue.
+type oracleEnv struct {
+	scope expr.CompileScope
+	tuple []types.Value
+}
+
+// AttrValue implements expr.Env.
+func (e *oracleEnv) AttrValue(name string) (types.Value, bool) {
+	ord, def, ok := e.scope.ResolveAttr(name)
+	if !ok {
+		return types.Null, false
+	}
+	if def == nil {
+		return e.tuple[ord], true
+	}
+	v, err := expr.Eval(def, e)
+	if err != nil {
+		return types.Null, true
+	}
+	return v, true
+}
+
+// evalScratch is one goroutine's reusable row-evaluation state: the
+// materialization buffer and the oracle's environment. Scans keep one per
+// worker, so the handle adds no per-row allocation in either mode.
+type evalScratch struct {
+	ext []types.Value
+	env oracleEnv
+}
+
+// compiledPred is a predicate prepared for evaluation over tuples laid
+// out as scope describes: compiled closures (p), or the interpreter when
+// compilation is off or fails. mat, when set, extends each tuple with
+// the plan's materialized computed attributes before evaluation.
+type compiledPred struct {
+	p     *expr.CompiledPredicate
+	node  expr.Node
+	scope expr.CompileScope
+	mat   *matPlan
+}
+
+// newPred prepares n over scope, compiling it when compile is set.
+func newPred(n expr.Node, scope expr.CompileScope, compile bool) *compiledPred {
+	cp := &compiledPred{node: n, scope: scope}
+	if compile {
+		if p, err := expr.CompilePredicate(n, scope); err == nil {
+			obs.Inc(obs.RelCompile)
+			cp.p = p
+		}
+	}
+	return cp
+}
+
+// eval evaluates the predicate over tuple t using the caller's scratch.
+func (cp *compiledPred) eval(t []types.Value, sc *evalScratch) (bool, error) {
+	if cp.mat != nil {
+		sc.ext = cp.mat.extend(t, sc.ext)
+		t = sc.ext
+	}
+	if cp.p != nil {
+		return cp.p.Eval(t)
+	}
+	sc.env = oracleEnv{scope: cp.scope, tuple: t}
+	return expr.EvalPredicate(cp.node, &sc.env)
+}
+
+// compiledExpr is compiledPred for value-producing expressions.
 type compiledExpr struct {
-	e   *expr.Compiled
-	mat *matPlan
+	e     *expr.Compiled
+	node  expr.Node
+	scope expr.CompileScope
+	mat   *matPlan
 }
 
 // eval mirrors compiledPred.eval for value-producing expressions.
-func (ce *compiledExpr) eval(t, scratch []types.Value) (types.Value, []types.Value, error) {
+func (ce *compiledExpr) eval(t []types.Value, sc *evalScratch) (types.Value, error) {
 	if ce.mat != nil {
-		scratch = ce.mat.extend(t, scratch)
-		t = scratch
+		sc.ext = ce.mat.extend(t, sc.ext)
+		t = sc.ext
 	}
-	v, err := ce.e.Eval(t)
-	return v, scratch, err
+	if ce.e != nil {
+		return ce.e.Eval(t)
+	}
+	sc.env = oracleEnv{scope: ce.scope, tuple: t}
+	return expr.Eval(ce.node, &sc.env)
 }
 
-// compilePredicate compiles pred against the relation's tuple layout, or
-// returns nil when compilation is disabled or fails (use the interpreter).
+// compilePredicate prepares pred over the relation's tuple layout.
 func (r *Relation) compilePredicate(pred expr.Node) *compiledPred {
-	if compileOff.Load() {
-		return nil
-	}
-	plan, mat := r.buildMat(pred)
-	p, err := expr.CompilePredicate(pred, matScope{r: r, mat: mat})
-	if err != nil {
-		return nil
-	}
-	obs.Inc(obs.RelCompile)
-	return &compiledPred{p: p, mat: plan}
+	plan, mat, compile := r.prepare(pred)
+	cp := newPred(pred, mappedScope{shape: r, mat: mat}, compile)
+	cp.mat = plan
+	return cp
 }
 
-// compileExpr compiles def against the relation's tuple layout, or
-// returns nil when compilation is disabled or fails.
+// compileExpr prepares def over the relation's tuple layout.
 func (r *Relation) compileExpr(def expr.Node) *compiledExpr {
-	if compileOff.Load() {
-		return nil
+	plan, mat, compile := r.prepare(def)
+	ce := &compiledExpr{node: def, scope: mappedScope{shape: r, mat: mat}, mat: plan}
+	if compile {
+		if e, err := expr.Compile(def, ce.scope); err == nil {
+			obs.Inc(obs.RelCompile)
+			ce.e = e
+		}
 	}
-	plan, mat := r.buildMat(def)
-	e, err := expr.Compile(def, matScope{r: r, mat: mat})
-	if err != nil {
-		return nil
-	}
-	obs.Inc(obs.RelCompile)
-	return &compiledExpr{e: e, mat: plan}
+	return ce
 }

@@ -3,6 +3,7 @@ package rel
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/expr"
@@ -13,16 +14,17 @@ import (
 // per-row provenance — for exact equality checks across execution modes.
 func relFingerprint(t testing.TB, r *Relation) string {
 	t.Helper()
-	out := r.schema.String() + "|"
+	var out strings.Builder
+	out.WriteString(r.schema.String() + "|")
 	for _, c := range r.computed {
-		out += fmt.Sprintf("%s=%s:%s;", c.Name, c.Expr, c.Kind)
+		fmt.Fprintf(&out, "%s=%s:%s;", c.Name, c.Expr, c.Kind)
 	}
-	out += "|"
+	out.WriteString("|")
 	for i := 0; i < r.Len(); i++ {
 		base, row := r.BaseRow(i)
-		out += fmt.Sprintf("%v@%s[%d];", r.Tuple(i), base.Name(), row)
+		fmt.Fprintf(&out, "%v@%s[%d];", r.Tuple(i), base.Name(), row)
 	}
-	return out
+	return out.String()
 }
 
 // withInterpreter runs fn with expression compilation disabled, restoring
@@ -328,10 +330,11 @@ func asStepError(err error, out **FusedStepError) bool {
 	return false
 }
 
-// Parallel scans must be byte-deterministic: many workers with a tiny
-// chunk threshold produce exactly the serial output, run after run.
+// Parallel scans must be byte-deterministic: many workers over an input
+// above the chunk threshold produce exactly the serial output, run after
+// run.
 func TestParallelScanDeterminism(t *testing.T) {
-	r := bigRelation(t, 2000)
+	r := bigRelation(t, 3*DefaultScanThreshold)
 	pred := expr.MustParse("score > 0.0 and id % 7 != 2")
 
 	serial, err := Restrict(r, pred)
@@ -341,11 +344,7 @@ func TestParallelScanDeterminism(t *testing.T) {
 	want := relFingerprint(t, serial)
 
 	prevW := SetScanWorkers(8)
-	prevT := SetScanThreshold(1)
-	defer func() {
-		SetScanWorkers(prevW)
-		SetScanThreshold(prevT)
-	}()
+	defer SetScanWorkers(prevW)
 	for i := 0; i < 5; i++ {
 		par, err := Restrict(r, pred)
 		if err != nil {
@@ -384,22 +383,19 @@ func TestParallelScanDeterminism(t *testing.T) {
 // serial scan hits first, regardless of worker count.
 func TestParallelScanErrorDeterminism(t *testing.T) {
 	r := New("E", MustSchema(Column{Name: "a", Kind: types.Int}))
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < 10000; i++ {
 		r.MustAppend([]types.Value{types.NewInt(int64(i))})
 	}
-	// Fails for every a >= 700: first failing row is 700 in serial order.
-	pred := expr.MustParse("if(a < 700, 1, a / 0) = 1")
+	// Fails for every a >= 7000: first failing row is 7000 in serial
+	// order, well past the first of eight chunks.
+	pred := expr.MustParse("if(a < 7000, 1, a / 0) = 1")
 
 	_, serialErr := Restrict(r, pred)
 	if serialErr == nil {
 		t.Fatal("expected serial error")
 	}
 	prevW := SetScanWorkers(8)
-	prevT := SetScanThreshold(1)
-	defer func() {
-		SetScanWorkers(prevW)
-		SetScanThreshold(prevT)
-	}()
+	defer SetScanWorkers(prevW)
 	for i := 0; i < 4; i++ {
 		_, parErr := Restrict(r, pred)
 		if parErr == nil {

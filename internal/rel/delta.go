@@ -101,7 +101,7 @@ func FusedDelta(ctx context.Context, newIn, oldOut *Relation, ops []FusedOp, d *
 	if newIn.provBase != nil || oldOut.provBase == nil {
 		return nil, nil, false, nil
 	}
-	sh, err := fusedShapePass(ctx, newIn, ops)
+	sh, err := tracedShapePass(ctx, newIn, ops)
 	if err != nil {
 		// The full chain would fail the same way; let the refire surface
 		// it with standard step attribution.
@@ -133,7 +133,7 @@ func FusedDelta(ctx context.Context, newIn, oldOut *Relation, ops []FusedOp, d *
 		copied = true
 	}
 	var outOps []DeltaOp
-	var scratch []types.Value
+	var sc evalScratch
 	sorted := false
 	for _, op := range deltaOps(d) {
 		switch op.Kind {
@@ -143,8 +143,7 @@ func FusedDelta(ctx context.Context, newIn, oldOut *Relation, ops []FusedOp, d *
 			}
 			row := inLen
 			inLen++
-			var pass bool
-			pass, scratch, err = sh.evalRow(newIn, row, op.Tuple, scratch)
+			pass, err := sh.evalRow(op.Tuple, &sc)
 			if err != nil {
 				return nil, nil, false, nil
 			}
@@ -168,8 +167,7 @@ func FusedDelta(ctx context.Context, newIn, oldOut *Relation, ops []FusedOp, d *
 				}
 				sorted = true
 			}
-			var pass bool
-			pass, scratch, err = sh.evalRow(newIn, op.Row, op.Tuple, scratch)
+			pass, err := sh.evalRow(op.Tuple, &sc)
 			if err != nil {
 				return nil, nil, false, nil
 			}
@@ -199,70 +197,28 @@ func FusedDelta(ctx context.Context, newIn, oldOut *Relation, ops []FusedOp, d *
 	return &FusedResult{Out: out, Shapes: sh.shapes}, &TupleDelta{Ops: outOps}, true, nil
 }
 
-// JoinState is the maintained state of a hash equi-join: the build-side
-// hash table (bucket lists in build-row order, exactly as hashJoin
-// constructs them), a probe-side index for the reverse lookup build
-// appends need, and the (probeRow, buildRow) pair behind every output
-// tuple in emission order. Built once with an O(n) replay, it then
-// absorbs tuple deltas in O(affected pairs) per frame.
+// JoinState is the maintained state of a hash equi-join: the build side
+// exactly as hashJoin constructed it, a probe-side index for the reverse
+// lookup build appends need, and the (probeRow, buildRow) pair behind
+// every output tuple in emission order. Built once by replaying the
+// join, it then absorbs tuple deltas in O(affected pairs) per frame.
 //
 // A JoinState that returns ok=false from Apply is poisoned — its indexes
 // may be partially advanced — and must be discarded along with the memo
 // it maintained.
 type JoinState struct {
-	pred  expr.Node
+	*hashBuild
 	shell *Relation // output shape: schema + surviving computed attrs
-	cp    *compiledPred
-	env   *scratchEnv
+	res   *joinResidual
 
-	scratch    []types.Value
-	matScratch []types.Value
-
-	li, ri       int // key ordinals in l and r
-	bi, pi       int // key ordinals in build and probe
-	buildIsRight bool
-
-	table      map[valueKey][]int // key -> build rows, in build-row order
 	probeIdx   map[valueKey][]int // key -> probe rows, in probe-row order
 	pairs      [][2]int           // (probeRow, buildRow) per output tuple, probe-major
 	outTuples  [][]types.Value
 	lLen, rLen int
 }
 
-// residual evaluates the join predicate over one candidate (lt, rt) pair,
-// with identical semantics to Join's emit closure (compiled when
-// possible, computed attributes materialized).
-func (s *JoinState) residual(lt, rt []types.Value) (bool, error) {
-	s.scratch = s.scratch[:0]
-	s.scratch = append(s.scratch, lt...)
-	s.scratch = append(s.scratch, rt...)
-	if s.cp != nil {
-		var keep bool
-		var err error
-		keep, s.matScratch, err = s.cp.eval(s.scratch, s.matScratch)
-		return keep, err
-	}
-	s.env.tuple = s.scratch
-	return expr.EvalPredicate(s.pred, s.env)
-}
-
-// outTuple materializes one output row from a kept pair.
-func (s *JoinState) outTuple(lt, rt []types.Value) []types.Value {
-	nt := make([]types.Value, 0, len(lt)+len(rt))
-	nt = append(nt, lt...)
-	return append(nt, rt...)
-}
-
-// sides orders a (probe, build) tuple pair into (left, right).
-func (s *JoinState) sides(ptup, btup []types.Value) (lt, rt []types.Value) {
-	if s.buildIsRight {
-		return ptup, btup
-	}
-	return btup, ptup
-}
-
 // BuildJoinState reconstructs maintainable join state from the inputs and
-// memoized output of a previous full hash join. It replays the probe loop
+// memoized output of a previous full hash join. It reruns the hash join
 // to recover which (probe, build) pair produced each output row and
 // requires exact agreement with the memo; any join a hash strategy would
 // not have handled — no equi-conjunct, predicate errors — reports !ok.
@@ -284,41 +240,18 @@ func BuildJoinState(oldL, oldR, oldOut *Relation, pred expr.Node) (*JoinState, b
 	if !ok {
 		return nil, false
 	}
-	li, ri := oldL.schema.Index(la), oldR.schema.Index(ra)
-	if li < 0 || ri < 0 {
-		return nil, false
-	}
 	s := &JoinState{
-		pred:  pred,
 		shell: shell,
-		cp:    shell.compilePredicate(pred),
-		env:   &scratchEnv{rel: shell},
-		li:    li,
-		ri:    ri,
+		res:   newJoinResidual(shell, pred),
 		lLen:  oldL.Len(),
 		rLen:  oldR.Len(),
 	}
-	s.scratch = make([]types.Value, 0, oldL.schema.Len()+oldR.schema.Len())
-	// Build-side selection mirrors hashJoin exactly: build on the right
-	// unless the left is strictly smaller.
-	build, probe := oldR, oldL
-	s.bi, s.pi = ri, li
-	s.buildIsRight = true
-	if oldL.Len() < oldR.Len() {
-		build, probe = oldL, oldR
-		s.bi, s.pi = li, ri
-		s.buildIsRight = false
+	s.hashBuild, err = hashJoin(oldL, oldR, oldL.schema.Index(la), oldR.schema.Index(ra), s.res,
+		func(prow, brow int, _, _ []types.Value) { s.pairs = append(s.pairs, [2]int{prow, brow}) })
+	if err != nil || len(s.pairs) != oldOut.Len() {
+		return nil, false
 	}
-	s.table = make(map[valueKey][]int, build.Len())
-	brd := build.reader()
-	for row, n := 0, build.Len(); row < n; row++ {
-		v := brd.value(row, s.bi)
-		if v.IsNull() {
-			continue
-		}
-		k := keyOf(v)
-		s.table[k] = append(s.table[k], row)
-	}
+	_, probe := s.inputs(oldL, oldR)
 	s.probeIdx = make(map[valueKey][]int)
 	prd := probe.reader()
 	for row, n := 0, probe.Len(); row < n; row++ {
@@ -329,30 +262,7 @@ func BuildJoinState(oldL, oldR, oldOut *Relation, pred expr.Node) (*JoinState, b
 		k := keyOf(v)
 		s.probeIdx[k] = append(s.probeIdx[k], row)
 	}
-	// Replay the probe loop to recover pair provenance. The memoized
-	// output must have exactly one row per kept pair, in the same order.
-	bget := build.reader()
-	for prow, n := 0, probe.Len(); prow < n; prow++ {
-		ptup := prd.take(prow)
-		v := ptup[s.pi]
-		if v.IsNull() {
-			continue
-		}
-		for _, brow := range s.table[keyOf(v)] {
-			lt, rt := s.sides(ptup, bget.take(brow))
-			keep, err := s.residual(lt, rt)
-			if err != nil {
-				return nil, false
-			}
-			if keep {
-				s.pairs = append(s.pairs, [2]int{prow, brow})
-			}
-		}
-	}
-	if brd.Err() != nil || prd.Err() != nil || bget.Err() != nil {
-		return nil, false
-	}
-	if len(s.pairs) != oldOut.Len() {
+	if prd.Err() != nil {
 		return nil, false
 	}
 	s.outTuples = oldOut.tuples
@@ -380,13 +290,12 @@ func (s *JoinState) Apply(newL, newR *Relation, dl, dr *TupleDelta) (*Relation, 
 		return nil, nil, false
 	}
 	dbuild, dprobe := dr, dl
-	buildRel, probeRel := newR, newL
 	buildLen, probeLen := s.rLen, s.lLen
 	if !s.buildIsRight {
 		dbuild, dprobe = dl, dr
-		buildRel, probeRel = newL, newR
 		buildLen, probeLen = s.lLen, s.rLen
 	}
+	buildRel, probeRel := s.inputs(newL, newR)
 	outTuples := s.outTuples
 	pairs := s.pairs
 	copied := false
@@ -426,7 +335,7 @@ func (s *JoinState) Apply(newL, newR *Relation, dl, dr *TupleDelta) (*Relation, 
 			if prd.Err() != nil {
 				return nil, nil, false
 			}
-			keep, err := s.residual(lt, rt)
+			keep, err := s.res.keep(lt, rt)
 			if err != nil || keep {
 				return nil, nil, false
 			}
@@ -457,12 +366,12 @@ func (s *JoinState) Apply(newL, newR *Relation, dl, dr *TupleDelta) (*Relation, 
 				if brd.Err() != nil {
 					return nil, nil, false
 				}
-				keep, err := s.residual(lt, rt)
+				keep, err := s.res.keep(lt, rt)
 				if err != nil {
 					return nil, nil, false
 				}
 				if keep {
-					nt := s.outTuple(lt, rt)
+					nt := joinTuple(lt, rt)
 					outTuples = append(outTuples, nt)
 					pairs = append(pairs, [2]int{prow, brow})
 					outOps = append(outOps, DeltaOp{Kind: DeltaAppend, Row: len(outTuples) - 1, Tuple: nt})
@@ -496,7 +405,7 @@ func (s *JoinState) Apply(newL, newR *Relation, dl, dr *TupleDelta) (*Relation, 
 				if brd.Err() != nil {
 					return nil, nil, false
 				}
-				keep, err := s.residual(lt, rt)
+				keep, err := s.res.keep(lt, rt)
 				if err != nil {
 					return nil, nil, false
 				}
@@ -504,7 +413,7 @@ func (s *JoinState) Apply(newL, newR *Relation, dl, dr *TupleDelta) (*Relation, 
 					if j >= hi || pairs[j][1] != brow {
 						return nil, nil, false
 					}
-					newTuples = append(newTuples, s.outTuple(lt, rt))
+					newTuples = append(newTuples, joinTuple(lt, rt))
 					j++
 				}
 			}

@@ -54,74 +54,14 @@ type FusedResult struct {
 	Shapes []*Relation
 }
 
-// fusedPred is one compiled (or interpreted) restriction of the pipeline,
-// bound to the shape it was checked against and the mapping from that
-// shape's stored columns to the source relation's tuple ordinals.
+// fusedPred is one restriction of the pipeline, prepared over the source
+// relation's tuple layout and bound to the shape it was checked against
+// and the mapping from that shape's stored columns to source ordinals.
 type fusedPred struct {
-	step     int
-	node     expr.Node
-	compiled *expr.CompiledPredicate
-	shape    *Relation
-	colMap   []int
-}
-
-// mappedScope resolves a shape's attribute names to ordinals in the
-// SOURCE tuple layout, which is what a fused scan's predicates run over.
-// Computed attributes in mat resolve to their materialized slot past the
-// source columns (the scan shares one matPlan across every step — a
-// stored column's source ordinal is invariant across shapes, so one
-// extended row serves all predicates).
-type mappedScope struct {
+	step   int
+	pred   *compiledPred
 	shape  *Relation
 	colMap []int
-	mat    map[string]int
-}
-
-// ResolveAttr implements expr.CompileScope.
-func (s mappedScope) ResolveAttr(name string) (int, expr.Node, bool) {
-	if i := s.shape.schema.Index(name); i >= 0 {
-		return s.colMap[i], nil, true
-	}
-	if j, ok := s.mat[name]; ok {
-		return j, nil, true
-	}
-	for _, c := range s.shape.computed {
-		if c.Name == name {
-			return -1, c.Expr, true
-		}
-	}
-	return -1, nil, false
-}
-
-// mappedCursor is the interpreted counterpart of mappedScope: an expr.Env
-// reading one source row through a step's shape. When tup is set it is
-// read instead of src.tuples[row] — the delta path evaluates tuples that
-// are not (or not yet) the relation's current row content.
-type mappedCursor struct {
-	src *Relation
-	fp  *fusedPred
-	row int
-	tup []types.Value
-}
-
-// AttrValue implements expr.Env.
-func (m *mappedCursor) AttrValue(name string) (types.Value, bool) {
-	if i := m.fp.shape.schema.Index(name); i >= 0 {
-		if m.tup != nil {
-			return m.tup[m.fp.colMap[i]], true
-		}
-		return m.src.storedValue(m.row, m.fp.colMap[i]), true
-	}
-	for _, c := range m.fp.shape.computed {
-		if c.Name == name {
-			v, err := expr.Eval(c.Expr, m)
-			if err != nil {
-				return types.Null, true
-			}
-			return v, true
-		}
-	}
-	return types.Null, false
 }
 
 // FusedScan runs the pipeline over r with up to workers scan workers
@@ -154,96 +94,112 @@ func FusedScanCtx(ctx context.Context, r *Relation, ops []FusedOp, workers int) 
 	return res, err
 }
 
+// fusedScan is FusedScanCtx without the rel.fused_scan span.
+func fusedScan(ctx context.Context, r *Relation, ops []FusedOp, workers int) (*FusedResult, error) {
+	sh, err := tracedShapePass(ctx, r, ops)
+	if err != nil {
+		return nil, err
+	}
+	obs.Inc(obs.RelFusedScans)
+	out, err := sh.run(r, workers)
+	if err != nil {
+		if _, step := err.(*FusedStepError); !step {
+			err = fmt.Errorf("rel: fused scan: %w", err)
+		}
+		return nil, err
+	}
+	return &FusedResult{Out: out, Shapes: sh.shapes}, nil
+}
+
+// runStep runs one Restrict or Project step through the fused scan and
+// reports errors in the standalone operator's shape: the step's own
+// error unwrapped, chunk read errors prefixed with the operator name.
+func runStep(r *Relation, op FusedOp, name string) (*Relation, error) {
+	sh, err := fusedShapePass(r, []FusedOp{op})
+	if err == nil {
+		var out *Relation
+		if out, err = sh.run(r, 0); err == nil {
+			return out, nil
+		}
+	}
+	if se, ok := err.(*FusedStepError); ok {
+		return nil, se.Err
+	}
+	return nil, fmt.Errorf("rel: %s: %w", name, err)
+}
+
 // fusedShape is the result of a fused pipeline's shape pass over a source
 // relation: the per-step output shapes, the final stored-column mapping
-// back to source ordinals, and the checked (and, when enabled, compiled)
-// predicates bound to their shapes. FusedScan's row pass consumes it; the
-// incremental path (FusedDelta) reuses it to evaluate single rows.
+// back to source ordinals, and the checked, prepared predicates bound to
+// their shapes. run scans with it; the incremental path (FusedDelta)
+// reuses it to evaluate single rows.
 type fusedShape struct {
-	shape       *Relation   // final output shape (schema + surviving computed attrs)
-	shapes      []*Relation // per-step shapes, last == shape
-	colMap      []int       // final stored column -> source tuple ordinal
-	preds       []*fusedPred
-	matp        *matPlan
-	anyCompiled bool
-	identity    bool // output columns are the source columns in place
+	shape    *Relation   // final output shape (schema + surviving computed attrs)
+	shapes   []*Relation // per-step shapes, last == shape
+	colMap   []int       // final stored column -> source tuple ordinal
+	preds    []*fusedPred
+	matp     *matPlan
+	identity bool // output columns are the source columns in place
+}
+
+// tracedShapePass is fusedShapePass under a rel.compile.pass span.
+func tracedShapePass(ctx context.Context, r *Relation, ops []FusedOp) (*fusedShape, error) {
+	var sp *obs.Span
+	if obs.Recording() {
+		_, sp = obs.StartSpanCtx(ctx, obs.SpanRelCompile)
+	}
+	defer sp.End()
+	return fusedShapePass(r, ops)
 }
 
 // fusedShapePass replays the schema and computed-attribute derivations the
 // unfused operators would perform, tracking for every surviving stored
-// column its ordinal in r's tuples. Checking and compiling happen here,
+// column its ordinal in r's tuples. Checking and preparing happen here,
 // once, in step order — the same order the unfused chain would report a
-// bad predicate or projection in.
-func fusedShapePass(ctx context.Context, r *Relation, ops []FusedOp) (*fusedShape, error) {
+// bad predicate or projection in. One materialization plan covers every
+// computed attribute any predicate references, evaluated once per source
+// row and shared by all steps: a stored column's source ordinal is
+// invariant across shapes, so one extended row serves every predicate.
+func fusedShapePass(r *Relation, ops []FusedOp) (*fusedShape, error) {
+	var prednodes []expr.Node
+	for _, op := range ops {
+		if op.Pred != nil {
+			prednodes = append(prednodes, op.Pred)
+		}
+	}
+	matp, mat, compile := r.prepare(prednodes...)
 	shape := &Relation{schema: r.schema, computed: r.computed}
 	colMap := make([]int, r.schema.Len())
 	for i := range colMap {
 		colMap[i] = i
 	}
-	var matp *matPlan
-	var mat map[string]int
-	shapes := make([]*Relation, len(ops))
-	var preds []*fusedPred
-	if err := func() error {
-		var csp *obs.Span
-		if obs.Recording() {
-			_, csp = obs.StartSpanCtx(ctx, obs.SpanRelCompile)
-		}
-		defer csp.End()
-		// One materialization plan for every computed attribute any
-		// predicate references, evaluated once per source row and shared by
-		// all steps (compiled predicates read the extended slots instead of
-		// re-walking the definitions per reference).
-		if !compileOff.Load() {
-			var prednodes []expr.Node
-			for _, op := range ops {
-				if op.Pred != nil {
-					prednodes = append(prednodes, op.Pred)
-				}
+	sh := &fusedShape{shapes: make([]*Relation, len(ops)), matp: matp}
+	for i, op := range ops {
+		switch {
+		case op.Pred != nil:
+			if err := expr.CheckPredicate(op.Pred, shape); err != nil {
+				return nil, &FusedStepError{Step: i, Err: err}
 			}
-			matp, mat = r.buildMat(prednodes...)
-		}
-		for i, op := range ops {
-			switch {
-			case op.Pred != nil:
-				if err := expr.CheckPredicate(op.Pred, shape); err != nil {
-					return &FusedStepError{Step: i, Err: err}
-				}
-				fp := &fusedPred{step: i, node: op.Pred, shape: shape, colMap: colMap}
-				if !compileOff.Load() {
-					if cp, err := expr.CompilePredicate(op.Pred, mappedScope{shape: shape, colMap: colMap, mat: mat}); err == nil {
-						obs.Inc(obs.RelCompile)
-						fp.compiled = cp
-					}
-				}
-				preds = append(preds, fp)
-				shape = shape.derive(shape.schema, true)
-			case op.Project != nil:
-				ns, err := shape.schema.project(op.Project)
-				if err != nil {
-					return &FusedStepError{Step: i, Err: err}
-				}
-				nm := make([]int, len(op.Project))
-				for j, name := range op.Project {
-					nm[j] = colMap[shape.schema.Index(name)]
-				}
-				shape = shape.derive(ns, true)
-				colMap = nm
-			default:
-				return &FusedStepError{Step: i, Err: fmt.Errorf("rel: fused scan: step %d is neither restrict nor project", i)}
+			scope := mappedScope{shape: shape, colMap: colMap, mat: mat}
+			sh.preds = append(sh.preds, &fusedPred{step: i, pred: newPred(op.Pred, scope, compile), shape: shape, colMap: colMap})
+			shape = shape.derive(shape.schema, true)
+		case op.Project != nil:
+			ns, err := shape.schema.project(op.Project)
+			if err != nil {
+				return nil, &FusedStepError{Step: i, Err: err}
 			}
-			shapes[i] = shape
+			nm := make([]int, len(op.Project))
+			for j, name := range op.Project {
+				nm[j] = colMap[shape.schema.Index(name)]
+			}
+			shape = shape.derive(ns, true)
+			colMap = nm
+		default:
+			return nil, &FusedStepError{Step: i, Err: fmt.Errorf("rel: fused scan: step %d is neither restrict nor project", i)}
 		}
-		return nil
-	}(); err != nil {
-		return nil, err
+		sh.shapes[i] = shape
 	}
-	sh := &fusedShape{shape: shape, shapes: shapes, colMap: colMap, preds: preds, matp: matp}
-	for _, fp := range preds {
-		if fp.compiled != nil {
-			sh.anyCompiled = true
-		}
-	}
+	sh.shape, sh.colMap = shape, colMap
 	sh.identity = len(colMap) == r.schema.Len()
 	for i, ci := range colMap {
 		if ci != i {
@@ -254,34 +210,24 @@ func fusedShapePass(ctx context.Context, r *Relation, ops []FusedOp) (*fusedShap
 	return sh, nil
 }
 
-// evalRow runs every predicate of the pipeline over one source tuple,
-// returning whether it survives. tup must have the source relation's
-// stored arity; row is its ordinal in src (used by the interpreted path
-// for error parity and by provenance). The scratch slice is reused across
-// calls.
-func (sh *fusedShape) evalRow(src *Relation, row int, tup []types.Value, scratch []types.Value) (bool, []types.Value, error) {
-	ext := tup
-	if sh.matp != nil && sh.anyCompiled {
-		scratch = sh.matp.extend(tup, scratch)
-		ext = scratch
+// evalRow runs every predicate of the pipeline over one source tuple
+// (with the source relation's stored arity), returning whether it
+// survives.
+func (sh *fusedShape) evalRow(tup []types.Value, sc *evalScratch) (bool, error) {
+	if sh.matp != nil {
+		sc.ext = sh.matp.extend(tup, sc.ext)
+		tup = sc.ext
 	}
 	for _, fp := range sh.preds {
-		var ok bool
-		var err error
-		if fp.compiled != nil {
-			ok, err = fp.compiled.Eval(ext)
-		} else {
-			cur := &mappedCursor{src: src, fp: fp, row: row, tup: tup}
-			ok, err = expr.EvalPredicate(fp.node, cur)
-		}
+		ok, err := fp.pred.eval(tup, sc)
 		if err != nil {
-			return false, scratch, &FusedStepError{Step: fp.step, Err: fmt.Errorf("rel: restrict: %w", err)}
+			return false, &FusedStepError{Step: fp.step, Err: fmt.Errorf("rel: restrict: %w", err)}
 		}
 		if !ok {
-			return false, scratch, nil
+			return false, nil
 		}
 	}
-	return true, scratch, nil
+	return true, nil
 }
 
 // projectRow maps one surviving source tuple into the output layout. With
@@ -298,112 +244,79 @@ func (sh *fusedShape) projectRow(tup []types.Value) []types.Value {
 	return nt
 }
 
-func fusedScan(ctx context.Context, r *Relation, ops []FusedOp, workers int) (*FusedResult, error) {
-	sh, err := fusedShapePass(ctx, r, ops)
+// run is the one scan behind Restrict, Project and FusedScan. It
+// selects the surviving rows — with the columnar kernel when every
+// predicate kernel-compiles, else in one chunk-parallel row pass through
+// the prepared predicates — and materializes them into the final shape
+// with provenance. When every source column survives in place the output
+// shares tuple storage with the input, exactly like an unfused Restrict.
+// Predicate failures come back as *FusedStepError; chunk read errors
+// come back bare, for the caller to prefix with its operator name.
+func (sh *fusedShape) run(r *Relation, workers int) (*Relation, error) {
+	rows, err := sh.selectRows(r, workers)
 	if err != nil {
 		return nil, err
 	}
-	shape, colMap, preds, matp := sh.shape, sh.colMap, sh.preds, sh.matp
-	shapes, anyCompiled := sh.shapes, sh.anyCompiled
-
-	// Row pass: every predicate over every surviving row, in step order
-	// per row, over the original tuples. Chunks are contiguous, so
-	// concatenating their keep-lists reproduces the serial row order.
-	obs.Inc(obs.RelFusedScans)
-	n := r.Len()
-	rows, kernOK, err := kernelFusedRows(r, sh, workers)
-	if err != nil {
-		return nil, err
-	}
-	if !kernOK {
-		chunks := scanChunks(n, workers)
-		chunkRows := make([][]int, chunks)
-		err = runChunks(n, chunks, func(c, lo, hi int) error {
-			keep := make([]int, 0, (hi-lo)/4+8)
-			var cur *mappedCursor
-			var scratch []types.Value
-			rd := r.reader()
-			for i := lo; i < hi; i++ {
-				ext := rd.at(i)
-				if matp != nil && anyCompiled {
-					scratch = matp.extend(ext, scratch)
-					ext = scratch
-				}
-				pass := true
-				for _, fp := range preds {
-					var ok bool
-					var err error
-					if fp.compiled != nil {
-						ok, err = fp.compiled.Eval(ext)
-					} else {
-						if cur == nil {
-							cur = &mappedCursor{src: r}
-						}
-						cur.fp, cur.row, cur.tup = fp, i, nil
-						ok, err = expr.EvalPredicate(fp.node, cur)
-					}
-					if err != nil {
-						return &FusedStepError{Step: fp.step, Err: fmt.Errorf("rel: restrict: %w", err)}
-					}
-					if !ok {
-						pass = false
-						break
-					}
-				}
-				if pass {
-					keep = append(keep, i)
-				}
-			}
-			if err := rd.Err(); err != nil {
-				return fmt.Errorf("rel: fused scan: %w", err)
-			}
-			chunkRows[c] = keep
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-
-		total := 0
-		for _, rs := range chunkRows {
-			total += len(rs)
-		}
-		rows = make([]int, 0, total)
-		for _, rs := range chunkRows {
-			rows = append(rows, rs...)
-		}
-	}
-
-	// Materialize the final relation into the last shape. When every
-	// source column survives in place the output shares tuple storage with
-	// the input, exactly like an unfused Restrict.
-	out := shape
-	identity := len(colMap) == r.schema.Len()
-	for i, ci := range colMap {
-		if ci != i {
-			identity = false
-			break
-		}
-	}
+	out := sh.shape
 	out.tuples = make([][]types.Value, len(rows))
 	rd := r.reader()
-	if identity {
+	if sh.identity {
 		for i, row := range rows {
 			out.tuples[i] = rd.take(row)
 		}
 	} else {
 		for i, row := range rows {
 			src := rd.at(row)
-			nt := make([]types.Value, len(colMap))
-			for j, ci := range colMap {
+			nt := make([]types.Value, len(sh.colMap))
+			for j, ci := range sh.colMap {
 				nt[j] = src[ci]
 			}
 			out.tuples[i] = nt
 		}
 	}
 	if err := rd.Err(); err != nil {
-		return nil, fmt.Errorf("rel: fused scan: %w", err)
+		return nil, err
 	}
 	out.setProv(r, rows)
-	return &FusedResult{Out: out, Shapes: shapes}, nil
+	return out, nil
+}
+
+// selectRows returns the rows of r that pass every predicate, ascending.
+// Row-pass chunks are contiguous, so concatenating their keep-lists
+// reproduces the serial row order, and runChunks reports the error a
+// serial scan would hit first.
+func (sh *fusedShape) selectRows(r *Relation, workers int) ([]int, error) {
+	n := r.Len()
+	if len(sh.preds) == 0 {
+		rows := make([]int, n)
+		for i := range rows {
+			rows[i] = i
+		}
+		return rows, nil
+	}
+	if rows, ok, err := sh.kernelRows(r, workers); ok || err != nil {
+		return rows, err
+	}
+	chunks := scanChunks(n, workers)
+	chunkRows := make([][]int, chunks)
+	err := runChunks(n, chunks, func(c, lo, hi int) error {
+		keep := make([]int, 0, (hi-lo)/4+8)
+		var sc evalScratch
+		rd := r.reader()
+		for i := lo; i < hi; i++ {
+			ok, err := sh.evalRow(rd.at(i), &sc)
+			if err != nil {
+				return err
+			}
+			if ok {
+				keep = append(keep, i)
+			}
+		}
+		chunkRows[c] = keep
+		return rd.Err()
+	})
+	if err != nil {
+		return nil, err
+	}
+	return concatRows(chunkRows), nil
 }

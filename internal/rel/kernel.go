@@ -1,7 +1,6 @@
 package rel
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"repro/internal/expr"
@@ -13,11 +12,11 @@ import (
 // compiler that lowers a restriction predicate to monomorphic loops over
 // a chunk's contiguous typed lanes (internal/rel/chunk.go), producing
 // selection bitmaps instead of per-row values. It exists for the hot
-// scan paths only — Restrict and the fused Restrict/Project pipeline —
-// and is strictly best-effort: any node it cannot reproduce EXACTLY
-// rejects compilation and the caller keeps the row-at-a-time path
-// (compiled closures or the interpreter), which remains the semantics
-// of record and the differential oracle.
+// scan path only — the fused scan behind Restrict, Project and
+// FusedScan — and is strictly best-effort: any node it cannot reproduce
+// EXACTLY rejects compilation and the scan keeps the row-at-a-time path
+// (compiled closures), which the interpreter — the differential oracle
+// — holds to the semantics of record.
 //
 // Exactness argument. Append and Update enforce schema kinds, so at run
 // time every stored value has its declared kind or is null; the static
@@ -777,118 +776,22 @@ func kernelEligible(r *Relation) bool {
 	return true
 }
 
-// kernelRestrictRows evaluates pred over r with the columnar kernel,
-// returning the surviving rows in ascending order. ok=false means the
-// kernel declined (ablation, small input, or unsupported node) and the
-// caller must use the row path. Rows flagged by the kernel's error
-// bitmap re-evaluate row-wise in ascending order through cp (or the
-// interpreter), reproducing the exact error and its serial-scan
-// position; errors return unwrapped for the caller to prefix.
-func kernelRestrictRows(r *Relation, pred expr.Node, cp *compiledPred) ([]int, bool, error) {
+// kernelRows evaluates every restriction of the pipeline over r's
+// chunks with selection-vector composition: step k runs only against
+// rows still selected when entering it (its errors on already-dropped
+// rows are ignored, mirroring the row path's short-circuit), and error
+// rows re-evaluate row-wise through evalRow in ascending order,
+// preserving the exact error and its step. ok=false declines to the row
+// path: every pipeline step must kernel-compile, or none runs.
+func (sh *fusedShape) kernelRows(r *Relation, workers int) ([]int, bool, error) {
 	if !kernelEligible(r) {
-		return nil, false, nil
-	}
-	cs := r.columnar()
-	prog, ok := kernelCompilePred(pred, kernScope{schema: r.schema, computed: r.computed}, cs.chunkRows)
-	if !ok {
-		return nil, false, nil
-	}
-	obs.Inc(obs.RelKernelScans)
-	nchunks := len(cs.slots)
-	workers := scanChunks(r.Len(), 0)
-	if workers > nchunks {
-		workers = nchunks
-	}
-	chunkKeep := make([][]int, nchunks)
-	err := runChunks(nchunks, workers, func(_, lo, hi int) error {
-		var kc kctx
-		var scratch []types.Value
-		var cur *rowCursor
-		rd := r.reader()
-		for ci := lo; ci < hi; ci++ {
-			ck, err := cs.chunk(ci)
-			if err != nil {
-				return err
-			}
-			base, _ := cs.chunkSpan(ci)
-			kc.reset(ck)
-			v := prog.root(&kc)
-			keep := make([]int, 0, kc.n/4+8)
-			if v.errs == nil {
-				for i := 0; i < kc.n; i++ {
-					if v.t.test(i) {
-						keep = append(keep, base+i)
-					}
-				}
-			} else {
-				for i := 0; i < kc.n; i++ {
-					row := base + i
-					if v.errs.test(i) {
-						// Counted at detection so aborting on the error
-						// still reports the diverted row.
-						obs.Inc(obs.RelKernelFallback)
-						var ok bool
-						var err error
-						if cp != nil {
-							ok, scratch, err = cp.eval(rd.at(row), scratch)
-							if err == nil {
-								err = rd.Err()
-							}
-						} else {
-							if cur == nil {
-								cur = newRowCursor(r)
-							}
-							cur.idx = row
-							ok, err = expr.EvalPredicate(pred, cur)
-							if err == nil {
-								err = cur.rd.Err()
-							}
-						}
-						if err != nil {
-							return err
-						}
-						if ok {
-							keep = append(keep, row)
-						}
-					} else if v.t.test(i) {
-						keep = append(keep, row)
-					}
-				}
-			}
-			chunkKeep[ci] = keep
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, true, err
-	}
-	total := 0
-	for _, ks := range chunkKeep {
-		total += len(ks)
-	}
-	rows := make([]int, 0, total)
-	for _, ks := range chunkKeep {
-		rows = append(rows, ks...)
-	}
-	return rows, true, nil
-}
-
-// kernelFusedRows evaluates every restriction of a fused pipeline over
-// r's chunks with selection-vector composition: step k runs only
-// against rows still selected when entering it (its errors on already-
-// dropped rows are ignored, mirroring the row path's short-circuit),
-// and error rows re-evaluate row-wise through sh.evalRow in ascending
-// order, preserving exact step attribution. ok=false declines to the
-// row path. Every pipeline step must kernel-compile, or none runs.
-func kernelFusedRows(r *Relation, sh *fusedShape, workers int) ([]int, bool, error) {
-	if !kernelEligible(r) || len(sh.preds) == 0 {
 		return nil, false, nil
 	}
 	cs := r.columnar()
 	progs := make([]*kernProg, len(sh.preds))
 	for i, fp := range sh.preds {
 		sc := kernScope{schema: fp.shape.schema, colMap: fp.colMap, computed: fp.shape.computed}
-		p, ok := kernelCompilePred(fp.node, sc, cs.chunkRows)
+		p, ok := kernelCompilePred(fp.pred.node, sc, cs.chunkRows)
 		if !ok {
 			return nil, false, nil
 		}
@@ -903,11 +806,12 @@ func kernelFusedRows(r *Relation, sh *fusedShape, workers int) ([]int, bool, err
 	chunkKeep := make([][]int, nchunks)
 	err := runChunks(nchunks, w, func(_, lo, hi int) error {
 		var kc kctx
-		var scratch, tup []types.Value
+		var sc evalScratch
+		var tup []types.Value
 		for ci := lo; ci < hi; ci++ {
 			ck, err := cs.chunk(ci)
 			if err != nil {
-				return fmt.Errorf("rel: fused scan: %w", err)
+				return err
 			}
 			base, _ := cs.chunkSpan(ci)
 			kc.reset(ck)
@@ -936,10 +840,11 @@ func kernelFusedRows(r *Relation, sh *fusedShape, workers int) ([]int, bool, err
 			} else {
 				for i := 0; i < cn; i++ {
 					if fallback.test(i) {
+						// Counted at detection so aborting on the error
+						// still reports the diverted row.
 						obs.Inc(obs.RelKernelFallback)
 						tup = ck.DecodeRow(i, tup[:0])
-						ok, s2, err := sh.evalRow(r, base+i, tup, scratch)
-						scratch = s2
+						ok, err := sh.evalRow(tup, &sc)
 						if err != nil {
 							return err
 						}
@@ -958,13 +863,5 @@ func kernelFusedRows(r *Relation, sh *fusedShape, workers int) ([]int, bool, err
 	if err != nil {
 		return nil, true, err
 	}
-	total := 0
-	for _, ks := range chunkKeep {
-		total += len(ks)
-	}
-	rows := make([]int, 0, total)
-	for _, ks := range chunkKeep {
-		rows = append(rows, ks...)
-	}
-	return rows, true, nil
+	return concatRows(chunkKeep), true, nil
 }

@@ -17,140 +17,55 @@ import (
 // named stored columns in the given order. Computed attributes whose
 // references survive are carried along; others are dropped, matching the
 // paper's note that projecting out fields a display function needs changes
-// the visualization (the default display adapts).
+// the visualization (the default display adapts). It runs as a one-step
+// fused scan.
 func Project(r *Relation, names []string) (*Relation, error) {
-	schema, err := r.schema.project(names)
-	if err != nil {
-		return nil, err
-	}
-	idxs := make([]int, len(names))
-	for i, n := range names {
-		idxs[i] = r.schema.Index(n)
-	}
-	out := r.derive(schema, true)
-	n := r.Len()
-	out.tuples = make([][]types.Value, n)
-	rows := make([]int, n)
-	rd := r.reader()
-	for ti := 0; ti < n; ti++ {
-		tup := rd.at(ti)
-		nt := make([]types.Value, len(idxs))
-		for i, ci := range idxs {
-			nt[i] = tup[ci]
-		}
-		out.tuples[ti] = nt
-		rows[ti] = ti
-	}
-	if err := rd.Err(); err != nil {
-		return nil, fmt.Errorf("rel: project: %w", err)
-	}
-	out.setProv(r, rows)
-	return out, nil
+	return runStep(r, FusedOp{Project: names}, "project")
 }
 
 // Restrict filters a relation to tuples satisfying a predicate (Figure 3).
 // When the predicate is a simple comparison on an indexed stored column,
 // the index is scanned instead of the heap; otherwise every row is
-// evaluated.
+// evaluated by a one-step fused scan.
 func Restrict(r *Relation, pred expr.Node) (*Relation, error) {
 	if err := expr.CheckPredicate(pred, r); err != nil {
 		return nil, err
 	}
-	out := r.derive(r.schema, true)
 	obs.Add(obs.RelRestrictRowsIn, int64(r.Len()))
 
 	if rows, ok := indexedRows(r, pred); ok {
 		obs.Inc(obs.RelRestrictIndexed)
 		obs.Add(obs.RelRestrictRowsOut, int64(len(rows)))
-		out.tuples = make([][]types.Value, 0, len(rows))
-		rd := r.reader()
-		for _, row := range rows {
-			out.tuples = append(out.tuples, rd.take(row))
-		}
-		if err := rd.Err(); err != nil {
+		out := r.derive(r.schema, true)
+		if err := takeRows(out, r, rows); err != nil {
 			return nil, fmt.Errorf("rel: restrict: %w", err)
 		}
-		out.setProv(r, rows)
 		return out, nil
 	}
 
 	obs.Inc(obs.RelRestrictScans)
-	n := r.Len()
-	var rows []int
-	cp := r.compilePredicate(pred)
-	if kr, ok, err := kernelRestrictRows(r, pred, cp); err != nil {
-		return nil, fmt.Errorf("rel: restrict: %w", err)
-	} else if ok {
-		// Columnar kernel scan: monomorphic loops over contiguous
-		// chunk arrays produced selection vectors; kr is already in
-		// ascending row order.
-		rows = kr
-	} else if cp != nil {
-		// Compiled scan, chunk-parallel above the row threshold. Chunks
-		// are contiguous and concatenated in order, so the output is
-		// deterministic regardless of worker count.
-		chunks := scanChunks(n, 0)
-		chunkRows := make([][]int, chunks)
-		err := runChunks(n, chunks, func(c, lo, hi int) error {
-			keep := make([]int, 0, (hi-lo)/4+8)
-			var scratch []types.Value
-			rd := r.reader()
-			for i := lo; i < hi; i++ {
-				var ok bool
-				var err error
-				ok, scratch, err = cp.eval(rd.at(i), scratch)
-				if err != nil {
-					return fmt.Errorf("rel: restrict: %w", err)
-				}
-				if ok {
-					keep = append(keep, i)
-				}
-			}
-			if err := rd.Err(); err != nil {
-				return fmt.Errorf("rel: restrict: %w", err)
-			}
-			chunkRows[c] = keep
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		total := 0
-		for _, ks := range chunkRows {
-			total += len(ks)
-		}
-		rows = make([]int, 0, total)
-		for _, ks := range chunkRows {
-			rows = append(rows, ks...)
-		}
-	} else {
-		rows = make([]int, 0, n/4+8)
-		cur := newRowCursor(r)
-		for i := 0; i < n; i++ {
-			cur.idx = i
-			keep, err := expr.EvalPredicate(pred, cur)
-			if err != nil {
-				return nil, fmt.Errorf("rel: restrict: %w", err)
-			}
-			if keep {
-				rows = append(rows, i)
-			}
-		}
-		if err := cur.rd.Err(); err != nil {
-			return nil, fmt.Errorf("rel: restrict: %w", err)
-		}
+	out, err := runStep(r, FusedOp{Pred: pred}, "restrict")
+	if err != nil {
+		return nil, err
 	}
+	obs.Add(obs.RelRestrictRowsOut, int64(out.Len()))
+	return out, nil
+}
+
+// takeRows fills a freshly derived out with rows of src, in the given
+// order, sharing tuple storage where src has any, and records them as
+// out's provenance.
+func takeRows(out, src *Relation, rows []int) error {
 	out.tuples = make([][]types.Value, len(rows))
-	rd := r.reader()
+	rd := src.reader()
 	for i, row := range rows {
 		out.tuples[i] = rd.take(row)
 	}
 	if err := rd.Err(); err != nil {
-		return nil, fmt.Errorf("rel: restrict: %w", err)
+		return err
 	}
-	obs.Add(obs.RelRestrictRowsOut, int64(len(rows)))
-	out.setProv(r, rows)
-	return out, nil
+	out.setProv(src, rows)
+	return nil
 }
 
 // indexedRows recognizes predicates of the form col OP literal (or literal
@@ -336,41 +251,16 @@ func Join(l, r *Relation, pred expr.Node, strategy JoinStrategy) (*Relation, err
 	if err := expr.CheckPredicate(pred, out); err != nil {
 		return nil, fmt.Errorf("rel: join predicate: %w", err)
 	}
-
-	// The residual predicate runs compiled when possible, and either way
-	// over one scratch tuple reused across every candidate pair; only
-	// kept pairs allocate an output tuple.
-	cp := out.compilePredicate(pred)
-	lw, rw := l.schema.Len(), r.schema.Len()
-	scratch := make([]types.Value, 0, lw+rw)
-	var matScratch []types.Value
-	env := &scratchEnv{rel: out}
-	emit := func(lt, rt []types.Value) ([]types.Value, error) {
-		scratch = scratch[:0]
-		scratch = append(scratch, lt...)
-		scratch = append(scratch, rt...)
-		var keep bool
-		var err error
-		if cp != nil {
-			keep, matScratch, err = cp.eval(scratch, matScratch)
-		} else {
-			env.tuple = scratch
-			keep, err = expr.EvalPredicate(pred, env)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if keep {
-			return append([]types.Value(nil), scratch...), nil
-		}
-		return nil, nil
+	res := newJoinResidual(out, pred)
+	emit := func(_, _ int, lt, rt []types.Value) {
+		out.tuples = append(out.tuples, joinTuple(lt, rt))
 	}
 
 	if strategy == JoinAuto || strategy == JoinHash {
 		if la, ra, ok := equiKey(pred, l, r, rRename); ok {
 			obs.Inc(obs.RelJoinHash)
-			if err := hashJoin(out, l, r, la, ra, emit); err != nil {
-				return nil, err
+			if _, err := hashJoin(l, r, l.schema.Index(la), r.schema.Index(ra), res, emit); err != nil {
+				return nil, fmt.Errorf("rel: join: %w", err)
 			}
 			obs.Add(obs.RelJoinRowsOut, int64(len(out.tuples)))
 			return out, nil
@@ -383,14 +273,15 @@ func Join(l, r *Relation, pred expr.Node, strategy JoinStrategy) (*Relation, err
 	obs.Inc(obs.RelJoinNestedLoop)
 	lrd, rrd := l.reader(), r.reader()
 	for i, ln := 0, l.Len(); i < ln; i++ {
-		lt := lrd.take(i)
+		lt := lrd.at(i)
 		for j, rn := 0, r.Len(); j < rn; j++ {
-			nt, err := emit(lt, rrd.at(j))
+			rt := rrd.at(j)
+			keep, err := res.keep(lt, rt)
 			if err != nil {
 				return nil, fmt.Errorf("rel: join: %w", err)
 			}
-			if nt != nil {
-				out.tuples = append(out.tuples, nt)
+			if keep {
+				emit(i, j, lt, rt)
 			}
 		}
 	}
@@ -404,34 +295,28 @@ func Join(l, r *Relation, pred expr.Node, strategy JoinStrategy) (*Relation, err
 	return out, nil
 }
 
-// bindScratch wraps a candidate output tuple (not yet appended) as an
-// expr.Env against the output relation's schema and computed attributes.
-// Join allocates one scratchEnv and rebinds its tuple per candidate pair
-// instead of calling this per row.
-func (r *Relation) bindScratch(tuple []types.Value) expr.Env {
-	return &scratchEnv{rel: r, tuple: tuple}
+// joinResidual evaluates a join predicate over candidate (lt, rt) pairs,
+// concatenated into one scratch tuple reused across every pair.
+type joinResidual struct {
+	cp   *compiledPred
+	pair []types.Value
+	sc   evalScratch
 }
 
-type scratchEnv struct {
-	rel   *Relation
-	tuple []types.Value
+func newJoinResidual(shell *Relation, pred expr.Node) *joinResidual {
+	return &joinResidual{cp: shell.compilePredicate(pred)}
 }
 
-// AttrValue implements expr.Env.
-func (s *scratchEnv) AttrValue(name string) (types.Value, bool) {
-	if i := s.rel.schema.Index(name); i >= 0 {
-		return s.tuple[i], true
-	}
-	for _, c := range s.rel.computed {
-		if c.Name == name {
-			v, err := expr.Eval(c.Expr, s)
-			if err != nil {
-				return types.Null, true
-			}
-			return v, true
-		}
-	}
-	return types.Null, false
+// keep reports whether the pair (lt, rt) satisfies the predicate.
+func (j *joinResidual) keep(lt, rt []types.Value) (bool, error) {
+	j.pair = append(append(j.pair[:0], lt...), rt...)
+	return j.cp.eval(j.pair, &j.sc)
+}
+
+// joinTuple materializes one output row from a kept pair.
+func joinTuple(lt, rt []types.Value) []types.Value {
+	nt := make([]types.Value, 0, len(lt)+len(rt))
+	return append(append(nt, lt...), rt...)
 }
 
 // equiKey finds an equality conjunct "lcol = rcol" usable as a hash key.
@@ -488,61 +373,77 @@ func equiKey(pred expr.Node, l, r *Relation, rRename map[string]string) (la, ra 
 	return "", "", false
 }
 
-func hashJoin(out, l, r *Relation, la, ra string, emit func(lt, rt []types.Value) ([]types.Value, error)) error {
-	li, ri := l.schema.Index(la), r.schema.Index(ra)
-	if li < 0 || ri < 0 {
-		return fmt.Errorf("rel: join: internal: bad equi columns %q/%q", la, ra)
+// hashBuild is a hash equi-join's build side: which input it is and the
+// bucket table over its keys.
+type hashBuild struct {
+	bi, pi       int // key ordinals in build and probe
+	buildIsRight bool
+	table        map[valueKey][]int // key -> build rows, in build-row order
+}
+
+// inputs orders (l, r) into (build, probe).
+func (h *hashBuild) inputs(l, r *Relation) (build, probe *Relation) {
+	if h.buildIsRight {
+		return r, l
 	}
-	// Build on the smaller input.
-	build, probe := r, l
-	bi, pi := ri, li
-	buildIsRight := true
+	return l, r
+}
+
+// sides orders a (probe, build) tuple pair into (left, right).
+func (h *hashBuild) sides(ptup, btup []types.Value) (lt, rt []types.Value) {
+	if h.buildIsRight {
+		return ptup, btup
+	}
+	return btup, ptup
+}
+
+// hashJoin runs a hash equi-join on key ordinals li of l and ri of r. It
+// builds on the right unless the left is strictly smaller, buckets the
+// build side's non-null keys in row order, then probes in probe-row
+// order, calling emit for each pair the residual keeps — probe-major,
+// bucket order within a probe row. It returns the build side for
+// incremental maintenance (JoinState).
+func hashJoin(l, r *Relation, li, ri int, res *joinResidual, emit func(prow, brow int, lt, rt []types.Value)) (*hashBuild, error) {
+	h := &hashBuild{bi: ri, pi: li, buildIsRight: true}
 	if l.Len() < r.Len() {
-		build, probe = l, r
-		bi, pi = li, ri
-		buildIsRight = false
+		h.bi, h.pi, h.buildIsRight = li, ri, false
 	}
-	table := make(map[valueKey][]int, build.Len())
+	build, probe := h.inputs(l, r)
+	h.table = make(map[valueKey][]int, build.Len())
 	brd := build.reader()
 	for row, n := 0, build.Len(); row < n; row++ {
-		v := brd.value(row, bi)
+		v := brd.value(row, h.bi)
 		if v.IsNull() {
 			continue
 		}
 		k := keyOf(v)
-		table[k] = append(table[k], row)
+		h.table[k] = append(h.table[k], row)
 	}
 	prd := probe.reader()
 	bget := build.reader() // random access into build during probe
 	for prow, n := 0, probe.Len(); prow < n; prow++ {
 		ptup := prd.at(prow)
-		v := ptup[pi]
+		v := ptup[h.pi]
 		if v.IsNull() {
 			continue
 		}
-		for _, brow := range table[keyOf(v)] {
-			btup := bget.take(brow)
-			var lt, rt []types.Value
-			if buildIsRight {
-				lt, rt = ptup, btup
-			} else {
-				lt, rt = btup, ptup
-			}
-			nt, err := emit(lt, rt)
+		for _, brow := range h.table[keyOf(v)] {
+			lt, rt := h.sides(ptup, bget.at(brow))
+			keep, err := res.keep(lt, rt)
 			if err != nil {
-				return fmt.Errorf("rel: join: %w", err)
+				return nil, err
 			}
-			if nt != nil {
-				out.tuples = append(out.tuples, nt)
+			if keep {
+				emit(prow, brow, lt, rt)
 			}
 		}
 	}
 	for _, rd := range []*rowReader{&brd, &prd, &bget} {
 		if err := rd.Err(); err != nil {
-			return fmt.Errorf("rel: join: %w", err)
+			return nil, err
 		}
 	}
-	return nil
+	return h, nil
 }
 
 // valueKey is an allocation-free comparable canonical form of a value for
@@ -631,15 +532,9 @@ func Sort(r *Relation, attr string, descending bool) (*Relation, error) {
 		return nil, fmt.Errorf("rel: sort on %q: %w", attr, sortErr)
 	}
 	out := r.derive(r.schema, true)
-	out.tuples = make([][]types.Value, len(rows))
-	rd := r.reader()
-	for i, row := range rows {
-		out.tuples[i] = rd.take(row)
-	}
-	if err := rd.Err(); err != nil {
+	if err := takeRows(out, r, rows); err != nil {
 		return nil, fmt.Errorf("rel: sort on %q: %w", attr, err)
 	}
-	out.setProv(r, rows)
 	return out, nil
 }
 
@@ -684,22 +579,14 @@ func Partition(r *Relation, preds []expr.Node) ([]*Relation, error) {
 	}
 	cps := make([]*compiledPred, len(preds))
 	for i, p := range preds {
-		cps[i] = r.compilePredicate(p) // nil falls back to the interpreter
+		cps[i] = r.compilePredicate(p)
 	}
 	rows := make([][]int, len(preds))
-	cur := newRowCursor(r)
 	rd := r.reader()
-	var scratch []types.Value
+	var sc evalScratch
 	for ti, n := 0, r.Len(); ti < n; ti++ {
-		for pi, p := range preds {
-			var keep bool
-			var err error
-			if cp := cps[pi]; cp != nil {
-				keep, scratch, err = cp.eval(rd.at(ti), scratch)
-			} else {
-				cur.idx = ti
-				keep, err = expr.EvalPredicate(p, cur)
-			}
+		for pi, cp := range cps {
+			keep, err := cp.eval(rd.at(ti), &sc)
 			if err != nil {
 				return nil, fmt.Errorf("rel: partition: %w", err)
 			}
@@ -741,49 +628,28 @@ func MapColumn(r *Relation, col string, def expr.Node) (*Relation, error) {
 	n := r.Len()
 	out.tuples = make([][]types.Value, n)
 	rows := make([]int, n)
-	if ce := r.compileExpr(def); ce != nil {
-		// Compiled materialization, chunk-parallel above the row
-		// threshold: chunks write disjoint index ranges of the
-		// preallocated output, so order is deterministic by construction.
-		chunks := scanChunks(n, 0)
-		err := runChunks(n, chunks, func(c, lo, hi int) error {
-			var scratch []types.Value
-			rd := r.reader()
-			for i := lo; i < hi; i++ {
-				t := rd.at(i)
-				var v types.Value
-				var err error
-				v, scratch, err = ce.eval(t, scratch)
-				if err != nil {
-					return fmt.Errorf("rel: map column %q row %d: %w", col, i, err)
-				}
-				nt := append([]types.Value(nil), t...)
-				nt[ci] = v
-				out.tuples[i] = nt
-				rows[i] = i
-			}
-			return rd.Err()
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		cur := newRowCursor(r)
+	// Chunk-parallel above the row threshold: chunks write disjoint index
+	// ranges of the preallocated output, so order is deterministic by
+	// construction.
+	ce := r.compileExpr(def)
+	err = runChunks(n, scanChunks(n, 0), func(c, lo, hi int) error {
+		var sc evalScratch
 		rd := r.reader()
-		for i := 0; i < n; i++ {
-			cur.idx = i
-			v, err := expr.Eval(def, cur)
+		for i := lo; i < hi; i++ {
+			t := rd.at(i)
+			v, err := ce.eval(t, &sc)
 			if err != nil {
-				return nil, fmt.Errorf("rel: map column %q row %d: %w", col, i, err)
+				return fmt.Errorf("rel: map column %q row %d: %w", col, i, err)
 			}
-			nt := append([]types.Value(nil), rd.at(i)...)
+			nt := append([]types.Value(nil), t...)
 			nt[ci] = v
 			out.tuples[i] = nt
 			rows[i] = i
 		}
-		if err := rd.Err(); err != nil {
-			return nil, fmt.Errorf("rel: map column %q: %w", col, err)
-		}
+		return rd.Err()
+	})
+	if err != nil {
+		return nil, err
 	}
 	out.setProv(r, rows)
 	return out, nil
@@ -861,13 +727,16 @@ func DistinctValues(r *Relation, attr string) ([]types.Value, error) {
 			out = append(out, v)
 		}
 	}
+	if err := cu.Err(); err != nil {
+		return nil, fmt.Errorf("rel: distinct values of %q: %w", attr, err)
+	}
 	return out, nil
 }
 
 // Distinct removes duplicate tuples (full-tuple equality), keeping first
 // occurrences in order. Computed attributes are carried; provenance maps
 // each survivor to its first occurrence.
-func Distinct(r *Relation) *Relation {
+func Distinct(r *Relation) (*Relation, error) {
 	out := r.derive(r.schema, true)
 	seen := make(map[string]bool, r.Len())
 	var rows []int
@@ -886,8 +755,11 @@ func Distinct(r *Relation) *Relation {
 		out.tuples = append(out.tuples, rd.take(i))
 		rows = append(rows, i)
 	}
+	if err := rd.Err(); err != nil {
+		return nil, fmt.Errorf("rel: distinct: %w", err)
+	}
 	out.setProv(r, rows)
-	return out
+	return out, nil
 }
 
 // Limit keeps the first n tuples — the quick-look complement to Sample

@@ -545,7 +545,10 @@ func TestDistinct(t *testing.T) {
 			types.NewInt(int64(x[0].(int))), types.NewText(x[1].(string)),
 		})
 	}
-	out := Distinct(r)
+	out, err := Distinct(r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if out.Len() != 3 {
 		t.Fatalf("distinct = %d tuples, want 3", out.Len())
 	}

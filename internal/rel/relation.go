@@ -707,34 +707,40 @@ func (w Row) Attr(name string) types.Value {
 	return v
 }
 
-// rowCursor is a reusable expr.Env over one relation: scans rebind idx
-// per row instead of boxing a fresh Row into the interface every
-// iteration, so the interpreted fallback paths allocate once per scan.
-// Semantics match Row.AttrValue exactly, including the evaluate-to-null
-// swallowing of computed-attribute errors. Stored-column access goes
-// through an embedded rowReader so one chunk decode serves a whole run
-// of rows on chunk-backed relations.
-type rowCursor struct {
+// Cursor is the public sequential-access companion of Row: it walks a
+// relation row by row, decoding one chunk at a time on chunk-backed
+// relations and pinning the current chunk against eviction while it is
+// in use. It implements expr.Env with Row's exact semantics, including
+// the evaluate-to-null swallowing of computed-attribute errors, so
+// display functions evaluate against it unchanged. Viewers use a Cursor
+// for their per-frame sweeps (cull, spatial-index build, display eval)
+// instead of per-row Row bindings.
+type Cursor struct {
 	rel *Relation
 	idx int
 	rd  rowReader
 }
 
-func newRowCursor(r *Relation) *rowCursor {
-	return &rowCursor{rel: r, rd: r.reader()}
+// NewCursor returns a cursor positioned before the first row; call Seek
+// before reading.
+func (r *Relation) NewCursor() *Cursor {
+	return &Cursor{rel: r, idx: -1, rd: r.reader()}
 }
 
-// AttrValue implements expr.Env.
-func (c *rowCursor) AttrValue(name string) (types.Value, bool) {
-	if i := c.rel.schema.Index(name); i >= 0 {
-		if c.rd.r == nil {
-			c.rd = c.rel.reader()
-		}
-		return c.rd.value(c.idx, i), true
+// Seek positions the cursor on row i.
+func (cu *Cursor) Seek(i int) { cu.idx = i }
+
+// Index returns the current row position.
+func (cu *Cursor) Index() int { return cu.idx }
+
+// AttrValue implements expr.Env at the current row.
+func (cu *Cursor) AttrValue(name string) (types.Value, bool) {
+	if i := cu.rel.schema.Index(name); i >= 0 {
+		return cu.rd.value(cu.idx, i), true
 	}
-	for _, cc := range c.rel.computed {
-		if cc.Name == name {
-			v, err := expr.Eval(cc.Expr, c)
+	for _, c := range cu.rel.computed {
+		if c.Name == name {
+			v, err := expr.Eval(c.Expr, cu)
 			if err != nil {
 				return types.Null, true
 			}
@@ -744,37 +750,11 @@ func (c *rowCursor) AttrValue(name string) (types.Value, bool) {
 	return types.Null, false
 }
 
-// Cursor is the public sequential-access companion of Row: it walks a
-// relation row by row, decoding one chunk at a time on chunk-backed
-// relations and pinning the current chunk against eviction while it is
-// in use. It implements expr.Env with Row's exact semantics, so display
-// functions evaluate against it unchanged. Viewers use a Cursor for
-// their per-frame sweeps (cull, spatial-index build, display eval)
-// instead of per-row Row bindings.
-type Cursor struct {
-	c rowCursor
-}
-
-// NewCursor returns a cursor positioned before the first row; call Seek
-// before reading.
-func (r *Relation) NewCursor() *Cursor {
-	return &Cursor{c: rowCursor{rel: r, idx: -1, rd: r.reader()}}
-}
-
-// Seek positions the cursor on row i.
-func (cu *Cursor) Seek(i int) { cu.c.idx = i }
-
-// Index returns the current row position.
-func (cu *Cursor) Index() int { return cu.c.idx }
-
-// AttrValue implements expr.Env at the current row.
-func (cu *Cursor) AttrValue(name string) (types.Value, bool) { return cu.c.AttrValue(name) }
-
 // Attr returns the named attribute at the current row, or null.
 func (cu *Cursor) Attr(name string) types.Value {
-	v, _ := cu.c.AttrValue(name)
+	v, _ := cu.AttrValue(name)
 	return v
 }
 
 // Err reports the first chunk read error the cursor hit, if any.
-func (cu *Cursor) Err() error { return cu.c.rd.Err() }
+func (cu *Cursor) Err() error { return cu.rd.Err() }

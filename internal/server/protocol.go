@@ -74,9 +74,9 @@ type FrameMeta struct {
 	W        int              `json:"w"`
 	H        int              `json:"h"`
 	Viewport Viewport         `json:"viewport"`
-	Gens     map[string]int64 `json:"gens"` // generation vector the frame was rendered against
-	Snap     uint64           `json:"snap"` // db commit sequence of that snapshot
-	RenderNS int64            `json:"render_ns"`
+	Gens     map[string]int64 `json:"gens"`      // generation vector the frame was rendered against
+	Snap     uint64           `json:"snap"`      // db commit sequence of that snapshot
+	RenderNS int64            `json:"render_ns"` // render only; PNG encode excluded
 	TraceID  uint64           `json:"trace_id,omitempty"`
 	PNGBytes int              `json:"png_bytes"`
 }

@@ -92,8 +92,6 @@ type EvalError = dataflow.Error
 var (
 	// WithWorkers bounds concurrent box firings within one request.
 	WithWorkers = dataflow.WithWorkers
-	// SerialEval forces the single-threaded fallback scheduler.
-	SerialEval = dataflow.Serial
 	// WithEvalLabel names the request in traces and results.
 	WithEvalLabel = dataflow.WithLabel
 	// WithoutFusion opts one request out of restrict/project chain fusion,
@@ -102,23 +100,17 @@ var (
 	WithoutFusion = dataflow.WithoutFusion
 )
 
-// Query fast-path knobs, process-wide. All return the previous setting.
-// The defaults — compilation on, fusion on, scan workers and chunk
-// threshold auto — are what benchmarks and production use; the setters
-// exist for ablation (measuring one layer of the fast path at a time)
-// and for pinning deterministic serial execution in tests.
+// Query fast-path knobs, process-wide. Both return the previous setting.
+// The defaults — compilation on, scan workers auto — are what benchmarks
+// and production use; the setters exist for ablation (measuring one
+// layer of the fast path at a time) and for pinning deterministic serial
+// execution in tests. Fusion is ablated per request with WithoutFusion.
 var (
 	// SetExprCompileDisabled turns per-row expression compilation off,
 	// falling back to the tree-walking interpreter everywhere.
 	SetExprCompileDisabled = rel.SetCompileDisabled
-	// SetFusionDisabled turns restrict/project chain fusion off for every
-	// request (WithoutFusion does it per request).
-	SetFusionDisabled = dataflow.SetFusionDisabled
 	// SetScanWorkers bounds parallel scan workers (0 = GOMAXPROCS).
 	SetScanWorkers = rel.SetScanWorkers
-	// SetScanThreshold sets the minimum row count before a scan splits
-	// into parallel chunks (0 restores the default).
-	SetScanThreshold = rel.SetScanThreshold
 )
 
 // Viewer renders displayables to a framebuffer with pan/zoom/sliders.

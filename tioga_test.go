@@ -259,7 +259,7 @@ func TestPublicAPIEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = env.Eval.Eval(context.Background(), EvalRequest{Box: dangling.ID}, SerialEval())
+	_, err = env.Eval.Eval(context.Background(), EvalRequest{Box: dangling.ID}, WithWorkers(1))
 	var ee *EvalError
 	if !errors.As(err, &ee) || ee.Box != dangling.ID {
 		t.Fatalf("facade error = %v (%T)", err, err)

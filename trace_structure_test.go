@@ -51,7 +51,7 @@ func newTraceEnv(t *testing.T, cached bool) (*core.Environment, *viewer.Viewer, 
 	src := viewer.BoxOutputSource{
 		Eval:    env.Eval,
 		BoxID:   pb.ID,
-		Options: []dataflow.EvalOption{dataflow.Serial()},
+		Options: []dataflow.EvalOption{dataflow.WithWorkers(1)},
 	}
 	v := viewer.New("golden", src, 160, 120)
 	if !cached {
