@@ -8,6 +8,7 @@ package tioga
 // measured numbers next to the paper's qualitative claims.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -133,7 +134,7 @@ func BenchmarkFigure3DatabaseOps(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		env.Eval.InvalidateAll()
-		if _, err := env.Eval.Demand(pj.ID, 0); err != nil {
+		if _, err := env.Eval.Eval(context.Background(), dataflow.Request{Box: pj.ID}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -167,7 +168,7 @@ func BenchmarkFigure5AttributeOps(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		env.Eval.InvalidateAll()
-		if _, err := env.Eval.Demand(sw.ID, 0); err != nil {
+		if _, err := env.Eval.Eval(context.Background(), dataflow.Request{Box: sw.ID}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -305,7 +306,7 @@ func BenchmarkLazyVsEagerEvaluation(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			env.Eval.InvalidateAll()
-			if _, err := env.Eval.Demand(id, 0); err != nil {
+			if _, err := env.Eval.Eval(context.Background(), dataflow.Request{Box: id}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -496,7 +497,7 @@ func BenchmarkIncrementalEdit(b *testing.B) {
 	}
 	b.Run("EditPredicate", func(b *testing.B) {
 		env, editID, demandID := build(b)
-		if _, err := env.Eval.Demand(demandID, 0); err != nil {
+		if _, err := env.Eval.Eval(context.Background(), dataflow.Request{Box: demandID}); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
@@ -505,7 +506,7 @@ func BenchmarkIncrementalEdit(b *testing.B) {
 			if err := env.Program.SetParams(editID, dataflow.Params{"pred": pred}); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := env.Eval.Demand(demandID, 0); err != nil {
+			if _, err := env.Eval.Eval(context.Background(), dataflow.Request{Box: demandID}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -519,7 +520,7 @@ func BenchmarkIncrementalEdit(b *testing.B) {
 				b.Fatal(err)
 			}
 			env.Eval.InvalidateAll()
-			if _, err := env.Eval.Demand(demandID, 0); err != nil {
+			if _, err := env.Eval.Eval(context.Background(), dataflow.Request{Box: demandID}); err != nil {
 				b.Fatal(err)
 			}
 		}

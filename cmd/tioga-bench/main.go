@@ -315,12 +315,13 @@ func setupLazyDemand() (func() error, error) {
 	if err := env.Connect(rb.ID, 0, pb.ID, 0); err != nil {
 		return nil, err
 	}
+	req := dataflow.Request{Box: pb.ID}
 	return func() error {
 		env.Eval.InvalidateAll()
-		if _, err := env.Eval.Demand(pb.ID, 0); err != nil {
+		if _, err := env.Eval.Eval(context.Background(), req); err != nil {
 			return err
 		}
-		_, err := env.Eval.Demand(pb.ID, 0) // memo hit
+		_, err := env.Eval.Eval(context.Background(), req) // memo hit
 		return err
 	}, nil
 }

@@ -1,11 +1,11 @@
 // Command tioga-render renders a saved Tioga-2 program headlessly: it
-// loads a database snapshot (written by the shell's savedb command),
+// loads a database directory (written by the shell's savedb command),
 // loads a named program from it, attaches a viewer to the requested box
 // output, and writes the canvas as PNG, PPM, or ASCII.
 //
 // Usage:
 //
-//	tioga-render -db db.gob -program name [-box id] [-port 0]
+//	tioga-render -db dir -program name [-box id] [-port 0]
 //	             [-o out.png] [-w 640] [-h 480]
 //	             [-x cx] [-y cy] [-elev e] [-ascii]
 //	             [-trace trace.json] [-stats]
@@ -28,7 +28,7 @@ import (
 )
 
 func main() {
-	dbPath := flag.String("db", "", "database snapshot file (required)")
+	dbPath := flag.String("db", "", "database directory written by savedb (required)")
 	program := flag.String("program", "", "saved program name (required)")
 	boxID := flag.Int("box", 0, "box whose output to view (default: first viewer's input)")
 	port := flag.Int("port", 0, "output port of -box")
@@ -84,8 +84,8 @@ func run(dbPath, program string, boxID, port int, out string, w, h int, cx, cy, 
 	if dbPath == "" || program == "" {
 		return fmt.Errorf("-db and -program are required")
 	}
-	database := db.New()
-	if err := database.LoadFile(dbPath); err != nil {
+	database, err := db.LoadDir(dbPath)
+	if err != nil {
 		return err
 	}
 	data, err := database.LoadProgram(program)
@@ -96,15 +96,12 @@ func run(dbPath, program string, boxID, port int, out string, w, h int, cx, cy, 
 	if err != nil {
 		return err
 	}
-	if errs := dataflow.Typecheck(g); len(errs) > 0 {
-		return fmt.Errorf("program does not typecheck: %v", errs[0])
-	}
 	ev := dataflow.NewEvaluator(g, database)
 
 	// Resolve the viewing target.
 	var src viewer.Source
 	if boxID != 0 {
-		src = viewer.BoxOutputSource{Eval: ev, BoxID: boxID, Port: port}
+		src = viewer.BoxSource{Eval: ev, BoxID: boxID, Port: port, Output: true}
 	} else {
 		target := 0
 		for _, b := range g.Boxes() {
@@ -118,7 +115,7 @@ func run(dbPath, program string, boxID, port int, out string, w, h int, cx, cy, 
 			if len(sinks) == 0 {
 				return fmt.Errorf("program has no sink to view")
 			}
-			src = viewer.BoxOutputSource{Eval: ev, BoxID: sinks[len(sinks)-1].ID, Port: 0}
+			src = viewer.BoxSource{Eval: ev, BoxID: sinks[len(sinks)-1].ID, Port: 0, Output: true}
 		} else {
 			src = viewer.BoxSource{Eval: ev, BoxID: target, Port: 0}
 		}

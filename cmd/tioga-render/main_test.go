@@ -8,10 +8,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/rel"
 )
 
 // TestRenderFigure7WithTrace saves the Figure 7 program into a database
-// snapshot, renders it headlessly the way `tioga-render -trace` does, and
+// directory, renders it headlessly the way `tioga-render -trace` does, and
 // checks the resulting file is a well-formed Chrome trace: a top-level
 // traceEvents array of balanced B/E pairs covering the render phases.
 func TestRenderFigure7WithTrace(t *testing.T) {
@@ -34,8 +35,12 @@ func TestRenderFigure7WithTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	dbPath := filepath.Join(dir, "db.gob")
-	if err := env.DB.SaveFile(dbPath); err != nil {
+	dbPath := filepath.Join(dir, "db")
+	b, err := rel.NewFileBackend(dbPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.DB.SaveBackend(b); err != nil {
 		t.Fatal(err)
 	}
 

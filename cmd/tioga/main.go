@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	tioga [-db file.gob] [-stations 400] [-perstation 132] [-seed 42]
+//	tioga [-db dir] [-stations 400] [-perstation 132] [-seed 42]
 //
 // Type "help" at the prompt for the command list.
 package main
@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	dbPath := flag.String("db", "", "load a saved database instead of seeding")
+	dbPath := flag.String("db", "", "load a database directory written by savedb instead of seeding")
 	stations := flag.Int("stations", 400, "seeded stations")
 	perStation := flag.Int("perstation", 132, "seeded observations per station")
 	seed := flag.Int64("seed", 42, "generator seed")
@@ -31,17 +31,13 @@ func main() {
 	var database *db.Database
 	var err error
 	if *dbPath != "" {
-		database = db.New()
-		if err = database.LoadFile(*dbPath); err != nil {
-			fmt.Fprintln(os.Stderr, "tioga:", err)
-			os.Exit(1)
-		}
+		database, err = db.LoadDir(*dbPath)
 	} else {
 		database, err = core.SeedDatabase(*stations, *perStation, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tioga:", err)
-			os.Exit(1)
-		}
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tioga:", err)
+		os.Exit(1)
 	}
 
 	env := core.NewEnvironment(database)

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"text/tabwriter"
 	"time"
 
 	"repro/internal/check"
@@ -45,18 +46,159 @@ func (s *shell) printf(format string, args ...interface{}) {
 
 // Execute runs one command line, returning true to quit.
 func (s *shell) Execute(line string) bool {
-	fieldsQ := splitQuoted(line)
-	if len(fieldsQ) == 0 {
+	fields := splitQuoted(line)
+	if len(fields) == 0 {
 		return false
 	}
-	cmd, args := fieldsQ[0], fieldsQ[1:]
-	if cmd == "quit" || cmd == "exit" {
+	c := lookup(fields[0])
+	if c == nil {
+		s.printf("error: unknown command %q (try help)\n", fields[0])
+		return false
+	}
+	if c.run == nil {
 		return true
 	}
-	if err := s.dispatch(cmd, args); err != nil {
+	args := fields[1:]
+	var err error
+	if len(args) < c.minArgs || (c.maxArgs > 0 && len(args) > c.maxArgs) {
+		err = usageError{}
+	} else {
+		err = c.run(s, args)
+	}
+	var ue usageError
+	if errors.As(err, &ue) {
+		err = fmt.Errorf("usage: %s%s", c.usage(), ue.hint)
+	}
+	if err != nil {
 		s.printf("error: %v\n", err)
 	}
 	return false
+}
+
+// command is one row of the shell's command table. Help and every usage
+// error are generated from the table, so a command's syntax is written
+// once.
+type command struct {
+	name    string
+	section string // the help heading it is listed under
+	args    string // argument syntax, as help and usage errors print it
+	doc     string
+	minArgs int
+	maxArgs int                                 // 0: no limit
+	run     func(s *shell, args []string) error // nil quits the shell
+}
+
+// usage is the command's name followed by its argument syntax.
+func (c *command) usage() string { return strings.TrimSpace(c.name + " " + c.args) }
+
+// usageError reports a malformed command line. Execute prints it as the
+// command's usage from the table, followed by hint.
+type usageError struct{ hint string }
+
+func (e usageError) Error() string { return "usage" + e.hint }
+
+// Help sections.
+const (
+	secProgram  = "program window (Figure 2)"
+	secCanvas   = "canvases (Sections 2, 5-7)"
+	secDatabase = "database and sessions"
+	secObs      = "observability"
+)
+
+// commands is the command table, in help order. init fills it because
+// the help handler reads it.
+var commands []command
+
+func init() {
+	commands = []command{
+		{"show", secProgram, "", "list boxes, edges and canvases", 0, 0, (*shell).show},
+		{"add", secProgram, "<kind> [k=v ...]", "add any box (see boxes); add table name=T is Add Table", 1, 0, (*shell).add},
+		{"connect", secProgram, "<from>.<port> <to>.<port>", "wire an output to an input", 2, 2, (*shell).connect},
+		{"disconnect", secProgram, "<box>.<inport>", "remove the edge into an input (legality rules apply)", 1, 1, (*shell).disconnect},
+		{"delete", secProgram, "<box>", "remove a box (legality rules apply)", 1, 1, (*shell).deleteBox},
+		{"replace", secProgram, "<box> <kind> [k=v ...]", "Replace Box", 2, 0, (*shell).replace},
+		{"params", secProgram, "<box> k=v ...", "edit box parameters (re-renders lazily)", 2, 0, (*shell).params},
+		{"t", secProgram, "<box>.<inport>", "insert a T box on the edge into an input", 1, 1, (*shell).insertT},
+		{"apply", secProgram, "[R|C|G ...]", "Apply Box menu for the selected edge types", 0, 0, (*shell).apply},
+		{"applysel", secProgram, "<from>.<port> <kind> <member> <layer> [k=v ...]", "apply an R op to one relation of a C/G edge", 4, 0, (*shell).applySel},
+		{"encapsulate", secProgram, "<name> <box,box,...> [hole=box,box]", "define a new box (with holes)", 2, 0, (*shell).encapsulate},
+		{"instantiate", secProgram, "<name> [kind:k=v,k=v ...]", "expand it, plugging hole fillers", 1, 0, (*shell).instantiate},
+		{"check", secProgram, "", "static checker: every diagnostic, coded and located", 0, 0, (*shell).check},
+		{"new", secProgram, "", "New Program: erase the program window", 0, 0, func(s *shell, _ []string) error { return s.env.NewProgram() }},
+		{"save", secProgram, "<program>", "Save Program", 1, 1, func(s *shell, a []string) error { return s.env.SaveProgram(a[0]) }},
+		{"load", secProgram, "<program>", "Load Program: New Program, then Add Program", 1, 1, (*shell).load},
+		{"addprog", secProgram, "<program>", "Add Program: merge a saved program into this one", 1, 1, (*shell).addProgram},
+		{"undo", secProgram, "", "reverse the last operation", 0, 0, func(s *shell, _ []string) error { return s.env.Undo() }},
+		{"progpng", secProgram, "<file.png>", "render the program window", 1, 1, (*shell).progpng},
+
+		{"viewer", secCanvas, "<canvas> <box>.<port> [w h]", "attach a viewer (any edge is viewable)", 2, 0, (*shell).viewer},
+		{"render", secCanvas, "<canvas> [file.png]", "render to PNG (default <canvas>.png)", 1, 0, (*shell).render},
+		{"ascii", secCanvas, "<canvas> [cols]", "terminal rendering", 1, 0, (*shell).ascii},
+		{"pan", secCanvas, "<canvas> [member] <dx> <dy>", "move the view by an offset", 3, 0, motion(2, func(v *viewer.Viewer, m int, n []float64) error {
+			return v.Pan(m, n[0], n[1])
+		})},
+		{"panto", secCanvas, "<canvas> [member] <x> <y>", "center the view on a point", 3, 0, motion(2, func(v *viewer.Viewer, m int, n []float64) error {
+			return v.PanTo(m, n[0], n[1])
+		})},
+		{"elev", secCanvas, "<canvas> [member] <elevation>", "set the elevation", 2, 0, motion(1, func(v *viewer.Viewer, m int, n []float64) error {
+			return v.SetElevation(m, n[0])
+		})},
+		{"zoom", secCanvas, "<canvas> [member] <factor>", "multiply the elevation", 2, 0, motion(1, func(v *viewer.Viewer, m int, n []float64) error {
+			return v.Zoom(m, n[0])
+		})},
+		{"slider", secCanvas, "<canvas> [member] <dim> <lo> <hi>", "slider dimension range", 4, 0, motion(3, func(v *viewer.Viewer, m int, n []float64) error {
+			return v.SetSlider(m, int(n[0]), n[1], n[2])
+		})},
+		{"elevmap", secCanvas, "<canvas> [member]", "show the elevation map", 1, 0, (*shell).elevmap},
+		{"descend", secCanvas, "<elevation>", "wormhole navigation: descend toward the canvas", 1, 1, (*shell).descend},
+		{"back", secCanvas, "", "go back through the last wormhole", 0, 0, (*shell).back},
+		{"mirror", secCanvas, "[file.png]", "rear view mirror of the travel history", 0, 0, (*shell).mirror},
+		{"hits", secCanvas, "<canvas>", "screen objects from the last render", 1, 1, (*shell).hits},
+		{"update", secCanvas, "<canvas> <x> <y> <column> <value>", "Section 8 update at a screen position", 5, 5, (*shell).update},
+		{"magnify", secCanvas, "<canvas> <x0> <y0> <x1> <y1> <factor>", "magnifying glass: zoomed slaved clone", 6, 6, (*shell).magnify},
+
+		{"tables", secDatabase, "", "the menu of all tables", 0, 0, (*shell).tables},
+		{"boxes", secDatabase, "", "the menu of all box kinds", 0, 0, (*shell).boxes},
+		{"programs", secDatabase, "", "saved programs and encapsulated boxes", 0, 0, (*shell).programs},
+		{"savedb", secDatabase, "<dir>", "save the database into a directory (tioga -db <dir> loads it)", 1, 1, (*shell).savedb},
+		{"savesession", secDatabase, "<name>", "save canvases, positions and the program", 1, 1, func(s *shell, a []string) error { return s.env.SaveSession(a[0]) }},
+		{"loadsession", secDatabase, "<name>", "restore a saved session", 1, 1, (*shell).loadSession},
+		{"figures", secDatabase, "", "build the paper's figures", 0, 0, (*shell).figures},
+		{"help", secDatabase, "", "this list", 0, 0, (*shell).help},
+		{"quit", secDatabase, "", "leave the shell", 0, 0, nil},
+		{"exit", secDatabase, "", "leave the shell", 0, 0, nil},
+
+		{"eval", secObs, "<box>.<port> [serial | workers N] [timeout D]", "demand a box output, show work profile", 1, 0, (*shell).evalCmd},
+		{"stats", secObs, "", "counters, render cache hit rates, latency, errors", 0, 0, (*shell).stats},
+		{"trace", secObs, "on [file.json] | off", "collect spans; off writes Chrome JSON", 1, 0, (*shell).trace},
+		{"flight", secObs, "[file.json] | budget <duration|off>", "flight recorder: last spans or a Chrome JSON dump; budget arms the slow-frame watchdog", 0, 0, (*shell).flight},
+		{"histo", secObs, "<metric>", "ASCII latency histogram (e.g. render.frame_ns)", 0, 0, (*shell).histo},
+	}
+}
+
+// lookup finds a command by name, or returns nil.
+func lookup(name string) *command {
+	for i := range commands {
+		if commands[i].name == name {
+			return &commands[i]
+		}
+	}
+	return nil
+}
+
+// help prints the command table under its section headings.
+func (s *shell) help(_ []string) error {
+	tw := tabwriter.NewWriter(s.out, 0, 0, 2, ' ', 0)
+	for i, c := range commands {
+		if i == 0 || c.section != commands[i-1].section {
+			if i > 0 {
+				fmt.Fprintln(tw)
+			}
+			fmt.Fprintf(tw, "%s:\n", c.section)
+		}
+		fmt.Fprintf(tw, "  %s\t%s\n", c.usage(), c.doc)
+	}
+	return tw.Flush()
 }
 
 // splitQuoted splits on spaces, honoring single quotes, so predicates
@@ -118,246 +260,177 @@ func parseRef(s string) (box, port int, err error) {
 	return box, port, nil
 }
 
-func (s *shell) dispatch(cmd string, args []string) error {
-	switch cmd {
-	case "help":
-		s.help()
-		return nil
-	case "tables":
-		for _, n := range s.env.Tables() {
-			t, err := s.env.DB.Table(n)
-			if err != nil {
-				return err
-			}
-			s.printf("  %s %s [%d tuples]\n", n, t.Schema(), t.Len())
-		}
-		return nil
-	case "boxes":
-		kinds := s.env.BoxKinds()
-		sort.Strings(kinds)
-		for _, k := range kinds {
-			kind, err := s.env.Registry.Kind(k)
-			if err != nil {
-				continue
-			}
-			s.printf("  %-16s %s\n", k, kind.Doc)
-		}
-		return nil
-	case "programs":
-		for _, n := range s.env.DB.ProgramNames() {
-			s.printf("  %s\n", n)
-		}
-		for _, n := range s.env.DB.DefNames() {
-			s.printf("  %s (encapsulated box)\n", n)
-		}
-		return nil
-	case "show":
-		return s.show()
-	case "check":
-		return s.check()
-	case "add":
-		return s.add(args)
-	case "connect":
-		return s.connect(args)
-	case "disconnect":
-		if len(args) != 1 {
-			return fmt.Errorf("usage: disconnect <box>.<inport>")
-		}
-		b, p, err := parseRef(args[0])
+func (s *shell) tables(_ []string) error {
+	for _, n := range s.env.Tables() {
+		t, err := s.env.DB.Table(n)
 		if err != nil {
 			return err
 		}
-		return s.env.Disconnect(b, p)
-	case "delete":
-		if len(args) != 1 {
-			return fmt.Errorf("usage: delete <box>")
-		}
-		id, err := strconv.Atoi(args[0])
-		if err != nil {
-			return err
-		}
-		return s.env.DeleteBox(id)
-	case "replace":
-		if len(args) < 2 {
-			return fmt.Errorf("usage: replace <box> <kind> [k=v ...]")
-		}
-		id, err := strconv.Atoi(args[0])
-		if err != nil {
-			return err
-		}
-		_, err = s.env.ReplaceBox(id, args[1], parseParams(args[2:]))
-		return err
-	case "params":
-		if len(args) < 2 {
-			return fmt.Errorf("usage: params <box> k=v ...")
-		}
-		id, err := strconv.Atoi(args[0])
-		if err != nil {
-			return err
-		}
-		b, err := s.env.Program.Box(id)
-		if err != nil {
-			return err
-		}
-		np := b.Params.Clone()
-		for k, v := range parseParams(args[1:]) {
-			np[k] = v
-		}
-		return s.env.SetParams(id, np)
-	case "t":
-		if len(args) != 1 {
-			return fmt.Errorf("usage: t <box>.<inport>")
-		}
-		b, p, err := parseRef(args[0])
-		if err != nil {
-			return err
-		}
-		tb, err := s.env.InsertT(b, p)
-		if err != nil {
-			return err
-		}
-		s.printf("T box [%d]; output 1 is free\n", tb.ID)
-		return nil
-	case "apply":
-		return s.apply(args)
-	case "applysel":
-		// Apply an R->R operation to a selected relation inside the
-		// composite/group on an edge (the Section 2 prompt).
-		if len(args) < 4 {
-			return fmt.Errorf("usage: applysel <from>.<port> <kind> <member> <layer> [k=v ...]")
-		}
-		fb, fp, err := parseRef(args[0])
-		if err != nil {
-			return err
-		}
-		member, err := strconv.Atoi(args[2])
-		if err != nil {
-			return fmt.Errorf("bad member %q", args[2])
-		}
-		layer, err := strconv.Atoi(args[3])
-		if err != nil {
-			return fmt.Errorf("bad layer %q", args[3])
-		}
-		b, err := s.env.ApplyToSelection(fb, fp, args[1], parseParams(args[4:]), member, layer)
-		if err != nil {
-			return err
-		}
-		s.printf("box [%d] %s applied to member %d layer %d\n", b.ID, b.Kind, member, layer)
-		return nil
-	case "viewer":
-		return s.viewer(args)
-	case "render":
-		return s.render(args)
-	case "ascii":
-		return s.ascii(args)
-	case "pan", "panto", "elev", "zoom", "slider":
-		return s.navigate(cmd, args)
-	case "elevmap":
-		return s.elevmap(args)
-	case "descend":
-		return s.descend(args)
-	case "back":
-		if s.nav == nil {
-			return fmt.Errorf("no navigation yet")
-		}
-		if err := s.nav.GoBack(); err != nil {
-			return err
-		}
-		cur, _ := s.nav.Current()
-		s.printf("back on %s\n", cur.Name)
-		return nil
-	case "mirror":
-		return s.mirror(args)
-	case "hits":
-		return s.hits(args)
-	case "update":
-		return s.update(args)
-	case "save":
-		if len(args) != 1 {
-			return fmt.Errorf("usage: save <program>")
-		}
-		return s.env.SaveProgram(args[0])
-	case "load":
-		if len(args) != 1 {
-			return fmt.Errorf("usage: load <program>")
-		}
-		_, err := s.env.LoadProgram(args[0])
-		return err
-	case "addprog":
-		if len(args) != 1 {
-			return fmt.Errorf("usage: addprog <program>")
-		}
-		_, err := s.env.AddProgram(args[0])
-		return err
-	case "new":
-		return s.env.NewProgram()
-	case "encapsulate":
-		return s.encapsulate(args)
-	case "instantiate":
-		return s.instantiate(args)
-	case "undo":
-		return s.env.Undo()
-	case "savedb":
-		if len(args) != 1 {
-			return fmt.Errorf("usage: savedb <file>")
-		}
-		return s.env.DB.SaveFile(args[0])
-	case "savesession":
-		if len(args) != 1 {
-			return fmt.Errorf("usage: savesession <name>")
-		}
-		return s.env.SaveSession(args[0])
-	case "loadsession":
-		if len(args) != 1 {
-			return fmt.Errorf("usage: loadsession <name>")
-		}
-		if err := s.env.LoadSession(args[0]); err != nil {
-			return err
-		}
-		s.nav = s.env.Nav
-		return nil
-	case "magnify":
-		return s.magnify(args)
-	case "progpng":
-		if len(args) != 1 {
-			return fmt.Errorf("usage: progpng <file.png>")
-		}
-		img, err := s.env.RenderProgram()
-		if err != nil {
-			return err
-		}
-		f, err := os.Create(args[0])
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := img.WritePNG(f); err != nil {
-			return err
-		}
-		s.printf("program window -> %s\n", args[0])
-		return f.Close()
-	case "figures":
-		return s.figures()
-	case "eval":
-		return s.evalCmd(args)
-	case "stats":
-		return s.stats()
-	case "trace":
-		return s.trace(args)
-	case "flight":
-		return s.flight(args)
-	case "histo":
-		return s.histo(args)
+		s.printf("  %s %s [%d tuples]\n", n, t.Schema(), t.Len())
 	}
-	return fmt.Errorf("unknown command %q (try help)", cmd)
+	return nil
+}
+
+func (s *shell) boxes(_ []string) error {
+	kinds := s.env.BoxKinds()
+	sort.Strings(kinds)
+	for _, k := range kinds {
+		kind, err := s.env.Registry.Kind(k)
+		if err != nil {
+			continue
+		}
+		s.printf("  %-16s %s\n", k, kind.Doc)
+	}
+	return nil
+}
+
+func (s *shell) programs(_ []string) error {
+	for _, n := range s.env.DB.ProgramNames() {
+		s.printf("  %s\n", n)
+	}
+	for _, n := range s.env.DB.DefNames() {
+		s.printf("  %s (encapsulated box)\n", n)
+	}
+	return nil
+}
+
+func (s *shell) disconnect(args []string) error {
+	b, p, err := parseRef(args[0])
+	if err != nil {
+		return err
+	}
+	return s.env.Disconnect(b, p)
+}
+
+func (s *shell) deleteBox(args []string) error {
+	id, err := strconv.Atoi(args[0])
+	if err != nil {
+		return err
+	}
+	return s.env.DeleteBox(id)
+}
+
+func (s *shell) replace(args []string) error {
+	id, err := strconv.Atoi(args[0])
+	if err != nil {
+		return err
+	}
+	_, err = s.env.ReplaceBox(id, args[1], parseParams(args[2:]))
+	return err
+}
+
+func (s *shell) params(args []string) error {
+	id, err := strconv.Atoi(args[0])
+	if err != nil {
+		return err
+	}
+	b, err := s.env.Program.Box(id)
+	if err != nil {
+		return err
+	}
+	np := b.Params.Clone()
+	for k, v := range parseParams(args[1:]) {
+		np[k] = v
+	}
+	return s.env.SetParams(id, np)
+}
+
+func (s *shell) insertT(args []string) error {
+	b, p, err := parseRef(args[0])
+	if err != nil {
+		return err
+	}
+	tb, err := s.env.InsertT(b, p)
+	if err != nil {
+		return err
+	}
+	s.printf("T box [%d]; output 1 is free\n", tb.ID)
+	return nil
+}
+
+// applySel applies an R->R operation to a selected relation inside the
+// composite/group on an edge (the Section 2 prompt).
+func (s *shell) applySel(args []string) error {
+	fb, fp, err := parseRef(args[0])
+	if err != nil {
+		return err
+	}
+	member, err := strconv.Atoi(args[2])
+	if err != nil {
+		return fmt.Errorf("bad member %q", args[2])
+	}
+	layer, err := strconv.Atoi(args[3])
+	if err != nil {
+		return fmt.Errorf("bad layer %q", args[3])
+	}
+	b, err := s.env.ApplyToSelection(fb, fp, args[1], parseParams(args[4:]), member, layer)
+	if err != nil {
+		return err
+	}
+	s.printf("box [%d] %s applied to member %d layer %d\n", b.ID, b.Kind, member, layer)
+	return nil
+}
+
+func (s *shell) load(args []string) error {
+	_, err := s.env.LoadProgram(args[0])
+	return err
+}
+
+func (s *shell) addProgram(args []string) error {
+	_, err := s.env.AddProgram(args[0])
+	return err
+}
+
+func (s *shell) progpng(args []string) error {
+	img, err := s.env.RenderProgram()
+	if err != nil {
+		return err
+	}
+	f, err := os.Create(args[0])
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := img.WritePNG(f); err != nil {
+		return err
+	}
+	s.printf("program window -> %s\n", args[0])
+	return f.Close()
+}
+
+func (s *shell) back(_ []string) error {
+	if s.nav == nil {
+		return fmt.Errorf("no navigation yet")
+	}
+	if err := s.nav.GoBack(); err != nil {
+		return err
+	}
+	cur, _ := s.nav.Current()
+	s.printf("back on %s\n", cur.Name)
+	return nil
+}
+
+// savedb writes the database into a rel.FileBackend directory, creating
+// it if needed.
+func (s *shell) savedb(args []string) error {
+	b, err := rel.NewFileBackend(args[0])
+	if err != nil {
+		return err
+	}
+	return s.env.DB.SaveBackend(b)
+}
+
+func (s *shell) loadSession(args []string) error {
+	if err := s.env.LoadSession(args[0]); err != nil {
+		return err
+	}
+	s.nav = s.env.Nav
+	return nil
 }
 
 // magnify creates a magnifying glass over a canvas: a zoomed clone of the
 // viewer slaved into a screen rectangle (Section 7.2).
 func (s *shell) magnify(args []string) error {
-	if len(args) != 6 {
-		return fmt.Errorf("usage: magnify <canvas> <x0> <y0> <x1> <y1> <factor>")
-	}
 	v, err := s.env.Canvas(args[0])
 	if err != nil {
 		return err
@@ -376,57 +449,11 @@ func (s *shell) magnify(args []string) error {
 	return nil
 }
 
-func (s *shell) help() {
-	s.printf(`program window (Figure 2):
-  show                         list boxes and edges
-  add table name=T             Add Table
-  add <kind> k=v ...           add any box (see: boxes)
-  connect a.p b.q              wire output a.p to input b.q
-  disconnect b.q | delete b    remove edge / box (legality rules apply)
-  replace b <kind> k=v        Replace Box
-  params b k=v ...             edit box parameters (re-renders lazily)
-  t b.q                        insert a T box on the edge into b.q
-  apply R [C G ...]            Apply Box menu for selected edge types
-  applysel a.p kind m l k=v    apply an R op to relation (m,l) of a C/G edge
-  encapsulate name b1,b2 [hole=b3,b4]   define a new box (with holes)
-  instantiate name [kind:k=v ...]       expand it, plugging hole fillers
-  check                        static checker: every diagnostic, coded and located
-  new | save name | load name | addprog name | undo
-
-canvases (Sections 2, 5-7):
-  viewer canvas b.p [w h]      attach a viewer (any edge is viewable)
-  render canvas [file.png]     render to PNG (default canvas.png)
-  ascii canvas [cols]          terminal rendering
-  pan canvas [m] dx dy | panto canvas [m] x y
-  elev canvas [m] e | zoom canvas [m] factor
-  slider canvas [m] d lo hi    slider dimension range
-  elevmap canvas [m]           show the elevation map
-  descend e | back | mirror [file.png]   wormhole navigation
-  hits canvas                  screen objects from the last render
-  update canvas x y col value  Section 8 update at a screen position
-
-database:
-  magnify canvas x0 y0 x1 y1 f magnifying glass: zoomed slaved clone
-
-database and sessions:
-  tables | boxes | programs | savedb file | figures | quit
-  savesession name | loadsession name   canvases + positions + program
-
-observability:
-  eval b.p [serial|workers N] [timeout D]   demand a box output, show work profile
-  stats                        counters, render cache hit rates, latency, errors
-  trace on [file] | trace off  collect spans; off writes Chrome JSON
-  flight [file.json]           flight recorder: last spans, or dump Chrome JSON
-  flight budget <dur|off>      arm slow-frame watchdog on every canvas
-  histo <metric>               ASCII latency histogram (e.g. render.frame_ns)
-`)
-}
-
 // check runs the static program checker (internal/check) over the
 // current program and prints every diagnostic — the same analysis
 // tioga-vet applies to serialized programs, aimed at the program being
 // edited.
-func (s *shell) check() error {
+func (s *shell) check(_ []string) error {
 	diags := check.Program(s.env.Program)
 	if len(diags) == 0 {
 		s.printf("ok: no diagnostics\n")
@@ -443,7 +470,7 @@ func (s *shell) check() error {
 	return nil
 }
 
-func (s *shell) show() error {
+func (s *shell) show(_ []string) error {
 	for _, b := range s.env.Program.Boxes() {
 		ports := ""
 		if len(b.In) > 0 || len(b.Out) > 0 {
@@ -469,9 +496,6 @@ func (s *shell) show() error {
 }
 
 func (s *shell) add(args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("usage: add <kind> [k=v ...]")
-	}
 	b, err := s.env.AddBox(args[0], parseParams(args[1:]))
 	if err != nil {
 		return err
@@ -481,9 +505,6 @@ func (s *shell) add(args []string) error {
 }
 
 func (s *shell) connect(args []string) error {
-	if len(args) != 2 {
-		return fmt.Errorf("usage: connect <from>.<port> <to>.<port>")
-	}
 	fb, fp, err := parseRef(args[0])
 	if err != nil {
 		return err
@@ -516,9 +537,6 @@ func (s *shell) apply(args []string) error {
 }
 
 func (s *shell) viewer(args []string) error {
-	if len(args) < 2 {
-		return fmt.Errorf("usage: viewer <canvas> <box>.<port> [w h]")
-	}
 	b, p, err := parseRef(args[1])
 	if err != nil {
 		return err
@@ -543,9 +561,6 @@ func (s *shell) viewer(args []string) error {
 }
 
 func (s *shell) render(args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("usage: render <canvas> [file.png]")
-	}
 	v, err := s.env.Canvas(args[0])
 	if err != nil {
 		return err
@@ -572,9 +587,6 @@ func (s *shell) render(args []string) error {
 }
 
 func (s *shell) ascii(args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("usage: ascii <canvas> [cols]")
-	}
 	v, err := s.env.Canvas(args[0])
 	if err != nil {
 		return err
@@ -593,51 +605,32 @@ func (s *shell) ascii(args []string) error {
 	return nil
 }
 
-// navigate parses "cmd canvas [member] nums..." and applies the motion.
-func (s *shell) navigate(cmd string, args []string) error {
-	if len(args) < 2 {
-		return fmt.Errorf("usage: %s <canvas> [member] <numbers...>", cmd)
-	}
-	v, err := s.env.Canvas(args[0])
-	if err != nil {
-		return err
-	}
-	rest := args[1:]
-	member := 0
-	// A leading integer that leaves enough numbers behind is a member
-	// index.
-	need := map[string]int{"pan": 2, "panto": 2, "elev": 1, "zoom": 1, "slider": 3}[cmd]
-	if len(rest) > need {
-		if m, err := strconv.Atoi(rest[0]); err == nil {
-			member = m
-			rest = rest[1:]
+// motion returns the handler of a navigation command whose arguments
+// are "<canvas> [member] <numbers...>" with n numbers. A leading integer
+// that leaves n numbers behind is a member index.
+func motion(n int, move func(v *viewer.Viewer, member int, nums []float64) error) func(*shell, []string) error {
+	return func(s *shell, args []string) error {
+		v, err := s.env.Canvas(args[0])
+		if err != nil {
+			return err
 		}
-	}
-	nums := make([]float64, len(rest))
-	for i, r := range rest {
-		if nums[i], err = strconv.ParseFloat(r, 64); err != nil {
-			return fmt.Errorf("bad number %q", r)
+		rest, member := args[1:], 0
+		if len(rest) > n {
+			if m, err := strconv.Atoi(rest[0]); err == nil {
+				member, rest = m, rest[1:]
+			}
 		}
+		nums := make([]float64, len(rest))
+		for i, r := range rest {
+			if nums[i], err = strconv.ParseFloat(r, 64); err != nil {
+				return fmt.Errorf("bad number %q", r)
+			}
+		}
+		return move(v, member, nums)
 	}
-	switch cmd {
-	case "pan":
-		return v.Pan(member, nums[0], nums[1])
-	case "panto":
-		return v.PanTo(member, nums[0], nums[1])
-	case "elev":
-		return v.SetElevation(member, nums[0])
-	case "zoom":
-		return v.Zoom(member, nums[0])
-	case "slider":
-		return v.SetSlider(member, int(nums[0]), nums[1], nums[2])
-	}
-	return nil
 }
 
 func (s *shell) elevmap(args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("usage: elevmap <canvas> [member]")
-	}
 	v, err := s.env.Canvas(args[0])
 	if err != nil {
 		return err
@@ -664,9 +657,6 @@ func (s *shell) descend(args []string) error {
 	}
 	if s.nav == nil {
 		return fmt.Errorf("no canvases yet")
-	}
-	if len(args) != 1 {
-		return fmt.Errorf("usage: descend <elevation>")
 	}
 	e, err := strconv.ParseFloat(args[0], 64)
 	if err != nil {
@@ -714,9 +704,6 @@ func (s *shell) mirror(args []string) error {
 }
 
 func (s *shell) hits(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("usage: hits <canvas>")
-	}
 	v, err := s.env.Canvas(args[0])
 	if err != nil {
 		return err
@@ -741,9 +728,6 @@ func (s *shell) hits(args []string) error {
 }
 
 func (s *shell) update(args []string) error {
-	if len(args) != 5 {
-		return fmt.Errorf("usage: update <canvas> <x> <y> <column> <value>")
-	}
 	x, err := strconv.ParseFloat(args[1], 64)
 	if err != nil {
 		return err
@@ -757,9 +741,6 @@ func (s *shell) update(args []string) error {
 }
 
 func (s *shell) encapsulate(args []string) error {
-	if len(args) < 2 {
-		return fmt.Errorf("usage: encapsulate <name> <box,box,...> [hole=box,box]")
-	}
 	region, err := parseIntList(args[1])
 	if err != nil {
 		return err
@@ -784,9 +765,6 @@ func (s *shell) encapsulate(args []string) error {
 }
 
 func (s *shell) instantiate(args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("usage: instantiate <name> [kind:k=v,k=v ...]")
-	}
 	var fillers []dataflow.Filler
 	for _, a := range args[1:] {
 		parts := strings.SplitN(a, ":", 2)
@@ -808,7 +786,7 @@ func (s *shell) instantiate(args []string) error {
 	return nil
 }
 
-func (s *shell) figures() error {
+func (s *shell) figures(_ []string) error {
 	builders := []struct {
 		name  string
 		build func(*core.Environment) (string, error)
@@ -843,9 +821,6 @@ func (s *shell) figures() error {
 // evalCmd demands a box output through the cancellable Eval API and
 // prints the value summary plus the request's work profile.
 func (s *shell) evalCmd(args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("usage: eval <box>.<port> [serial | workers N] [timeout D]")
-	}
 	b, p, err := parseRef(args[0])
 	if err != nil {
 		return err
@@ -919,7 +894,7 @@ func describeValue(v dataflow.Value) string {
 // error from the process-wide obs registry, plus each canvas's render
 // cache counters. The cache counters live on the viewers themselves, so
 // they are available even when obs instrumentation is disabled.
-func (s *shell) stats() error {
+func (s *shell) stats(_ []string) error {
 	for _, name := range s.env.CanvasNames() {
 		v, err := s.env.Canvas(name)
 		if err != nil {
@@ -991,9 +966,6 @@ func formatNS(ns int64) string {
 // trace starts/stops span collection; "trace off" writes the Chrome
 // trace-event JSON to the path given at "trace on" (default trace.json).
 func (s *shell) trace(args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("usage: trace on [file.json] | trace off")
-	}
 	switch args[0] {
 	case "on":
 		s.tracePath = "trace.json"
@@ -1018,7 +990,7 @@ func (s *shell) trace(args []string) error {
 		s.printf("trace -> %s (load in chrome://tracing or ui.perfetto.dev)\n", path)
 		return nil
 	}
-	return fmt.Errorf("usage: trace on [file.json] | trace off")
+	return usageError{}
 }
 
 // flight inspects the always-on flight recorder. With no arguments it
@@ -1029,7 +1001,7 @@ func (s *shell) trace(args []string) error {
 func (s *shell) flight(args []string) error {
 	if len(args) >= 1 && args[0] == "budget" {
 		if len(args) != 2 {
-			return fmt.Errorf("usage: flight budget <duration|off>")
+			return usageError{}
 		}
 		var budget time.Duration
 		if args[1] != "off" {
@@ -1052,7 +1024,7 @@ func (s *shell) flight(args []string) error {
 		return nil
 	}
 	if len(args) > 1 {
-		return fmt.Errorf("usage: flight [file.json] | flight budget <duration|off>")
+		return usageError{}
 	}
 	events := obs.DumpFlight()
 	if len(args) == 1 {
@@ -1100,9 +1072,9 @@ func (s *shell) histo(args []string) error {
 		names := obs.HistogramNames()
 		sort.Strings(names)
 		if len(names) == 0 {
-			return fmt.Errorf("usage: histo <metric> (no histograms recorded yet)")
+			return usageError{" (no histograms recorded yet)"}
 		}
-		return fmt.Errorf("usage: histo <metric>; recorded: %s", strings.Join(names, ", "))
+		return usageError{"; recorded: " + strings.Join(names, ", ")}
 	}
 	h, ok := obs.LookupHistogram(args[0])
 	if !ok {

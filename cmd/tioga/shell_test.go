@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/db"
 	"repro/internal/obs"
 )
 
@@ -117,6 +118,7 @@ func TestShellEncapsulateInstantiate(t *testing.T) {
 }
 
 func TestShellSessionRoundTrip(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
 	sh, _ := testShell(t,
 		"add table name=Stations",
 		"viewer v1 1.0 100 100",
@@ -124,6 +126,7 @@ func TestShellSessionRoundTrip(t *testing.T) {
 		"savesession s1",
 		"new",
 		"loadsession s1",
+		"savedb "+dir,
 	)
 	v, err := sh.env.Canvas("v1")
 	if err != nil {
@@ -132,6 +135,15 @@ func TestShellSessionRoundTrip(t *testing.T) {
 	st, _ := v.State(0)
 	if st.Center.X != 111 || st.Center.Y != -22 {
 		t.Fatalf("restored state %+v", st)
+	}
+	// savedb wrote a directory that tioga -db loads, session included.
+	d, err := db.LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := core.NewEnvironment(d)
+	if err := env.LoadSession("s1"); err != nil {
+		t.Fatalf("session lost across savedb: %v", err)
 	}
 }
 
@@ -266,11 +278,52 @@ func TestShellParamsAndDisconnect(t *testing.T) {
 	}
 }
 
+// TestShellHelpCoversCommands: help lists every command of the table on
+// its own line under its section heading, printed once, and a command
+// given too few arguments reports its usage line from the table.
 func TestShellHelpCoversCommands(t *testing.T) {
 	_, out := testShell(t, "help")
-	for _, word := range []string{"encapsulate", "viewer", "descend", "update", "savesession", "magnify", "stats", "trace", "histo"} {
-		if !strings.Contains(out, word) {
-			t.Errorf("help missing %q", word)
+	listed := map[string]bool{}
+	headings := map[string]int{}
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "  ") {
+			listed[strings.Fields(line)[0]] = true
+		} else if strings.HasSuffix(line, ":") {
+			headings[strings.TrimSuffix(line, ":")]++
+		}
+	}
+	var bare []string
+	for _, c := range commands {
+		if !listed[c.name] {
+			t.Errorf("help missing %q", c.name)
+		}
+		if headings[c.section] != 1 {
+			t.Errorf("help prints section %q %d times", c.section, headings[c.section])
+		}
+		if c.minArgs > 0 {
+			bare = append(bare, c.name)
+		}
+	}
+	_, out = testShell(t, bare...)
+	for _, name := range bare {
+		if want := "error: usage: " + lookup(name).usage() + "\n"; !strings.Contains(out, want) {
+			t.Errorf("bare %q did not print %q:\n%s", name, want, out)
+		}
+	}
+}
+
+// TestShellMotionNeedsItsNumbers: a navigation command short of numbers
+// is a usage error, not an index panic.
+func TestShellMotionNeedsItsNumbers(t *testing.T) {
+	_, out := testShell(t,
+		"add table name=Stations",
+		"viewer v 1.0 100 80",
+		"pan v 5",
+		"slider v 1 2",
+	)
+	for _, want := range []string{"error: usage: pan ", "error: usage: slider "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/dataflow"
@@ -167,11 +168,11 @@ func TestEncapsulateThroughEnvironment(t *testing.T) {
 	if err := env.Connect(tb2.ID, 0, inst.Inputs[0].Box, inst.Inputs[0].Port); err != nil {
 		t.Fatal(err)
 	}
-	v, err := env.Eval.Demand(inst.Outputs[0].Box, inst.Outputs[0].Port)
+	res, err := env.Eval.Eval(context.Background(), dataflow.Request{Box: inst.Outputs[0].Box, Port: inst.Outputs[0].Port})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := dataflow.ValueType(v)
+	pt, err := dataflow.ValueType(res.Value)
 	if err != nil || !pt.Equal(dataflow.RType) {
 		t.Fatalf("encapsulated output type %v %v", pt, err)
 	}
@@ -239,11 +240,11 @@ func TestLiftedOperationsFigure3(t *testing.T) {
 	if err := env.Connect(ov.ID, 0, lift.ID, 0); err != nil {
 		t.Fatal(err)
 	}
-	v, err := env.Eval.Demand(lift.ID, 0)
+	res, err := env.Eval.Eval(context.Background(), dataflow.Request{Box: lift.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, _ := dataflow.ValueType(v)
+	pt, _ := dataflow.ValueType(res.Value)
 	if !pt.Equal(dataflow.CType) {
 		t.Fatalf("lifted output type %v", pt)
 	}
@@ -326,11 +327,11 @@ func TestApplyToSelection(t *testing.T) {
 	if lifted.Kind != "liftc" {
 		t.Fatalf("composite apply inserted %q", lifted.Kind)
 	}
-	v, err := env.Eval.Demand(lifted.ID, 0)
+	res, err := env.Eval.Eval(context.Background(), dataflow.Request{Box: lifted.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, _ := dataflow.ValueType(v)
+	pt, _ := dataflow.ValueType(res.Value)
 	if !pt.Equal(dataflow.CType) {
 		t.Fatalf("lifted output %v", pt)
 	}

@@ -2,18 +2,20 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/dataflow"
 	"repro/internal/db"
+	"repro/internal/rel"
 )
 
 // TestFullPersistenceRoundTrip drives the complete persistence story: a
 // session is built, its database (tables + program + session) saved to a
-// file, reloaded into a brand-new environment, and the restored canvas
-// must render byte-identically.
+// directory, reloaded into a brand-new environment, and the restored
+// canvas must render byte-identically.
 func TestFullPersistenceRoundTrip(t *testing.T) {
 	env := seededEnv(t)
 	canvas, err := Figure4(env)
@@ -35,14 +37,18 @@ func TestFullPersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(t.TempDir(), "world.gob")
-	if err := env.DB.SaveFile(path); err != nil {
+	dir := t.TempDir()
+	b, err := rel.NewFileBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.DB.SaveBackend(b); err != nil {
 		t.Fatal(err)
 	}
 
 	// A brand-new world.
-	db2 := db.New()
-	if err := db2.LoadFile(path); err != nil {
+	db2, err := db.LoadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
 	env2 := NewEnvironment(db2)
@@ -122,9 +128,12 @@ func TestRandomEditSequencesStayEvaluable(t *testing.T) {
 				}
 			}
 
-			// Invariant: the program always typechecks.
-			if errs := dataflow.Typecheck(env.Program); len(errs) > 0 {
-				t.Fatalf("seed %d step %d: typecheck: %v", seed, step, errs[0])
+			// Invariant: the program always validates, apart from
+			// inputs not yet wired.
+			for _, d := range dataflow.ValidateGraph(env.Program) {
+				if !errors.Is(d, dataflow.ErrUnconnected) {
+					t.Fatalf("seed %d step %d: %v", seed, step, d)
+				}
 			}
 		}
 		// Invariant: every box with fully connected inputs evaluates.
@@ -139,7 +148,7 @@ func TestRandomEditSequencesStayEvaluable(t *testing.T) {
 			if !ready || len(b.Out) == 0 {
 				continue
 			}
-			if _, err := env.Eval.Demand(b.ID, 0); err != nil {
+			if _, err := env.Eval.Eval(context.Background(), dataflow.Request{Box: b.ID}); err != nil {
 				t.Fatalf("seed %d: box %d (%s) failed to evaluate: %v", seed, b.ID, b.Kind, err)
 			}
 		}

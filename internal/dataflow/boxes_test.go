@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/display"
@@ -10,13 +11,13 @@ import (
 // demandR demands output (id, 0) and asserts it is an extended relation.
 func demandR(t testing.TB, ev *Evaluator, id int) *display.Extended {
 	t.Helper()
-	v, err := ev.Demand(id, 0)
+	res, err := ev.Eval(context.Background(), Request{Box: id})
 	if err != nil {
 		t.Fatalf("demand: %v", err)
 	}
-	e, ok := v.(*display.Extended)
+	e, ok := res.Value.(*display.Extended)
 	if !ok {
-		t.Fatalf("output is %T", v)
+		t.Fatalf("output is %T", res.Value)
 	}
 	return e
 }
@@ -43,12 +44,12 @@ func TestTableBoxDefaults(t *testing.T) {
 	}
 	// Missing table errors at fire time.
 	bad, _ := g.AddBox("table", Params{"name": "Nope"})
-	if _, err := ev.Demand(bad.ID, 0); err == nil {
+	if _, err := ev.Eval(context.Background(), Request{Box: bad.ID}); err == nil {
 		t.Error("missing table accepted")
 	}
 	// Missing name parameter.
 	noName, _ := g.AddBox("table", Params{})
-	if _, err := ev.Demand(noName.ID, 0); err == nil {
+	if _, err := ev.Eval(context.Background(), Request{Box: noName.ID}); err == nil {
 		t.Error("table without name accepted")
 	}
 }
@@ -118,7 +119,7 @@ func TestAttrBoxes(t *testing.T) {
 	// scale of a text attribute is rejected.
 	bad, _ := g.AddBox("scaleattr", Params{"name": "name", "by": "2"})
 	wire(t, g, rm, bad)
-	if _, err := ev.Demand(bad.ID, 0); err == nil {
+	if _, err := ev.Eval(context.Background(), Request{Box: bad.ID}); err == nil {
 		t.Error("scaling text accepted")
 	}
 }
@@ -137,7 +138,7 @@ func TestSetLocationAndRemoveGuard(t *testing.T) {
 	// remove x, y, or display).
 	rm, _ := g.AddBox("removeattr", Params{"name": "longitude"})
 	wire(t, g, loc, rm)
-	if _, err := ev.Demand(rm.ID, 0); err == nil {
+	if _, err := ev.Eval(context.Background(), Request{Box: rm.ID}); err == nil {
 		t.Error("removing the x location attribute accepted")
 	}
 
@@ -158,7 +159,7 @@ func TestSetLocationAndRemoveGuard(t *testing.T) {
 	tb3, _ := g3.AddBox("table", Params{"name": "Stations"})
 	loc3, _ := g3.AddBox("setlocation", Params{"attrs": "name,latitude"})
 	wire(t, g3, tb3, loc3)
-	if _, err := ev3.Demand(loc3.ID, 0); err == nil {
+	if _, err := ev3.Eval(context.Background(), Request{Box: loc3.ID}); err == nil {
 		t.Error("text location attribute accepted")
 	}
 }
@@ -194,7 +195,7 @@ func TestDisplayBoxes(t *testing.T) {
 	// removedisplay: cannot remove the active one.
 	rm, _ := g.AddBox("removedisplay", Params{"name": "both"})
 	wire(t, g, cb, rm)
-	if _, err := ev.Demand(rm.ID, 0); err == nil {
+	if _, err := ev.Eval(context.Background(), Request{Box: rm.ID}); err == nil {
 		t.Error("removing active display accepted")
 	}
 	g.Touch(rm.ID)
@@ -226,7 +227,7 @@ func TestSetRangeBox(t *testing.T) {
 	}
 	bad, _ := g.AddBox("setrange", Params{"lo": "10", "hi": "2"})
 	wire(t, g, sr, bad)
-	if _, err := ev.Demand(bad.ID, 0); err == nil {
+	if _, err := ev.Eval(context.Background(), Request{Box: bad.ID}); err == nil {
 		t.Error("inverted range accepted")
 	}
 }
@@ -242,13 +243,13 @@ func TestOverlayShuffleBoxes(t *testing.T) {
 	if err := g.Connect(t2.ID, 0, ov.ID, 1); err != nil {
 		t.Fatal(err)
 	}
-	v, err := ev.Demand(ov.ID, 0)
+	res, err := ev.Eval(context.Background(), Request{Box: ov.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, ok := v.(*display.Composite)
+	c, ok := res.Value.(*display.Composite)
 	if !ok {
-		t.Fatalf("overlay output %T", v)
+		t.Fatalf("overlay output %T", res.Value)
 	}
 	if len(c.Layers) != 2 {
 		t.Fatalf("%d layers", len(c.Layers))
@@ -261,17 +262,17 @@ func TestOverlayShuffleBoxes(t *testing.T) {
 	if err := g.Connect(ov.ID, 0, sh.ID, 0); err != nil {
 		t.Fatal(err)
 	}
-	v, err = ev.Demand(sh.ID, 0)
+	res, err = ev.Eval(context.Background(), Request{Box: sh.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := v.(*display.Composite)
+	c2 := res.Value.(*display.Composite)
 	if c2.Layers[1].Ext.Label != c.Layers[0].Ext.Label {
 		t.Error("shuffle did not move layer 0 to top")
 	}
 	// Input composite not mutated.
-	v, _ = ev.Demand(ov.ID, 0)
-	if v.(*display.Composite).Layers[0].Ext.Label != c.Layers[0].Ext.Label {
+	res, _ = ev.Eval(context.Background(), Request{Box: ov.ID})
+	if res.Value.(*display.Composite).Layers[0].Ext.Label != c.Layers[0].Ext.Label {
 		t.Error("shuffle mutated its input")
 	}
 }
@@ -283,13 +284,13 @@ func TestStitchBox(t *testing.T) {
 	st, _ := g.AddBox("stitch", Params{"n": "2", "layout": "vertical"})
 	_ = g.Connect(t1.ID, 0, st.ID, 0)
 	_ = g.Connect(t2.ID, 0, st.ID, 1)
-	v, err := ev.Demand(st.ID, 0)
+	res, err := ev.Eval(context.Background(), Request{Box: st.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	grp, ok := v.(*display.Group)
+	grp, ok := res.Value.(*display.Group)
 	if !ok {
-		t.Fatalf("stitch output %T", v)
+		t.Fatalf("stitch output %T", res.Value)
 	}
 	if len(grp.Members) != 2 || grp.Layout != display.Vertical {
 		t.Fatalf("group %+v", grp)
@@ -308,11 +309,11 @@ func TestReplicateBox(t *testing.T) {
 	tb, _ := g.AddBox("table", Params{"name": "Stations"})
 	rep, _ := g.AddBox("replicate", Params{"preds": "altitude < 100; altitude >= 100"})
 	wire(t, g, tb, rep)
-	v, err := ev.Demand(rep.ID, 0)
+	res, err := ev.Eval(context.Background(), Request{Box: rep.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	grp := v.(*display.Group)
+	grp := res.Value.(*display.Group)
 	if len(grp.Members) != 2 {
 		t.Fatalf("%d replicas", len(grp.Members))
 	}
@@ -337,11 +338,11 @@ func TestReplicateTabularCross(t *testing.T) {
 		"attr":  "state",
 	})
 	wire(t, g, tb, rep)
-	v, err := ev.Demand(rep.ID, 0)
+	res, err := ev.Eval(context.Background(), Request{Box: rep.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	grp := v.(*display.Group)
+	grp := res.Value.(*display.Group)
 	if grp.Layout != display.Tabular || grp.Cols != 2 {
 		t.Fatalf("cross replication layout %v cols %d", grp.Layout, grp.Cols)
 	}
@@ -361,11 +362,11 @@ func TestLiftBoxes(t *testing.T) {
 	// Lift a restrict onto layer 0 of the composite.
 	lift, _ := g.AddBox("liftc", LiftParams("restrict", Params{"pred": "state = 'LA'"}, 0, 0))
 	_ = g.Connect(ov.ID, 0, lift.ID, 0)
-	v, err := ev.Demand(lift.ID, 0)
+	res, err := ev.Eval(context.Background(), Request{Box: lift.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := v.(*display.Composite)
+	c := res.Value.(*display.Composite)
 	if len(c.Layers) != 2 {
 		t.Fatal("lift changed composite shape")
 	}
@@ -381,11 +382,11 @@ func TestLiftBoxes(t *testing.T) {
 	_ = g.Connect(lift.ID, 0, st.ID, 0)
 	lg, _ := g.AddBox("liftg", LiftParams("project", Params{"attrs": "id,state"}, 0, 0))
 	_ = g.Connect(st.ID, 0, lg.ID, 0)
-	v, err = ev.Demand(lg.ID, 0)
+	res, err = ev.Eval(context.Background(), Request{Box: lg.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	grp := v.(*display.Group)
+	grp := res.Value.(*display.Group)
 	if grp.Members[0].Layers[0].Ext.Rel.Schema().Len() != 2 {
 		t.Error("lifted project did not apply")
 	}
@@ -394,12 +395,12 @@ func TestLiftBoxes(t *testing.T) {
 	badSel, _ := g.AddBox("liftc", LiftParams("restrict", Params{"pred": "true"}, 0, 9))
 	_ = g.Connect(lg.ID, 0, badSel.ID, 0)
 	_ = badSel
-	if _, err := ev.Demand(badSel.ID, 0); err == nil {
+	if _, err := ev.Eval(context.Background(), Request{Box: badSel.ID}); err == nil {
 		t.Error("bad selection accepted")
 	}
 	badKind, _ := g.AddBox("liftc", LiftParams("join", Params{"pred": "true"}, 0, 0))
 	_ = g.Connect(ov.ID, 0, badKind.ID, 0)
-	if _, err := ev.Demand(badKind.ID, 0); err == nil {
+	if _, err := ev.Eval(context.Background(), Request{Box: badKind.ID}); err == nil {
 		t.Error("non-R->R kind accepted")
 	}
 }

@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/display"
@@ -75,7 +77,7 @@ func TestSwapAttrOnStoredColumns(t *testing.T) {
 	// Swapping incompatible attributes fails.
 	bad, _ := g.AddBox("swapattr", Params{"a": "name", "b": "longitude"})
 	wire(t, g, sw, bad)
-	if _, err := ev.Demand(bad.ID, 0); err == nil {
+	if _, err := ev.Eval(context.Background(), Request{Box: bad.ID}); err == nil {
 		t.Error("cross-kind swap accepted")
 	}
 }
@@ -85,11 +87,11 @@ func TestReplicateEnumeratedOnly(t *testing.T) {
 	tb, _ := g.AddBox("table", Params{"name": "Stations"})
 	rep, _ := g.AddBox("replicate", Params{"attr": "state", "layout": "vertical"})
 	wire(t, g, tb, rep)
-	v, err := ev.Demand(rep.ID, 0)
+	res, err := ev.Eval(context.Background(), Request{Box: rep.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	grp := v.(*display.Group)
+	grp := res.Value.(*display.Group)
 	if grp.Layout != display.Vertical {
 		t.Fatalf("layout %v", grp.Layout)
 	}
@@ -103,7 +105,7 @@ func TestReplicateEnumeratedOnly(t *testing.T) {
 	// Replicate needs preds or attr.
 	none, _ := g.AddBox("replicate", Params{})
 	wire(t, g, rep2R(t, g, tb), none)
-	if _, err := ev.Demand(none.ID, 0); err == nil {
+	if _, err := ev.Eval(context.Background(), Request{Box: none.ID}); err == nil {
 		t.Error("replicate without spec accepted")
 	}
 }
@@ -130,11 +132,11 @@ func TestReplicateDateEnumeration(t *testing.T) {
 	wire(t, g, tb, rb)
 	rep, _ := g.AddBox("replicate", Params{"attr": "obs_date"})
 	wire(t, g, rb, rep)
-	v, err := ev.Demand(rep.ID, 0)
+	res, err := ev.Eval(context.Background(), Request{Box: rep.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	grp := v.(*display.Group)
+	grp := res.Value.(*display.Group)
 	if len(grp.Members) != 12 { // 12 monthly observations for station 0
 		t.Fatalf("%d date panels", len(grp.Members))
 	}
@@ -146,23 +148,23 @@ func TestStitchLayoutValidation(t *testing.T) {
 	// tabular without cols fails at fire time.
 	st, _ := g.AddBox("stitch", Params{"n": "1", "layout": "tabular"})
 	wire(t, g, tb, st)
-	if _, err := ev.Demand(st.ID, 0); err == nil {
+	if _, err := ev.Eval(context.Background(), Request{Box: st.ID}); err == nil {
 		t.Error("tabular without cols accepted")
 	}
 	// Unknown layout fails.
 	st2, _ := g.AddBox("stitch", Params{"n": "1", "layout": "diagonal"})
 	wire(t, g, rep2R(t, g, tb), st2)
-	if _, err := ev.Demand(st2.ID, 0); err == nil {
+	if _, err := ev.Eval(context.Background(), Request{Box: st2.ID}); err == nil {
 		t.Error("unknown layout accepted")
 	}
 	// Tabular with cols works.
 	st3, _ := g.AddBox("stitch", Params{"n": "1", "layout": "tabular", "cols": "1"})
 	wire(t, g, rep2R(t, g, tb), st3)
-	v, err := ev.Demand(st3.ID, 0)
+	res, err := ev.Eval(context.Background(), Request{Box: st3.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.(*display.Group).Layout != display.Tabular {
+	if res.Value.(*display.Group).Layout != display.Tabular {
 		t.Error("tabular layout not applied")
 	}
 }
@@ -203,15 +205,15 @@ func TestEvaluatorUtilities(t *testing.T) {
 		t.Fatal("Graph accessor")
 	}
 	tb, _ := g.AddBox("table", Params{"name": "Stations"})
-	if _, err := ev.Demand(tb.ID, 0); err != nil {
+	if _, err := ev.Eval(context.Background(), Request{Box: tb.ID}); err != nil {
 		t.Fatal(err)
 	}
-	fires := ev.Stats.Fires
 	ev.Invalidate(tb.ID)
-	if _, err := ev.Demand(tb.ID, 0); err != nil {
+	res, err := ev.Eval(context.Background(), Request{Box: tb.ID})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.Stats.Fires != fires+1 {
+	if res.Fires != 1 {
 		t.Fatal("Invalidate did not force a re-fire")
 	}
 }
@@ -224,9 +226,9 @@ func TestTypecheckReportsBadEdges(t *testing.T) {
 	_ = g.Connect(tb.ID, 0, st.ID, 0)
 	// Forge an illegal edge (as if loaded from corrupt storage).
 	g.edges[rb.ID] = map[int]Edge{0: {From: st.ID, FromPort: 0, To: rb.ID, ToPort: 0}}
-	errs := Typecheck(g)
-	if len(errs) != 1 {
-		t.Fatalf("Typecheck = %v", errs)
+	diags := ValidateGraph(g)
+	if len(diags) != 1 || !errors.Is(diags, ErrPortType) {
+		t.Fatalf("ValidateGraph = %v", diags)
 	}
 }
 

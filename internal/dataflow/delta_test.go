@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -120,18 +121,19 @@ func randomUpdateFor(rng *rand.Rand, table string) (string, types.Value) {
 	}
 }
 
-// demandRel demands (box, 0) and unwraps the relation.
-func demandRel(t *testing.T, ev *Evaluator, box int) *rel.Relation {
+// demandRel demands (box, 0), unwraps the relation, and reports how many
+// boxes the demand fired.
+func demandRel(t *testing.T, ev *Evaluator, box int) (*rel.Relation, int) {
 	t.Helper()
-	v, err := ev.Demand(box, 0)
+	res, err := ev.Eval(context.Background(), Request{Box: box})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, ok := v.(*display.Extended)
+	ext, ok := res.Value.(*display.Extended)
 	if !ok {
-		t.Fatalf("demand returned %T, want extended relation", v)
+		t.Fatalf("demand returned %T, want extended relation", res.Value)
 	}
-	return ext.Rel
+	return ext.Rel, res.Fires
 }
 
 // sameRel asserts two relations carry identical tuples.
@@ -157,8 +159,8 @@ func sameRel(t *testing.T, label string, got, want *rel.Relation) {
 // fresh evaluator — the differential oracle for every delta test.
 func fullRecompute(t *testing.T, g *Graph, src TableSource, box int) *rel.Relation {
 	t.Helper()
-	ev := NewEvaluator(g, src)
-	return demandRel(t, ev, box)
+	r, _ := demandRel(t, NewEvaluator(g, src), box)
+	return r
 }
 
 func buildDeltaPipeline(t *testing.T) (*Graph, *Evaluator, *lockedSource, map[string]*Box) {
@@ -198,9 +200,8 @@ func buildDeltaPipeline(t *testing.T) (*Graph, *Evaluator, *lockedSource, map[st
 func TestDeltaAppendsApplyWithoutRefire(t *testing.T) {
 	g, ev, src, boxes := buildDeltaPipeline(t)
 	target := boxes["project"].ID
-	before := demandRel(t, ev, target)
+	before, _ := demandRel(t, ev, target)
 	baseLen := before.Len()
-	fires := ev.Stats.Fires
 
 	var deltas []TableDelta
 	cur := src.get("Stations")
@@ -225,9 +226,9 @@ func TestDeltaAppendsApplyWithoutRefire(t *testing.T) {
 	src.set("Stations", cur)
 	ev.EnqueueTableDelta("Stations", deltas)
 
-	after := demandRel(t, ev, target)
-	if ev.Stats.Fires != fires {
-		t.Fatalf("delta application fired %d boxes, want 0", ev.Stats.Fires-fires)
+	after, fires := demandRel(t, ev, target)
+	if fires != 0 {
+		t.Fatalf("delta application fired %d boxes, want 0", fires)
 	}
 	if after.Len() != baseLen+5 {
 		t.Fatalf("output has %d rows, want %d", after.Len(), baseLen+5)
@@ -251,9 +252,8 @@ func TestDeltaDifferentialRestrictProject(t *testing.T) {
 			deltas = append(deltas, writeTable(rng, src, "Stations"))
 		}
 		ev.EnqueueTableDelta("Stations", deltas)
-		fires := ev.Stats.Fires
-		got := demandRel(t, ev, target)
-		if ev.Stats.Fires == fires {
+		got, fires := demandRel(t, ev, target)
+		if fires == 0 {
 			cleanSteps++
 		}
 		sameRel(t, fmt.Sprintf("step %d", step), got, fullRecompute(t, g, src, target))
@@ -302,9 +302,8 @@ func TestDeltaDifferentialJoin(t *testing.T) {
 			deltas = append(deltas, writeTable(rng, src, table))
 		}
 		ev.EnqueueTableDelta(table, deltas)
-		fires := ev.Stats.Fires
-		got := demandRel(t, ev, jb.ID)
-		if ev.Stats.Fires == fires {
+		got, fires := demandRel(t, ev, jb.ID)
+		if fires == 0 {
 			cleanSteps++
 		}
 		sameRel(t, fmt.Sprintf("step %d (%s)", step, table), got, fullRecompute(t, g, src, jb.ID))
@@ -327,14 +326,13 @@ func TestDeltaOpaqueBoxFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	demandRel(t, ev, sb.ID)
-	fires := ev.Stats.Fires
 
 	rng := rand.New(rand.NewSource(23))
 	d := writeTable(rng, src, "Stations")
 	ev.EnqueueTableDelta("Stations", []TableDelta{d})
-	got := demandRel(t, ev, sb.ID)
+	got, refired := demandRel(t, ev, sb.ID)
 	// The table memo was patched in place; only the sort refired.
-	if refired := ev.Stats.Fires - fires; refired != 1 {
+	if refired != 1 {
 		t.Fatalf("opaque fallback refired %d boxes, want 1 (sort only)", refired)
 	}
 	sameRel(t, "opaque fallback", got, fullRecompute(t, g, src, sb.ID))
@@ -348,13 +346,12 @@ func TestDeltaDisabledDegradesToTouch(t *testing.T) {
 	g, ev, src, boxes := buildDeltaPipeline(t)
 	target := boxes["project"].ID
 	demandRel(t, ev, target)
-	fires := ev.Stats.Fires
 
 	rng := rand.New(rand.NewSource(29))
 	d := writeTable(rng, src, "Stations")
 	ev.EnqueueTableDelta("Stations", []TableDelta{d})
-	got := demandRel(t, ev, target)
-	if refired := ev.Stats.Fires - fires; refired != 2 {
+	got, refired := demandRel(t, ev, target)
+	if refired != 2 {
 		t.Fatalf("disabled path refired %d boxes, want 2 (table + fused chain)", refired)
 	}
 	sameRel(t, "disabled ablation", got, fullRecompute(t, g, src, target))
@@ -373,12 +370,12 @@ func TestDeltaChainGapFallsBack(t *testing.T) {
 	_ = writeTable(rng, src, "Stations")
 	d2 := writeTable(rng, src, "Stations")
 	ev.EnqueueTableDelta("Stations", []TableDelta{d2})
-	got := demandRel(t, ev, target)
+	got, _ := demandRel(t, ev, target)
 	sameRel(t, "chain gap", got, fullRecompute(t, g, src, target))
 }
 
 // Deltas racing demands: writer goroutines commit CoW writes and enqueue
-// deltas while reader goroutines hammer Demand. Run under -race. The
+// deltas while reader goroutines hammer Eval. Run under -race. The
 // final quiesced demand must equal a full recompute of the final state.
 func TestDeltaRacingDemands(t *testing.T) {
 	g, ev, src, boxes := buildDeltaPipeline(t)
@@ -398,7 +395,7 @@ func TestDeltaRacingDemands(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := ev.Demand(target, 0); err != nil {
+				if _, err := ev.Eval(context.Background(), Request{Box: target}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -415,6 +412,6 @@ func TestDeltaRacingDemands(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	got := demandRel(t, ev, target)
+	got, _ := demandRel(t, ev, target)
 	sameRel(t, "racing final state", got, fullRecompute(t, g, src, target))
 }

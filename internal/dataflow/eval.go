@@ -8,22 +8,6 @@ import (
 	"repro/internal/obs"
 )
 
-// EvalStats counts work done by an evaluator. It is the per-evaluator
-// view of the process-wide internal/obs counters (eval.fires,
-// eval.cache_hits, eval.cache_miss, eval.coalesced): every increment here
-// is mirrored into the obs registry when obs is enabled, so tests and the
-// lazy-vs-eager ablation bench read the struct while the shell's stats
-// command and the benchmark harness read the global registry.
-//
-// Fields are updated under the evaluator's lock; read them only when no
-// Eval is in flight.
-type EvalStats struct {
-	Fires     int // box firings actually executed
-	CacheHits int // demands answered from the memo table
-	CacheMiss int // demands requiring a firing
-	Coalesced int // demands answered by joining another request's in-flight firing
-}
-
 // EvalOptions configures one evaluation request. Build it with the
 // functional options (WithWorkers, WithLabel, ...) passed to Eval.
 type EvalOptions struct {
@@ -36,10 +20,6 @@ type EvalOptions struct {
 	// Label annotates the request's trace span and Result, so concurrent
 	// requests can be told apart in a Chrome trace.
 	Label string
-	// NoPreflight skips the pre-flight validation of the demanded
-	// subgraph, restoring the old behavior of reporting only the first
-	// plan-time error the scheduler trips over.
-	NoPreflight bool
 	// NoFusion disables the plan-time fusion of adjacent restrict/project
 	// chains into single fused scans (see fuse.go), firing every box
 	// individually — the ablation baseline for the query fast path.
@@ -54,12 +34,6 @@ func WithWorkers(n int) EvalOption { return func(o *EvalOptions) { o.Workers = n
 
 // WithLabel names the request in traces and results.
 func WithLabel(label string) EvalOption { return func(o *EvalOptions) { o.Label = label } }
-
-// WithoutPreflight opts the request out of pre-flight validation: the
-// scheduler plans directly and reports only the first problem it finds,
-// as it did before the checker existed. Intended for callers that have
-// already validated the program (tioga-vet, load-time checks).
-func WithoutPreflight() EvalOption { return func(o *EvalOptions) { o.NoPreflight = true } }
 
 // WithoutFusion opts the request out of restrict/project chain fusion,
 // firing every box of the chain individually. Useful as the ablation
@@ -129,9 +103,6 @@ type Evaluator struct {
 	// the steady-state cost of pre-flight is one map lookup.
 	checked    map[int]error
 	checkClock int64
-
-	// Stats is guarded by mu; read it only between evaluations.
-	Stats EvalStats
 }
 
 // flight is one in-progress box firing. Requests that find a flight for
@@ -307,10 +278,8 @@ func (e *Evaluator) Eval(ctx context.Context, req Request, opts ...EvalOption) (
 		return Result{Label: o.Label}, evalPortErr("request", target, port, b.Kind, ErrNoSuchPort)
 	}
 
-	if !o.NoPreflight {
-		if err := e.preflight(target); err != nil {
-			return Result{Label: o.Label}, err
-		}
+	if err := e.preflight(target); err != nil {
+		return Result{Label: o.Label}, err
 	}
 
 	obs.Inc(obs.EvalDemands)
@@ -395,57 +364,4 @@ func (e *Evaluator) EvaluateAll() error {
 		}
 	}
 	return nil
-}
-
-// Demand evaluates the given output of box id and returns its value.
-//
-// Deprecated: use Eval, which adds cancellation, parallel scheduling, and
-// a structured result. Demand remains as a thin wrapper for existing
-// callers.
-func (e *Evaluator) Demand(id, port int) (Value, error) {
-	res, err := e.Eval(context.Background(), Request{Box: id, Port: port})
-	if err != nil {
-		return nil, err
-	}
-	return res.Value, nil
-}
-
-// DemandInput evaluates whatever feeds input (id, port).
-//
-// Deprecated: use Eval with Request{Input: true}. DemandInput remains as
-// a thin wrapper for existing callers.
-func (e *Evaluator) DemandInput(id, port int) (Value, error) {
-	res, err := e.Eval(context.Background(), Request{Box: id, Port: port, Input: true})
-	if err != nil {
-		return nil, err
-	}
-	return res.Value, nil
-}
-
-// Typecheck walks every edge and verifies compatibility, reporting all
-// errors. The editor enforces types at connect time, so this matters for
-// programs loaded from storage or built by tests.
-func Typecheck(g *Graph) []error {
-	var errs []error
-	for _, e := range g.Edges() {
-		fb, err := g.Box(e.From)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		tb, err := g.Box(e.To)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		if e.FromPort >= len(fb.Out) || e.ToPort >= len(tb.In) {
-			errs = append(errs, evalPortErr("typecheck", e.To, e.ToPort, tb.Kind, ErrNoSuchPort))
-			continue
-		}
-		if !Compatible(fb.Out[e.FromPort], tb.In[e.ToPort]) {
-			errs = append(errs, evalPortErr("typecheck", e.To, e.ToPort, tb.Kind,
-				typeError(fb.Out[e.FromPort], tb.In[e.ToPort])))
-		}
-	}
-	return errs
 }

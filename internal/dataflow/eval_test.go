@@ -1,9 +1,11 @@
 package dataflow
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/display"
+	"repro/internal/obs"
 )
 
 // buildPipeline wires table -> restrict -> project and a second
@@ -40,64 +42,68 @@ func buildPipeline(t testing.TB) (*Graph, *Evaluator, map[string]*Box) {
 
 func TestLazyDemandTouchesOnlyUpstream(t *testing.T) {
 	_, ev, boxes := buildPipeline(t)
-	if _, err := ev.Demand(boxes["project"].ID, 0); err != nil {
+	res, err := ev.Eval(context.Background(), Request{Box: boxes["project"].ID})
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Only the demand's upstream fired — the table plus the fused
 	// restrict→project chain; the second branch (table2, sample) is
 	// untouched — the paper's lazy evaluation.
-	if ev.Stats.Fires != 2 {
-		t.Fatalf("fired %d boxes, want 2 (table + fused chain)", ev.Stats.Fires)
+	if res.Fires != 2 {
+		t.Fatalf("fired %d boxes, want 2 (table + fused chain)", res.Fires)
 	}
 }
 
 func TestMemoizationAcrossDemands(t *testing.T) {
 	_, ev, boxes := buildPipeline(t)
-	if _, err := ev.Demand(boxes["project"].ID, 0); err != nil {
+	req := Request{Box: boxes["project"].ID}
+	if _, err := ev.Eval(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	fires := ev.Stats.Fires
 	// A second demand re-fires nothing.
-	if _, err := ev.Demand(boxes["project"].ID, 0); err != nil {
+	res, err := ev.Eval(context.Background(), req)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.Stats.Fires != fires {
-		t.Fatalf("clean re-demand fired %d boxes", ev.Stats.Fires-fires)
+	if res.Fires != 0 {
+		t.Fatalf("clean re-demand fired %d boxes", res.Fires)
 	}
 }
 
 func TestIncrementalEditRefiresOnlySuffix(t *testing.T) {
 	g, ev, boxes := buildPipeline(t)
-	if _, err := ev.Demand(boxes["project"].ID, 0); err != nil {
+	req := Request{Box: boxes["project"].ID}
+	if _, err := ev.Eval(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	base := ev.Stats.Fires
 
 	// Editing the restrict predicate re-fires the fused restrict→project
 	// chain (one firing), not the table.
 	if err := g.SetParams(boxes["restrict"].ID, Params{"pred": "state = 'TX'"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.Demand(boxes["project"].ID, 0); err != nil {
+	res, err := ev.Eval(context.Background(), req)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ev.Stats.Fires - base; got != 1 {
-		t.Fatalf("incremental edit re-fired %d boxes, want 1 (fused chain)", got)
+	if res.Fires != 1 {
+		t.Fatalf("incremental edit re-fired %d boxes, want 1 (fused chain)", res.Fires)
 	}
 }
 
 func TestTouchInvalidates(t *testing.T) {
 	g, ev, boxes := buildPipeline(t)
-	if _, err := ev.Demand(boxes["project"].ID, 0); err != nil {
+	req := Request{Box: boxes["project"].ID}
+	if _, err := ev.Eval(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	base := ev.Stats.Fires
 	g.Touch(boxes["table"].ID)
-	if _, err := ev.Demand(boxes["project"].ID, 0); err != nil {
+	res, err := ev.Eval(context.Background(), req)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ev.Stats.Fires - base; got != 2 {
-		t.Fatalf("touch re-fired %d boxes, want all (table + fused chain)", got)
+	if res.Fires != 2 {
+		t.Fatalf("touch re-fired %d boxes, want all (table + fused chain)", res.Fires)
 	}
 }
 
@@ -107,18 +113,19 @@ func TestDemandInputPromotes(t *testing.T) {
 	if err := g.Connect(boxes["project"].ID, 0, vb.ID, 0); err != nil {
 		t.Fatal(err)
 	}
-	v, err := ev.DemandInput(vb.ID, 0)
+	ctx := context.Background()
+	res, err := ev.Eval(ctx, Request{Box: vb.ID, Input: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The viewer port is G: the R output arrives as a promoted group.
-	if _, ok := v.(*display.Group); !ok {
-		t.Fatalf("viewer input is %T, want group", v)
+	if _, ok := res.Value.(*display.Group); !ok {
+		t.Fatalf("viewer input is %T, want group", res.Value)
 	}
-	if _, err := ev.DemandInput(vb.ID, 5); err == nil {
+	if _, err := ev.Eval(ctx, Request{Box: vb.ID, Port: 5, Input: true}); err == nil {
 		t.Error("bad port accepted")
 	}
-	if _, err := ev.DemandInput(boxes["table"].ID, 0); err == nil {
+	if _, err := ev.Eval(ctx, Request{Box: boxes["table"].ID, Input: true}); err == nil {
 		t.Error("demanding unconnected input accepted")
 	}
 }
@@ -126,19 +133,22 @@ func TestDemandInputPromotes(t *testing.T) {
 func TestDanglingInputError(t *testing.T) {
 	g, ev := newTestGraph(t)
 	rb, _ := g.AddBox("restrict", Params{"pred": "true"})
-	if _, err := ev.Demand(rb.ID, 0); err == nil {
+	if _, err := ev.Eval(context.Background(), Request{Box: rb.ID}); err == nil {
 		t.Error("demand with dangling input accepted")
 	}
 }
 
 func TestEvaluateAllEager(t *testing.T) {
 	_, ev, _ := buildPipeline(t)
+	obs.Reset()
+	obs.SetEnabled(true)
+	defer func() { obs.SetEnabled(false); obs.Reset() }()
 	if err := ev.EvaluateAll(); err != nil {
 		t.Fatal(err)
 	}
 	// Everything fired, including the branch no viewer demanded.
-	if ev.Stats.Fires != 5 {
-		t.Fatalf("eager fired %d boxes, want 5", ev.Stats.Fires)
+	if fires := obs.CounterValue(obs.EvalFires); fires != 5 {
+		t.Fatalf("eager fired %d boxes, want 5", fires)
 	}
 }
 
@@ -149,25 +159,26 @@ func TestMultiOutputSwitch(t *testing.T) {
 	if err := g.Connect(tb.ID, 0, sw.ID, 0); err != nil {
 		t.Fatal(err)
 	}
-	yes, err := ev.Demand(sw.ID, 0)
+	ctx := context.Background()
+	yes, err := ev.Eval(ctx, Request{Box: sw.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	no, err := ev.Demand(sw.ID, 1)
+	no, err := ev.Eval(ctx, Request{Box: sw.ID, Port: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ny, nn := extLen(t, yes), extLen(t, no)
-	all, _ := ev.Demand(tb.ID, 0)
-	if ny+nn != extLen(t, all) {
-		t.Fatalf("switch lost tuples: %d + %d != %d", ny, nn, extLen(t, all))
+	ny, nn := extLen(t, yes.Value), extLen(t, no.Value)
+	all, _ := ev.Eval(ctx, Request{Box: tb.ID})
+	if ny+nn != extLen(t, all.Value) {
+		t.Fatalf("switch lost tuples: %d + %d != %d", ny, nn, extLen(t, all.Value))
 	}
 	if ny == 0 || nn == 0 {
 		t.Fatal("switch routed everything one way")
 	}
 	// Both outputs came from one firing.
-	if ev.Stats.Fires != 2 { // table + switch
-		t.Fatalf("fired %d, want 2", ev.Stats.Fires)
+	if fires := yes.Fires + no.Fires + all.Fires; fires != 2 { // table + switch
+		t.Fatalf("fired %d, want 2", fires)
 	}
 }
 
@@ -181,29 +192,26 @@ func TestPartitionBox(t *testing.T) {
 	if err := g.Connect(tb.ID, 0, pt.ID, 0); err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	total := 0
 	for i := 0; i < 3; i++ {
-		v, err := ev.Demand(pt.ID, i)
+		res, err := ev.Eval(ctx, Request{Box: pt.ID, Port: i})
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += extLen(t, v)
+		total += extLen(t, res.Value)
 	}
-	all, _ := ev.Demand(tb.ID, 0)
-	if total != extLen(t, all) {
-		t.Fatalf("partition total %d != %d", total, extLen(t, all))
+	all, _ := ev.Eval(ctx, Request{Box: tb.ID})
+	if total != extLen(t, all.Value) {
+		t.Fatalf("partition total %d != %d", total, extLen(t, all.Value))
 	}
 }
 
 func TestTypecheckLoadedProgram(t *testing.T) {
-	g, _, _ := buildPipelineForTypecheck(t)
-	if errs := Typecheck(g); len(errs) != 0 {
-		t.Fatalf("clean graph reported %v", errs)
+	g, _, _ := buildPipeline(t)
+	if diags := ValidateGraph(g); len(diags) != 0 {
+		t.Fatalf("clean graph reported %v", diags)
 	}
-}
-
-func buildPipelineForTypecheck(t testing.TB) (*Graph, *Evaluator, map[string]*Box) {
-	return buildPipeline(t.(*testing.T))
 }
 
 func TestCycleDetectionAtEval(t *testing.T) {
@@ -214,7 +222,7 @@ func TestCycleDetectionAtEval(t *testing.T) {
 	b, _ := g.AddBox("restrict", Params{"pred": "true"})
 	g.edges[a.ID] = map[int]Edge{0: {From: b.ID, FromPort: 0, To: a.ID, ToPort: 0}}
 	g.edges[b.ID] = map[int]Edge{0: {From: a.ID, FromPort: 0, To: b.ID, ToPort: 0}}
-	if _, err := ev.Demand(a.ID, 0); err == nil {
+	if _, err := ev.Eval(context.Background(), Request{Box: a.ID}); err == nil {
 		t.Error("cyclic evaluation accepted")
 	}
 }

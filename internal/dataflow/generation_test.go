@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/display"
@@ -16,13 +17,13 @@ func TestInvalidateBumpsDisplayableGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := ev.Demand(tb.ID, 0)
+	res, err := ev.Eval(context.Background(), Request{Box: tb.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, ok := v.(*display.Extended)
+	ext, ok := res.Value.(*display.Extended)
 	if !ok {
-		t.Fatalf("table output is %T, want *display.Extended", v)
+		t.Fatalf("table output is %T, want *display.Extended", res.Value)
 	}
 	before := ext.Generation()
 	ev.Invalidate(tb.ID)
@@ -37,11 +38,11 @@ func TestInvalidateAllBumpsDisplayableGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := ev.Demand(tb.ID, 0)
+	res, err := ev.Eval(context.Background(), Request{Box: tb.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext := v.(*display.Extended)
+	ext := res.Value.(*display.Extended)
 	before := ext.Generation()
 	ev.InvalidateAll()
 	if after := ext.Generation(); after.Meta == before.Meta {

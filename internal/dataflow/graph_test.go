@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/display"
@@ -277,20 +278,20 @@ func TestSetParams(t *testing.T) {
 	rb, _ := g.AddBox("restrict", Params{"pred": "state = 'LA'"})
 	_ = g.Connect(tb.ID, 0, rb.ID, 0)
 
-	v1, err := ev.Demand(rb.ID, 0)
+	res, err := ev.Eval(context.Background(), Request{Box: rb.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n1 := extLen(t, v1)
+	n1 := extLen(t, res.Value)
 
 	if err := g.SetParams(rb.ID, Params{"pred": "true"}); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := ev.Demand(rb.ID, 0)
+	res, err = ev.Eval(context.Background(), Request{Box: rb.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if extLen(t, v2) <= n1 {
+	if extLen(t, res.Value) <= n1 {
 		t.Error("new predicate did not re-fire")
 	}
 

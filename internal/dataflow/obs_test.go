@@ -1,16 +1,17 @@
 package dataflow
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/obs"
 )
 
-// TestEvalStatsMirrorObsCounters checks that the per-evaluator EvalStats
-// struct and the process-wide obs counters tell the same story: fires,
-// cache hits, and cache misses advance in lockstep.
-func TestEvalStatsMirrorObsCounters(t *testing.T) {
+// TestEvalResultMatchesObsCounters checks that the per-request Result
+// and the process-wide obs counters tell the same story: fires, cache
+// hits, and cache misses advance in lockstep.
+func TestEvalResultMatchesObsCounters(t *testing.T) {
 	obs.Reset()
 	obs.SetEnabled(true)
 	defer func() {
@@ -21,37 +22,41 @@ func TestEvalStatsMirrorObsCounters(t *testing.T) {
 	ev, ids := chainGraph(t, 4)
 	before := obs.TakeSnapshot()
 
-	sink := ids[len(ids)-1]
-	if _, err := ev.Demand(sink, 0); err != nil {
+	req := Request{Box: ids[len(ids)-1]}
+	first, err := ev.Eval(context.Background(), req)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// A clean re-demand is answered from the memo table.
-	if _, err := ev.Demand(sink, 0); err != nil {
+	second, err := ev.Eval(context.Background(), req)
+	if err != nil {
 		t.Fatal(err)
 	}
 	delta := obs.CounterDelta(before, obs.TakeSnapshot())
 
-	if delta[obs.EvalFires] != int64(ev.Stats.Fires) {
-		t.Fatalf("obs fires %d != EvalStats.Fires %d", delta[obs.EvalFires], ev.Stats.Fires)
+	fires := int64(first.Fires + second.Fires)
+	if delta[obs.EvalFires] != fires {
+		t.Fatalf("obs fires %d != Result fires %d", delta[obs.EvalFires], fires)
 	}
-	if delta[obs.EvalCacheHits] != int64(ev.Stats.CacheHits) {
-		t.Fatalf("obs cache hits %d != EvalStats.CacheHits %d", delta[obs.EvalCacheHits], ev.Stats.CacheHits)
+	if hits := int64(first.CacheHits + second.CacheHits); delta[obs.EvalCacheHits] != hits {
+		t.Fatalf("obs cache hits %d != Result cache hits %d", delta[obs.EvalCacheHits], hits)
 	}
-	if delta[obs.EvalCacheMiss] != int64(ev.Stats.CacheMiss) {
-		t.Fatalf("obs cache miss %d != EvalStats.CacheMiss %d", delta[obs.EvalCacheMiss], ev.Stats.CacheMiss)
+	// Sequential requests neither fail nor coalesce, so every miss fired.
+	if delta[obs.EvalCacheMiss] != fires {
+		t.Fatalf("obs cache miss %d != Result fires %d", delta[obs.EvalCacheMiss], fires)
 	}
 	if delta[obs.EvalDemands] != 2 {
 		t.Fatalf("eval.demands = %d, want 2", delta[obs.EvalDemands])
 	}
-	if ev.Stats.CacheHits == 0 {
-		t.Fatal("re-demand did not hit the memo table")
+	if second.CacheHits == 0 || second.Fires != 0 {
+		t.Fatalf("re-demand did not hit the memo table: %+v", second)
 	}
 	snap := obs.TakeSnapshot()
 	if h := snap.Histograms[obs.EvalDemandNS]; h.Count != 2 {
 		t.Fatalf("demand latency histogram count = %d, want 2", h.Count)
 	}
-	if h := snap.Histograms[obs.EvalFireNS]; h.Count != int64(ev.Stats.Fires) {
-		t.Fatalf("fire latency histogram count = %d, want %d", h.Count, ev.Stats.Fires)
+	if h := snap.Histograms[obs.EvalFireNS]; h.Count != fires {
+		t.Fatalf("fire latency histogram count = %d, want %d", h.Count, fires)
 	}
 }
 
@@ -68,7 +73,7 @@ func TestEvalTracingEmitsFireSpans(t *testing.T) {
 	}()
 
 	ev, ids := chainGraph(t, 3)
-	if _, err := ev.Demand(ids[len(ids)-1], 0); err != nil {
+	if _, err := ev.Eval(context.Background(), Request{Box: ids[len(ids)-1]}); err != nil {
 		t.Fatal(err)
 	}
 	obs.StopTracing()

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/types"
@@ -15,11 +16,11 @@ func TestConstBox(t *testing.T) {
 	if len(c.Out) != 1 || !c.Out[0].Equal(ScalarType(types.Float)) {
 		t.Fatalf("const port = %v", c.Out)
 	}
-	v, err := ev.Demand(c.ID, 0)
+	res, err := ev.Eval(context.Background(), Request{Box: c.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sv := v.(types.Value); sv.Float() != 2.5 {
+	if sv := res.Value.(types.Value); sv.Float() != 2.5 {
 		t.Fatalf("const = %s", sv)
 	}
 	// Bad type or value.
@@ -27,7 +28,7 @@ func TestConstBox(t *testing.T) {
 		t.Error("bad type accepted")
 	}
 	bad, _ := g.AddBox("const", Params{"type": "int", "value": "xyz"})
-	if _, err := ev.Demand(bad.ID, 0); err == nil {
+	if _, err := ev.Eval(context.Background(), Request{Box: bad.ID}); err == nil {
 		t.Error("unparsable value accepted")
 	}
 }
@@ -43,12 +44,10 @@ func TestThresholdBoxWithRuntimeParameter(t *testing.T) {
 	if err := g.Connect(cv.ID, 0, th.ID, 1); err != nil {
 		t.Fatal(err)
 	}
-	v, err := ev.Demand(th.ID, 0)
-	if err != nil {
+	if _, err := ev.Eval(context.Background(), Request{Box: th.ID}); err != nil {
 		t.Fatal(err)
 	}
 	e := demandR(t, ev, th.ID)
-	_ = v
 	for i := 0; i < e.Rel.Len(); i++ {
 		alt, _ := e.Rel.Row(i).Attr("altitude").AsFloat()
 		if alt > 100 {
@@ -95,7 +94,7 @@ func TestSamplePBox(t *testing.T) {
 	if err := g.SetParams(cv.ID, Params{"type": "float", "value": "1.5"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.Demand(sp.ID, 0); err == nil {
+	if _, err := ev.Eval(context.Background(), Request{Box: sp.ID}); err == nil {
 		t.Error("probability > 1 accepted")
 	}
 }
@@ -105,11 +104,11 @@ func TestCountBox(t *testing.T) {
 	tb, _ := g.AddBox("table", Params{"name": "Stations"})
 	ct, _ := g.AddBox("count", nil)
 	_ = g.Connect(tb.ID, 0, ct.ID, 0)
-	v, err := ev.Demand(ct.ID, 0)
+	res, err := ev.Eval(context.Background(), Request{Box: ct.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := v.(types.Value).Int(); n != 40 {
+	if n := res.Value.(types.Value).Int(); n != 40 {
 		t.Fatalf("count = %d", n)
 	}
 	// T box over a scalar edge: the type parameter supports scalars.
@@ -120,11 +119,11 @@ func TestCountBox(t *testing.T) {
 	if err := g.Connect(ct.ID, 0, tt.ID, 0); err != nil {
 		t.Fatal(err)
 	}
-	v, err = ev.Demand(tt.ID, 1)
+	res, err = ev.Eval(context.Background(), Request{Box: tt.ID, Port: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.(types.Value).Int() != 40 {
+	if res.Value.(types.Value).Int() != 40 {
 		t.Fatal("T over scalar lost the value")
 	}
 }

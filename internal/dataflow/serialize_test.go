@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -81,8 +82,8 @@ func TestMergeAddsWithFreshIDs(t *testing.T) {
 			t.Errorf("id %d not remapped", old)
 		}
 	}
-	if errs := Typecheck(g); len(errs) != 0 {
-		t.Fatalf("merged graph type errors: %v", errs)
+	if diags := ValidateGraph(g); len(diags) != 0 {
+		t.Fatalf("merged graph diagnostics: %v", diags)
 	}
 }
 
@@ -92,7 +93,7 @@ func TestRestoreUndo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.Demand(boxes["project"].ID, 0); err != nil {
+	if _, err := ev.Eval(context.Background(), Request{Box: boxes["project"].ID}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -112,11 +113,11 @@ func TestRestoreUndo(t *testing.T) {
 		t.Fatal("restore did not bring the box back")
 	}
 	// Evaluation works and re-fires (versions bumped).
-	fires := ev.Stats.Fires
-	if _, err := ev.Demand(boxes["project"].ID, 0); err != nil {
+	res, err := ev.Eval(context.Background(), Request{Box: boxes["project"].ID})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.Stats.Fires == fires {
+	if res.Fires == 0 {
 		t.Error("restore did not invalidate memo entries")
 	}
 }

@@ -86,15 +86,6 @@ func TestEvalPreflightAggregatesPlanDiagnostics(t *testing.T) {
 	if de.Op != "plan" {
 		t.Errorf("aggregate op = %q, want plan", de.Op)
 	}
-
-	// Opting out restores first-error-only planning.
-	_, err = ev.Eval(context.Background(), Request{Box: j.ID}, WithoutPreflight())
-	if err == nil {
-		t.Fatal("corrupt program evaluated without preflight")
-	}
-	if errors.Is(err, ErrCycle) == errors.Is(err, ErrUnconnected) {
-		t.Errorf("WithoutPreflight should surface exactly one cause, got %v", err)
-	}
 }
 
 func TestPreflightMemoInvalidatedByGraphEdits(t *testing.T) {

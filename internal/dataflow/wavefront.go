@@ -250,7 +250,6 @@ func (e *Evaluator) resolve(ctx context.Context, p *plan, n *planNode, o EvalOpt
 		e.mu.Lock()
 		if vals, ok := e.cache[n.id]; ok && e.stamps[n.id] >= n.stamp {
 			stamp := e.stamps[n.id]
-			e.Stats.CacheHits++
 			e.mu.Unlock()
 			rs.mu.Lock()
 			rs.cacheHits++
@@ -271,9 +270,6 @@ func (e *Evaluator) resolve(ctx context.Context, p *plan, n *planNode, o EvalOpt
 				return nil, 0, fl.err
 			}
 			if fl.stamp >= n.stamp {
-				e.mu.Lock()
-				e.Stats.Coalesced++
-				e.mu.Unlock()
 				rs.mu.Lock()
 				rs.coalesced++
 				rs.mu.Unlock()
@@ -286,7 +282,6 @@ func (e *Evaluator) resolve(ctx context.Context, p *plan, n *planNode, o EvalOpt
 		// lock for the (possibly long) firing.
 		fl := &flight{done: make(chan struct{})}
 		e.flight[n.id] = fl
-		e.Stats.CacheMiss++
 		startClock := e.deltaClock
 		e.mu.Unlock()
 		obs.Inc(obs.EvalCacheMiss)
@@ -310,7 +305,6 @@ func (e *Evaluator) resolve(ctx context.Context, p *plan, n *planNode, o EvalOpt
 					delete(e.pending, n.id)
 				}
 			}
-			e.Stats.Fires++
 		}
 		delete(e.flight, n.id)
 		e.mu.Unlock()
@@ -428,8 +422,3 @@ func (e *Evaluator) resolveProducer(ctx context.Context, p *plan, id int, o Eval
 
 // itoa is strconv.Itoa, aliased to keep trace call sites compact.
 func itoa(i int) string { return strconv.Itoa(i) }
-
-// typeError describes an edge whose port types no longer line up.
-func typeError(from, to PortType) error {
-	return fmt.Errorf("type error: %s does not satisfy %s", from, to)
-}

@@ -141,11 +141,11 @@ func TestInvalidatePropagatesDownstream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	v, err := ev.Demand(pb.ID, 0)
+	res, err := ev.Eval(context.Background(), Request{Box: pb.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := extLen(t, v); n != 40 {
+	if n := extLen(t, res.Value); n != 40 {
 		t.Fatalf("initial demand saw %d rows, want 40", n)
 	}
 
@@ -154,11 +154,11 @@ func TestInvalidatePropagatesDownstream(t *testing.T) {
 	src["Stations"] = workload.Stations(10, 1)
 	ev.Invalidate(tb.ID)
 
-	v, err = ev.Demand(pb.ID, 0)
+	res, err = ev.Eval(context.Background(), Request{Box: pb.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := extLen(t, v); n != 10 {
+	if n := extLen(t, res.Value); n != 10 {
 		t.Fatalf("post-invalidate demand saw %d rows, want 10 (stale downstream memo)", n)
 	}
 }
@@ -202,9 +202,11 @@ func TestEvalCancellationBetweenFirings(t *testing.T) {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
+	var res Result
 	errc := make(chan error, 1)
 	go func() {
-		_, err := ev.Eval(ctx, Request{Box: rb.ID}, WithWorkers(2))
+		var err error
+		res, err = ev.Eval(ctx, Request{Box: rb.ID}, WithWorkers(2))
 		errc <- err
 	}()
 	<-fired // the gate is mid-firing
@@ -215,8 +217,8 @@ func TestEvalCancellationBetweenFirings(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled eval returned %v, want context.Canceled", err)
 	}
-	if ev.Stats.Fires > 2 {
-		t.Errorf("fired %d boxes after cancellation, want <= 2 (table, gate)", ev.Stats.Fires)
+	if res.Fires > 2 {
+		t.Errorf("fired %d boxes after cancellation, want <= 2 (table, gate)", res.Fires)
 	}
 
 	// The completed firings stayed in the memo: a fresh request finishes
@@ -249,28 +251,35 @@ func TestConcurrentEvalsCoalesce(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	errc := make(chan error, 2)
+	type outcome struct {
+		res Result
+		err error
+	}
+	done := make(chan outcome, 2)
 	go func() {
-		_, err := ev.Eval(ctx, Request{Box: rb.ID}, WithLabel("first"))
-		errc <- err
+		res, err := ev.Eval(ctx, Request{Box: rb.ID}, WithLabel("first"))
+		done <- outcome{res, err}
 	}()
 	<-fired // request 1 holds the gate's in-flight latch
 	go func() {
-		_, err := ev.Eval(ctx, Request{Box: rb.ID}, WithLabel("second"))
-		errc <- err
+		res, err := ev.Eval(ctx, Request{Box: rb.ID}, WithLabel("second"))
+		done <- outcome{res, err}
 	}()
 	// Give request 2 time to reach the latch, then let the firing finish.
 	time.Sleep(50 * time.Millisecond)
 	close(release)
+	coalesced := 0
 	for i := 0; i < 2; i++ {
-		if err := <-errc; err != nil {
-			t.Fatal(err)
+		o := <-done
+		if o.err != nil {
+			t.Fatal(o.err)
 		}
+		coalesced += o.res.Coalesced
 	}
 	if got := count.Load(); got != 1 {
 		t.Fatalf("gate fired %d times under concurrent demand, want 1 (singleflight)", got)
 	}
-	if ev.Stats.Coalesced == 0 {
+	if coalesced == 0 {
 		t.Error("no demand was coalesced onto the in-flight firing")
 	}
 }
@@ -289,11 +298,11 @@ func TestEvalStress(t *testing.T) {
 	}
 	baseline := map[int]string{}
 	for _, id := range targets {
-		v, err := ev.Demand(id, 0)
+		res, err := ev.Eval(context.Background(), Request{Box: id})
 		if err != nil {
 			t.Fatal(err)
 		}
-		baseline[id] = fingerprintR(t, v)
+		baseline[id] = fingerprintR(t, res.Value)
 	}
 
 	const goroutines = 8
@@ -339,11 +348,11 @@ func TestEvalStress(t *testing.T) {
 	// The evaluator is still coherent after the storm.
 	ev.InvalidateAll()
 	for _, id := range targets {
-		v, err := ev.Demand(id, 0)
+		res, err := ev.Eval(context.Background(), Request{Box: id})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fingerprintR(t, v); got != baseline[id] {
+		if got := fingerprintR(t, res.Value); got != baseline[id] {
 			t.Errorf("box %d diverged after stress", id)
 		}
 	}

@@ -5,16 +5,18 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
+	"io"
+	"os"
 	"sort"
 
+	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/rel"
 	"repro/internal/types"
 )
 
-// This file is the segment-backed persistence path: instead of one gob
-// stream holding every tuple (Save/Load), the database writes each
-// table as a chunk-encoded segment through a rel.Backend plus one small
+// This file is the database's one on-disk form: each table is written
+// as a chunk-encoded segment through a rel.Backend, plus one small
 // manifest blob describing schemas, computed attributes, indexes,
 // programs, and definitions. Tables reopened from a backend are
 // chunk-backed — their chunks fault in on demand and stay subject to
@@ -34,13 +36,48 @@ type manifest struct {
 type manifestTable struct {
 	Name     string
 	Segment  string
-	Columns  []columnSnapshot
-	Computed []computedSnapshot
+	Columns  []manifestColumn
+	Computed []manifestComputed
 	Indexes  []string
+}
+
+type manifestColumn struct {
+	Name string
+	Kind int
+}
+
+type manifestComputed struct {
+	Name string
+	Expr string
 }
 
 // manifestBlob is the backend blob name the manifest lives under.
 const manifestBlob = "manifest"
+
+// snapMagic opens every manifest; the byte after it carries the format
+// version, so a future layout change fails loudly (typed
+// ErrBadSnapshotFormat) instead of as a gob decode of foreign bytes.
+var snapMagic = [7]byte{'T', 'G', 'S', 'N', 'A', 'P', ':'}
+
+// snapVersion is the manifest format this build writes and the highest
+// it can read.
+const snapVersion = 1
+
+// readSnapHeader validates the magic and version of a manifest.
+func readSnapHeader(r io.Reader) error {
+	var hdr [8]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return fmt.Errorf("%w: truncated header", ErrBadSnapshotFormat)
+	}
+	if string(hdr[:7]) != string(snapMagic[:]) {
+		return fmt.Errorf("%w: missing magic", ErrBadSnapshotFormat)
+	}
+	if v := int(hdr[7]); v < 1 || v > snapVersion {
+		return fmt.Errorf("%w: unsupported version %d (this build reads up to %d)",
+			ErrBadSnapshotFormat, v, snapVersion)
+	}
+	return nil
+}
 
 // SaveBackend persists the whole database through b: one segment per
 // table (streamed chunk by chunk, so peak memory stays near one chunk
@@ -79,10 +116,10 @@ func (d *Database) SaveBackend(b rel.Backend) error {
 		t := tables[name]
 		mt := manifestTable{Name: name, Segment: fmt.Sprintf("t%03d", i)}
 		for _, c := range t.Schema().Columns() {
-			mt.Columns = append(mt.Columns, columnSnapshot{Name: c.Name, Kind: int(c.Kind)})
+			mt.Columns = append(mt.Columns, manifestColumn{Name: c.Name, Kind: int(c.Kind)})
 		}
 		for _, c := range t.Computed() {
-			mt.Computed = append(mt.Computed, computedSnapshot{Name: c.Name, Expr: c.Expr.String()})
+			mt.Computed = append(mt.Computed, manifestComputed{Name: c.Name, Expr: c.Expr.String()})
 		}
 		for _, col := range t.Schema().Columns() {
 			if _, ok := t.Index(col.Name); ok {
@@ -160,5 +197,64 @@ func (d *Database) LoadBackend(b rel.Backend) error {
 		tables[mt.Name] = t
 	}
 	d.installLoaded(tables, m.Programs, m.Defs)
+	return nil
+}
+
+// LoadDir returns the database SaveBackend wrote into the rel.FileBackend
+// directory dir. A missing directory is an error: loading never creates
+// one.
+func LoadDir(dir string) (*Database, error) {
+	if _, err := os.Stat(dir); err != nil {
+		return nil, opErr("load", "", err)
+	}
+	b, err := rel.NewFileBackend(dir)
+	if err != nil {
+		return nil, opErr("load", "", err)
+	}
+	d := New()
+	if err := d.LoadBackend(b); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// installLoaded swaps in a freshly loaded catalog (tables, programs,
+// definitions), resets the undo log, and delivers one EventLoad per
+// table in name order.
+func (d *Database) installLoaded(tables map[string]*rel.Relation, programs, defs map[string][]byte) {
+	d.mu.Lock()
+	d.tables = tables
+	d.programs = programs
+	if d.programs == nil {
+		d.programs = make(map[string][]byte)
+	}
+	d.defs = defs
+	if d.defs == nil {
+		d.defs = make(map[string][]byte)
+	}
+	d.undo = nil
+	d.seq++
+	watchers, subs := d.notifyLocked()
+	evs := make([]Event, 0, len(tables))
+	for name, t := range tables {
+		evs = append(evs, Event{Table: name, Gen: t.Generation(), Kind: EventLoad, Seq: d.seq})
+	}
+	d.mu.Unlock()
+	sort.Slice(evs, func(i, j int) bool { return evs[i].Table < evs[j].Table })
+	deliver(watchers, subs, evs...)
+}
+
+// restoreComputed re-parses and re-attaches computed attribute
+// definitions in their original order.
+func restoreComputed(t *rel.Relation, cs []manifestComputed) error {
+	for _, c := range cs {
+		n, err := expr.Parse(c.Expr)
+		if err != nil {
+			return fmt.Errorf("computed attribute %q: %w", c.Name, err)
+		}
+		if err := t.AddComputed(c.Name, n); err != nil {
+			return err
+		}
+	}
 	return nil
 }

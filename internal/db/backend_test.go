@@ -1,7 +1,6 @@
 package db
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
@@ -18,9 +17,9 @@ func testBackends(t *testing.T) map[string]rel.Backend {
 	return map[string]rel.Backend{"mem": rel.NewMemBackend(), "file": fb}
 }
 
-// TestBackendSaveLoadRoundTrip mirrors TestSaveLoadRoundTrip over the
-// segment path: tables come back chunk-backed with tuples, computed
-// attributes, indexes, programs, and definitions intact.
+// TestBackendSaveLoadRoundTrip: tables come back chunk-backed with
+// tuples, computed attributes, indexes, programs, and definitions
+// intact.
 func TestBackendSaveLoadRoundTrip(t *testing.T) {
 	for name, b := range testBackends(t) {
 		t.Run(name, func(t *testing.T) {
@@ -73,6 +72,11 @@ func TestBackendSaveLoadRoundTrip(t *testing.T) {
 			if !st2.HasAttr("alt2") {
 				t.Fatal("computed attribute lost")
 			}
+			want, _ := st.Row(0).Attr("alt2").AsFloat()
+			got, _ := st2.Row(0).Attr("alt2").AsFloat()
+			if got != want {
+				t.Fatalf("computed attribute = %v after load, want %v", got, want)
+			}
 			if _, ok := st2.Index("state"); !ok {
 				t.Fatal("index lost")
 			}
@@ -109,44 +113,50 @@ func TestLoadBackendMissingManifest(t *testing.T) {
 	}
 }
 
-// TestSnapshotFormatErrors: headerless, foreign, and future-versioned
-// streams all fail with the ErrBadSnapshotFormat sentinel, reachable
-// through errors.Is across the *Error wrapper.
+// TestSnapshotFormatErrors: truncated, foreign, empty, and
+// future-versioned manifests all fail with the ErrBadSnapshotFormat
+// sentinel, reachable through errors.Is across the *Error wrapper, and a
+// good manifest still loads after them.
 func TestSnapshotFormatErrors(t *testing.T) {
-	d := New()
-	if err := d.Load(bytes.NewBufferString("junk")); !errors.Is(err, ErrBadSnapshotFormat) {
-		t.Fatalf("foreign stream: %v", err)
-	}
-	if err := d.Load(bytes.NewBufferString("")); !errors.Is(err, ErrBadSnapshotFormat) {
-		t.Fatalf("empty stream: %v", err)
-	}
-
-	var buf bytes.Buffer
-	if err := seeded(t).Save(&buf); err != nil {
+	good := rel.NewMemBackend()
+	if err := seeded(t).SaveBackend(good); err != nil {
 		t.Fatal(err)
 	}
-	good := buf.Bytes()
-	future := append([]byte(nil), good...)
+	manifest, err := good.GetBlob("manifest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	future := append([]byte(nil), manifest...)
 	future[7] = snapVersion + 1
-	if err := d.Load(bytes.NewReader(future)); !errors.Is(err, ErrBadSnapshotFormat) {
-		t.Fatalf("future version: %v", err)
-	}
-	var de *Error
-	err := d.Load(bytes.NewReader(future))
-	if !errors.As(err, &de) || de.Op != "load" {
-		t.Fatalf("format error lost the typed wrapper: %v", err)
-	}
-	if err := d.Load(bytes.NewReader(good)); err != nil {
-		t.Fatalf("good stream after failures: %v", err)
-	}
 
-	// A manifest blob with a bad header fails the same way.
-	b := rel.NewMemBackend()
-	if err := b.PutBlob("manifest", []byte("garbage....")); err != nil {
-		t.Fatal(err)
+	d := New()
+	for _, tc := range []struct {
+		name string
+		blob []byte
+	}{
+		{"truncated", []byte("junk")},
+		{"foreign", []byte("garbage....")},
+		{"empty", nil},
+		{"future version", future},
+	} {
+		b := rel.NewMemBackend()
+		if err := b.PutBlob("manifest", tc.blob); err != nil {
+			t.Fatal(err)
+		}
+		err := d.LoadBackend(b)
+		if !errors.Is(err, ErrBadSnapshotFormat) {
+			t.Fatalf("%s manifest: %v", tc.name, err)
+		}
+		var de *Error
+		if !errors.As(err, &de) || de.Op != "load" {
+			t.Fatalf("%s manifest lost the typed wrapper: %v", tc.name, err)
+		}
 	}
-	if err := d.LoadBackend(b); !errors.Is(err, ErrBadSnapshotFormat) {
-		t.Fatalf("garbage manifest: %v", err)
+	if err := d.LoadBackend(good); err != nil {
+		t.Fatalf("good manifest after failures: %v", err)
+	}
+	if len(d.TableNames()) != 2 {
+		t.Fatalf("tables after good load: %v", d.TableNames())
 	}
 }
 

@@ -9,15 +9,10 @@
 package db
 
 import (
-	"context"
-	"encoding/gob"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 	"sync"
 
-	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/rel"
 	"repro/internal/types"
@@ -129,14 +124,11 @@ func (d *Database) TableNames() []string {
 }
 
 // Watch registers a callback fired synchronously, on the writer's
-// goroutine, after any committed change to a table; single-user
-// environments rely on that synchrony (an update returns only after
-// its canvases have been touched).
-//
-// Deprecated: use Subscribe, which carries typed events (table,
-// generation, kind, commit sequence) and decouples consumers from
-// writers. Watch remains as a compatibility shim over the same
-// delivery path.
+// goroutine, after any committed change to a table. It is the
+// synchronous path single-user environments need: an update returns
+// only after its canvases have been touched. Subscribe is the
+// asynchronous path servers use; it carries typed events and never
+// lets a slow consumer block a writer.
 func (d *Database) Watch(fn func(table string)) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -262,6 +254,9 @@ func (d *Database) UpdateField(table string, row int, col string, input string) 
 	t, err := d.Table(table)
 	if err != nil {
 		return err
+	}
+	if row < 0 || row >= t.Len() {
+		return opErr("update", table, fmt.Errorf("row %d out of range", row))
 	}
 	ci := t.Schema().Index(col)
 	if ci < 0 {
@@ -391,255 +386,4 @@ func (d *Database) DefNames() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// --- persistence -----------------------------------------------------
-
-// snapshot is the gob wire format of a whole database.
-type snapshot struct {
-	Tables   map[string]tableSnapshot
-	Programs map[string][]byte
-	Defs     map[string][]byte
-}
-
-type tableSnapshot struct {
-	Name     string
-	Columns  []columnSnapshot
-	Tuples   [][]scalarSnapshot
-	Computed []computedSnapshot
-	Indexes  []string
-}
-
-type columnSnapshot struct {
-	Name string
-	Kind int
-}
-
-// scalarSnapshot flattens a types.Value for gob.
-type scalarSnapshot struct {
-	Kind int
-	I    int64
-	F    float64
-	S    string
-}
-
-type computedSnapshot struct {
-	Name string
-	Expr string
-}
-
-func toScalar(v types.Value) scalarSnapshot {
-	s := scalarSnapshot{Kind: int(v.Kind())}
-	switch v.Kind() {
-	case types.Int:
-		s.I = v.Int()
-	case types.Float:
-		s.F = v.Float()
-	case types.Text:
-		s.S = v.Text()
-	case types.Bool:
-		if v.Bool() {
-			s.I = 1
-		}
-	case types.Date:
-		s.I = v.DateDays()
-	}
-	return s
-}
-
-func fromScalar(s scalarSnapshot) types.Value {
-	switch types.Kind(s.Kind) {
-	case types.Int:
-		return types.NewInt(s.I)
-	case types.Float:
-		return types.NewFloat(s.F)
-	case types.Text:
-		return types.NewText(s.S)
-	case types.Bool:
-		return types.NewBool(s.I != 0)
-	case types.Date:
-		return types.NewDate(s.I)
-	}
-	return types.Null
-}
-
-// snapMagic opens every snapshot stream; the byte after it carries the
-// format version, so a future layout change fails loudly (typed
-// ErrBadSnapshotFormat) instead of as a gob decode of foreign bytes.
-var snapMagic = [7]byte{'T', 'G', 'S', 'N', 'A', 'P', ':'}
-
-// snapVersion is the snapshot format this build writes and the highest
-// it can read.
-const snapVersion = 1
-
-// readSnapHeader validates the magic and version of a snapshot stream.
-func readSnapHeader(r io.Reader) error {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return fmt.Errorf("%w: truncated header", ErrBadSnapshotFormat)
-	}
-	if string(hdr[:7]) != string(snapMagic[:]) {
-		return fmt.Errorf("%w: missing magic", ErrBadSnapshotFormat)
-	}
-	if v := int(hdr[7]); v < 1 || v > snapVersion {
-		return fmt.Errorf("%w: unsupported version %d (this build reads up to %d)",
-			ErrBadSnapshotFormat, v, snapVersion)
-	}
-	return nil
-}
-
-// Save writes the whole database (tables, programs, definitions) to w:
-// a magic+version header followed by the gob-encoded snapshot.
-func (d *Database) Save(w io.Writer) error {
-	obs.Inc(obs.DBSaves)
-	_, sp := obs.StartSpanCtx(context.Background(), obs.SpanDBSave)
-	defer sp.End()
-	if _, err := w.Write(append(snapMagic[:], snapVersion)); err != nil {
-		return opErr("save", "", err)
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	snap := snapshot{
-		Tables:   make(map[string]tableSnapshot, len(d.tables)),
-		Programs: d.programs,
-		Defs:     d.defs,
-	}
-	for name, t := range d.tables {
-		ts := tableSnapshot{Name: name}
-		for _, c := range t.Schema().Columns() {
-			ts.Columns = append(ts.Columns, columnSnapshot{Name: c.Name, Kind: int(c.Kind)})
-		}
-		for i := 0; i < t.Len(); i++ {
-			tup := t.Tuple(i)
-			row := make([]scalarSnapshot, len(tup))
-			for j, v := range tup {
-				row[j] = toScalar(v)
-			}
-			ts.Tuples = append(ts.Tuples, row)
-		}
-		for _, c := range t.Computed() {
-			ts.Computed = append(ts.Computed, computedSnapshot{Name: c.Name, Expr: c.Expr.String()})
-		}
-		for _, col := range t.Schema().Columns() {
-			if _, ok := t.Index(col.Name); ok {
-				ts.Indexes = append(ts.Indexes, col.Name)
-			}
-		}
-		snap.Tables[name] = ts
-	}
-	return gob.NewEncoder(w).Encode(snap)
-}
-
-// Load reads a database snapshot from r, replacing current contents.
-// A stream without the snapshot magic, or with a version this build
-// does not understand, fails with ErrBadSnapshotFormat (wrapped in the
-// package's typed *Error).
-func (d *Database) Load(r io.Reader) error {
-	obs.Inc(obs.DBLoads)
-	_, sp := obs.StartSpanCtx(context.Background(), obs.SpanDBLoad)
-	defer sp.End()
-	if err := readSnapHeader(r); err != nil {
-		return opErr("load", "", err)
-	}
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return opErr("load", "", err)
-	}
-	tables := make(map[string]*rel.Relation, len(snap.Tables))
-	for name, ts := range snap.Tables {
-		cols := make([]rel.Column, len(ts.Columns))
-		for i, c := range ts.Columns {
-			cols[i] = rel.Column{Name: c.Name, Kind: types.Kind(c.Kind)}
-		}
-		schema, err := rel.NewSchema(cols...)
-		if err != nil {
-			return opErr("load", name, err)
-		}
-		t := rel.New(name, schema)
-		for _, row := range ts.Tuples {
-			tup := make([]types.Value, len(row))
-			for j, s := range row {
-				tup[j] = fromScalar(s)
-			}
-			if err := t.Append(tup); err != nil {
-				return opErr("load", name, err)
-			}
-		}
-		if err := restoreComputed(t, ts.Computed); err != nil {
-			return opErr("load", name, err)
-		}
-		for _, col := range ts.Indexes {
-			if err := t.CreateIndex(col); err != nil {
-				return opErr("load", name, err)
-			}
-		}
-		tables[name] = t
-	}
-
-	d.installLoaded(tables, snap.Programs, snap.Defs)
-	return nil
-}
-
-// installLoaded swaps in a freshly loaded catalog (tables, programs,
-// definitions), resets the undo log, and delivers one EventLoad per
-// table in name order. Shared by Load and LoadBackend.
-func (d *Database) installLoaded(tables map[string]*rel.Relation, programs, defs map[string][]byte) {
-	d.mu.Lock()
-	d.tables = tables
-	d.programs = programs
-	if d.programs == nil {
-		d.programs = make(map[string][]byte)
-	}
-	d.defs = defs
-	if d.defs == nil {
-		d.defs = make(map[string][]byte)
-	}
-	d.undo = nil
-	d.seq++
-	watchers, subs := d.notifyLocked()
-	evs := make([]Event, 0, len(tables))
-	for name, t := range tables {
-		evs = append(evs, Event{Table: name, Gen: t.Generation(), Kind: EventLoad, Seq: d.seq})
-	}
-	d.mu.Unlock()
-	sort.Slice(evs, func(i, j int) bool { return evs[i].Table < evs[j].Table })
-	deliver(watchers, subs, evs...)
-}
-
-// SaveFile / LoadFile are Save/Load against a path.
-func (d *Database) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := d.Save(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a snapshot file.
-func (d *Database) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return d.Load(f)
-}
-
-// restoreComputed re-parses and re-attaches computed attribute
-// definitions in their original order.
-func restoreComputed(t *rel.Relation, cs []computedSnapshot) error {
-	for _, c := range cs {
-		n, err := expr.Parse(c.Expr)
-		if err != nil {
-			return fmt.Errorf("computed attribute %q: %w", c.Name, err)
-		}
-		if err := t.AddComputed(c.Name, n); err != nil {
-			return err
-		}
-	}
-	return nil
 }

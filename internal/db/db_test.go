@@ -1,7 +1,8 @@
 package db
 
 import (
-	"bytes"
+	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -123,6 +124,15 @@ func TestUpdateField(t *testing.T) {
 	if err := d.UpdateField("Stations", 0, "altitude", "not a number"); err == nil {
 		t.Error("unparsable input accepted")
 	}
+	// Out-of-range rows fail with the typed error UpdateTuple gives.
+	for _, row := range []int{-1, st.Len()} {
+		err := d.UpdateField("Stations", row, "altitude", "1")
+		want := d.UpdateTuple("Stations", row, "altitude", types.NewFloat(1))
+		var de *Error
+		if !errors.As(err, &de) || de.Op != "update" || err.Error() != want.Error() {
+			t.Errorf("row %d: UpdateField error %v, want %v", row, err, want)
+		}
+	}
 	// Custom update function with a different look and feel (Section 8).
 	if err := d.Updates().SetForKind(types.Float, func(cur types.Value, in string) (types.Value, error) {
 		v, err := types.Parse(types.Float, in)
@@ -190,6 +200,9 @@ func TestDefStore(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundTrip saves into a FileBackend directory and reloads
+// it with LoadDir, the on-disk path of `tioga -db DIR`: tuples, computed
+// attributes, indexes, programs, and definitions all come back.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	d := seeded(t)
 	err := d.AlterTable("Stations", func(st *rel.Relation) error {
@@ -212,12 +225,16 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
+	dir := filepath.Join(t.TempDir(), "db")
+	b, err := rel.NewFileBackend(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	d2 := New()
-	if err := d2.Load(&buf); err != nil {
+	if err := d.SaveBackend(b); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := LoadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -240,8 +257,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal("computed attribute lost")
 	}
 	a, _ := st.Row(0).Attr("alt2").AsFloat()
-	b, _ := st2.Row(0).Attr("alt2").AsFloat()
-	if a != b {
+	c, _ := st2.Row(0).Attr("alt2").AsFloat()
+	if a != c {
 		t.Fatal("computed attribute value differs after load")
 	}
 	// Indexes rebuilt.
@@ -257,28 +274,54 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveLoadFile round-trips a database through a FileBackend
+// directory and LoadDir, which rejects a missing directory without
+// creating it.
 func TestSaveLoadFile(t *testing.T) {
 	d := seeded(t)
-	path := filepath.Join(t.TempDir(), "db.gob")
-	if err := d.SaveFile(path); err != nil {
+	dir := filepath.Join(t.TempDir(), "db")
+	b, err := rel.NewFileBackend(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	d2 := New()
-	if err := d2.LoadFile(path); err != nil {
+	if err := d.SaveBackend(b); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := LoadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(d2.TableNames()) != 2 {
-		t.Fatalf("tables after file load: %v", d2.TableNames())
+		t.Fatalf("tables after directory load: %v", d2.TableNames())
 	}
-	if err := d2.LoadFile(filepath.Join(t.TempDir(), "missing.gob")); err == nil {
-		t.Error("missing file accepted")
+	missing := filepath.Join(t.TempDir(), "missing")
+	if _, err := LoadDir(missing); err == nil {
+		t.Error("missing directory accepted")
+	}
+	if _, err := os.Stat(missing); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("LoadDir created the missing directory: %v", err)
 	}
 }
 
+// TestLoadBadData: a manifest with a good header but a body that is not
+// a manifest, and a manifest naming a segment the backend lacks, both
+// fail to load.
 func TestLoadBadData(t *testing.T) {
-	d := New()
-	if err := d.Load(bytes.NewBufferString("junk")); err == nil {
-		t.Error("junk accepted")
+	b := rel.NewMemBackend()
+	if err := b.PutBlob("manifest", append(snapMagic[:], snapVersion, 'j', 'u', 'n', 'k')); err != nil {
+		t.Fatal(err)
+	}
+	if err := New().LoadBackend(b); !errors.Is(err, ErrBadSnapshotFormat) {
+		t.Fatalf("junk manifest body: %v", err)
+	}
+	if err := seeded(t).SaveBackend(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.RemoveSegment("t000"); err != nil {
+		t.Fatal(err)
+	}
+	if err := New().LoadBackend(b); !errors.Is(err, rel.ErrNoSegment) {
+		t.Fatalf("manifest naming a missing segment: %v", err)
 	}
 }
 

@@ -18,9 +18,9 @@ var (
 	// ErrSnapshotStale: an optimistic write found the table's generation
 	// had moved past the snapshot it was validated against.
 	ErrSnapshotStale = errors.New("snapshot is stale")
-	// ErrBadSnapshotFormat: Load was handed a stream that is not a Tioga
-	// database snapshot (missing or foreign magic header), or one whose
-	// format version this build does not understand.
+	// ErrBadSnapshotFormat: LoadBackend found a manifest that is not a
+	// Tioga database manifest (missing or foreign magic header), or one
+	// whose format version this build does not understand.
 	ErrBadSnapshotFormat = errors.New("bad snapshot format")
 )
 

@@ -17,7 +17,7 @@ const (
 	EventUndo                        // one update reversed off the undo log
 	EventCreate                      // table registered in the catalog
 	EventDrop                        // table removed from the catalog
-	EventLoad                        // table replaced wholesale by Load
+	EventLoad                        // table replaced wholesale by LoadBackend or AlterTable
 )
 
 // String names the kind for logs and wire protocols.
@@ -44,7 +44,7 @@ func (k EventKind) String() string {
 // table no longer has one), so a subscriber holding a snapshot can
 // tell whether it has already observed the change. Seq is the
 // database-wide commit sequence; it increases with every committed
-// write, and the several per-table events of one Load share it.
+// write, and the several per-table events of one LoadBackend share it.
 //
 // Tuple-level writes (update, append, undo) additionally carry the
 // change itself: PrevGen is the table's generation before the write
@@ -86,9 +86,8 @@ type subscriber struct {
 // channel carries every event in commit order (coalescing only under
 // extreme backlog, newest-per-table wins); it is closed after cancel
 // is called. Delivery is asynchronous — a slow or stalled consumer
-// never blocks a writer — which is the deliberate contrast with the
-// deprecated Watch, whose callbacks run synchronously on the writer's
-// goroutine.
+// never blocks a writer — which is the deliberate contrast with
+// Watch, whose callbacks run synchronously on the writer's goroutine.
 func (d *Database) Subscribe() (<-chan Event, func()) {
 	s := &subscriber{ch: make(chan Event, 16), done: make(chan struct{})}
 	s.cond = sync.NewCond(&s.mu)
@@ -188,7 +187,7 @@ func (d *Database) notifyLocked() ([]func(string), []*subscriber) {
 }
 
 // deliver fans committed events out: asynchronously to subscribers
-// (per-subscriber queues), synchronously to legacy watchers on the
+// (per-subscriber queues), synchronously to Watch callbacks on the
 // caller's goroutine. Call without holding d.mu.
 func deliver(watchers []func(string), subs []*subscriber, evs ...Event) {
 	if len(evs) == 0 {

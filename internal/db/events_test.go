@@ -1,10 +1,10 @@
 package db
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
+	"repro/internal/rel"
 	"repro/internal/types"
 )
 
@@ -133,13 +133,13 @@ func TestWatchStillSynchronous(t *testing.T) {
 func TestLoadEmitsLoadEvents(t *testing.T) {
 	src := seeded(t)
 	d := seeded(t)
-	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
+	b := rel.NewMemBackend()
+	if err := src.SaveBackend(b); err != nil {
 		t.Fatal(err)
 	}
 	ch, cancel := d.Subscribe()
 	defer cancel()
-	if err := d.Load(&buf); err != nil {
+	if err := d.LoadBackend(b); err != nil {
 		t.Fatal(err)
 	}
 	evs := collectEvents(t, ch, 2)

@@ -6,7 +6,7 @@ package obs
 // consumers, and tests agree on spelling.
 const (
 	// Dataflow evaluation (internal/dataflow).
-	EvalDemands     = "eval.demands"     // top-level Demand/DemandInput calls
+	EvalDemands     = "eval.demands"     // top-level Evaluator.Eval requests
 	EvalFires       = "eval.fires"       // box firings actually executed
 	EvalCacheHits   = "eval.cache_hits"  // demands answered from the memo table
 	EvalCacheMiss   = "eval.cache_miss"  // demands requiring a firing

@@ -231,7 +231,7 @@ func (ws *WSConn) readFrame() (fin bool, op byte, payload []byte, err error) {
 	}
 	fin = hdr[0]&0x80 != 0
 	if hdr[0]&0x70 != 0 {
-		return false, 0, nil, fmt.Errorf("server: nonzero reserved bits")
+		return false, 0, nil, fmt.Errorf("server: nonzero reserved bits: %w", ErrProtocol)
 	}
 	op = hdr[0] & 0x0F
 	masked := hdr[1]&0x80 != 0
@@ -251,7 +251,7 @@ func (ws *WSConn) readFrame() (fin bool, op byte, payload []byte, err error) {
 		length = binary.BigEndian.Uint64(ext[:])
 	}
 	if length > maxWSPayload {
-		return false, 0, nil, fmt.Errorf("server: frame exceeds %d bytes", maxWSPayload)
+		return false, 0, nil, fmt.Errorf("server: frame exceeds %d bytes: %w", maxWSPayload, ErrProtocol)
 	}
 	var mask [4]byte
 	if masked {

@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -194,5 +197,26 @@ func TestAcceptKey(t *testing.T) {
 	want := "s3pPLMBiTxaQ9kYGzzhZRbK+xOo="
 	if got != want {
 		t.Fatalf("acceptKey = %q, want %q", got, want)
+	}
+}
+
+// TestReadMessageProtocolViolations: every malformed frame ReadMessage
+// rejects wraps ErrProtocol.
+func TestReadMessageProtocolViolations(t *testing.T) {
+	oversized := []byte{0x80 | OpBinary, 127, 0, 0, 0, 0, 0, 0, 0, 0}
+	binary.BigEndian.PutUint64(oversized[2:], maxWSPayload+1)
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"reserved bits", []byte{0x80 | 0x40 | OpBinary, 0}},
+		{"oversized frame", oversized},
+		{"continuation without a message", []byte{0x80 | opContinuation, 0}},
+		{"unsupported opcode", []byte{0x80 | 0x3, 0}},
+	} {
+		ws := &WSConn{br: bufio.NewReader(bytes.NewReader(tc.frame))}
+		if _, _, err := ws.ReadMessage(); !errors.Is(err, ErrProtocol) {
+			t.Errorf("%s: ReadMessage error %v does not wrap ErrProtocol", tc.name, err)
+		}
 	}
 }

@@ -63,13 +63,16 @@ func (s DirectSource) Get() (display.Displayable, error) {
 // BoxSource demands the input of a viewer box in a dataflow program —
 // lazy evaluation happens here, and because any edge can feed a viewer
 // box, "it is easy to instrument a program to understand how it is
-// working" (Section 10). The demand goes through the cancellable Eval
-// API: Options configure it (worker count, serial fallback, trace label)
-// and Ctx, when non-nil, lets a render abandon a long evaluation.
+// working" (Section 10). With Output set it demands output Port of the
+// box itself instead, which is how headless tools view an arbitrary
+// box. The demand goes through the cancellable Eval API: Options
+// configure it (worker count, serial fallback, trace label) and Ctx,
+// when non-nil, lets a render abandon a long evaluation.
 type BoxSource struct {
 	Eval    *dataflow.Evaluator
 	BoxID   int
 	Port    int
+	Output  bool
 	Options []dataflow.EvalOption
 	Ctx     context.Context // nil means context.Background()
 }
@@ -89,46 +92,16 @@ func (s BoxSource) GetCtx(ctx context.Context) (display.Displayable, error) {
 
 func (s BoxSource) demand(ctx context.Context) (display.Displayable, error) {
 	res, err := s.Eval.Eval(ctx,
-		dataflow.Request{Box: s.BoxID, Port: s.Port, Input: true}, s.Options...)
+		dataflow.Request{Box: s.BoxID, Port: s.Port, Input: !s.Output}, s.Options...)
 	if err != nil {
 		return nil, err
 	}
 	d, ok := res.Value.(display.Displayable)
 	if !ok {
+		if s.Output {
+			return nil, fmt.Errorf("viewer: box %d output %d is not displayable (%T)", s.BoxID, s.Port, res.Value)
+		}
 		return nil, fmt.Errorf("viewer: box %d input is not displayable (%T)", s.BoxID, res.Value)
-	}
-	return d, nil
-}
-
-// BoxOutputSource demands a box's output directly (rather than a viewer
-// box's input); headless tools use it to view an arbitrary box.
-type BoxOutputSource struct {
-	Eval    *dataflow.Evaluator
-	BoxID   int
-	Port    int
-	Options []dataflow.EvalOption
-	Ctx     context.Context // nil means context.Background()
-}
-
-// Get implements Source.
-func (s BoxOutputSource) Get() (display.Displayable, error) {
-	return s.demand(sourceCtx(s.Ctx))
-}
-
-// GetCtx implements ContextSource (see BoxSource.GetCtx).
-func (s BoxOutputSource) GetCtx(ctx context.Context) (display.Displayable, error) {
-	return s.demand(obs.AdoptTrace(sourceCtx(s.Ctx), ctx))
-}
-
-func (s BoxOutputSource) demand(ctx context.Context) (display.Displayable, error) {
-	res, err := s.Eval.Eval(ctx,
-		dataflow.Request{Box: s.BoxID, Port: s.Port}, s.Options...)
-	if err != nil {
-		return nil, err
-	}
-	d, ok := res.Value.(display.Displayable)
-	if !ok {
-		return nil, fmt.Errorf("viewer: box %d output %d is not displayable (%T)", s.BoxID, s.Port, res.Value)
 	}
 	return d, nil
 }

@@ -268,22 +268,6 @@ func (s ViewerSpec) Build() *Viewer {
 	return v
 }
 
-// NewViewer constructs a standalone viewer over a fixed displayable.
-//
-// Deprecated: use ViewerSpec{...}.Build(), which names the parameters
-// and exposes the optional knobs.
-func NewViewer(name string, d display.Displayable, w, h int) *Viewer {
-	return ViewerSpec{Name: name, D: d, W: w, H: h}.Build()
-}
-
-// NewExtendedRelation builds a displayable R directly.
-//
-// Deprecated: use ExtendedSpec{...}.Build(), which names the parameters
-// and admits alternative display attributes.
-func NewExtendedRelation(label string, r *Relation, locAttrs []string, fn draw.Func) (*Extended, error) {
-	return ExtendedSpec{Label: label, Rel: r, LocAttrs: locAttrs, Display: fn}.Build()
-}
-
 // Slave ties two viewer members together, maintaining their relative
 // offset (Section 7.1).
 func Slave(a *Viewer, am int, b *Viewer, bm int) error {

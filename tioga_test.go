@@ -68,11 +68,11 @@ func TestPublicAPIStandaloneViewer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewExtendedRelation("stations", st, []string{"longitude", "latitude"}, fn)
+	e, err := ExtendedSpec{Label: "stations", Rel: st, LocAttrs: []string{"longitude", "latitude"}, Display: fn}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := NewViewer("standalone", e, 200, 150)
+	v := ViewerSpec{Name: "standalone", D: e, W: 200, H: 150}.Build()
 	if err := v.PanTo(0, -100, 37); err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +115,12 @@ func TestPublicAPISlavingAndLift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewExtendedRelation("s", st, []string{"longitude", "latitude"}, fn)
+	e, err := ExtendedSpec{Label: "s", Rel: st, LocAttrs: []string{"longitude", "latitude"}, Display: fn}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewViewer("a", e, 100, 100)
-	b := NewViewer("b", e, 100, 100)
+	a := ViewerSpec{Name: "a", D: e, W: 100, H: 100}.Build()
+	b := ViewerSpec{Name: "b", D: e, W: 100, H: 100}.Build()
 	if err := Slave(a, 0, b, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -214,18 +214,6 @@ func TestPublicAPISpecBuilders(t *testing.T) {
 	v2 := ViewerSpec{Name: "v2", D: e, W: 100, H: 80, Parallel: true}.Build()
 	if v2.W != 100 || v2.H != 80 || !v2.Parallel {
 		t.Fatalf("spec fields not honored: %dx%d parallel=%v", v2.W, v2.H, v2.Parallel)
-	}
-
-	// The deprecated constructors stay behaviorally identical.
-	old, err := NewExtendedRelation("stations", st, []string{"longitude", "latitude"}, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Label != "stations" || len(old.Displays) != 1 {
-		t.Fatalf("deprecated constructor drifted: %+v", old)
-	}
-	if ov := NewViewer("old", old, 0, 0); ov.W != 640 || ov.H != 480 {
-		t.Fatalf("deprecated viewer constructor drifted: %dx%d", ov.W, ov.H)
 	}
 }
 

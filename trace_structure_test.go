@@ -48,9 +48,10 @@ func newTraceEnv(t *testing.T, cached bool) (*core.Environment, *viewer.Viewer, 
 	if err := env.Connect(rb.ID, 0, pb.ID, 0); err != nil {
 		t.Fatal(err)
 	}
-	src := viewer.BoxOutputSource{
+	src := viewer.BoxSource{
 		Eval:    env.Eval,
 		BoxID:   pb.ID,
+		Output:  true,
 		Options: []dataflow.EvalOption{dataflow.WithWorkers(1)},
 	}
 	v := viewer.New("golden", src, 160, 120)
