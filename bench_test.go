@@ -558,7 +558,7 @@ func BenchmarkJoinHashVsNestedLoop(b *testing.B) {
 // a full scan.
 func BenchmarkIndexedRestrict(b *testing.B) {
 	st := workload.Stations(5000, 1)
-	indexed := st.Clone()
+	indexed := st.ShallowClone()
 	if err := indexed.CreateIndex("state"); err != nil {
 		b.Fatal(err)
 	}

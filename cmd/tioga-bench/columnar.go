@@ -19,7 +19,8 @@ import (
 // columnarBenchReport is the columnar-kernel-vs-row-major comparison
 // written to BENCH_columnar.json: the same restrict→join pipeline over
 // the Stations relation, timed with monomorphic chunk kernels against
-// the row-major compiled-closure scan they replace, plus a bounded-
+// the compiled-closure scan that evaluates one row at a time (the
+// "row-major" leg, kept as the kernels' fallback), plus a bounded-
 // memory pass where the dataset lives in an append-only segment several
 // times larger than the chunk-cache quota.
 type columnarBenchReport struct {
@@ -140,9 +141,7 @@ func runColumnarBench(out string, quick, verbose bool) error {
 	}
 
 	// Output identity before any timing: the speedup is vacuous if the
-	// kernels disagree with the row path. (This also warms the columnar
-	// view so the timed columnar leg measures scans, not the one-time
-	// chunk encode.)
+	// kernels disagree with the row path.
 	rj, err := rowMajor(st)
 	if err != nil {
 		return fmt.Errorf("columnar: row-major eval: %w", err)

@@ -9,7 +9,7 @@
 //
 // prints one located finding per line,
 //
-//	internal/rel/relation.go:220:6: method Update writes r.tuples but never calls r.bumpGen(); ... (genbump GB001)
+//	internal/rel/relation.go:220:6: method Update writes r.cols but never calls r.bumpGen(); ... (genbump GB001)
 //
 // and exits 1 when anything was found, 0 on a clean run, 2 on unusable
 // input. -json instead emits a machine-readable report on stdout:

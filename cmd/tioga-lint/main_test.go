@@ -59,14 +59,14 @@ func TestLintFindsBrokenMutator(t *testing.T) {
 	src := `package rel
 
 type Relation struct {
-	tuples []int
-	gen    int64
+	cols []int
+	gen  int64
 }
 
 func (r *Relation) bumpGen() { r.gen++ }
 
 func (r *Relation) Append(v int) {
-	r.tuples = append(r.tuples, v)
+	r.cols = append(r.cols, v)
 }
 `
 	if err := os.WriteFile(filepath.Join(dir, "rel.go"), []byte(src), 0o644); err != nil {

@@ -8,10 +8,9 @@ import (
 // GenBump enforces the generation-stamp invariant behind every
 // cross-frame render cache (DESIGN.md "Render caching &
 // invalidation"): any method on rel.Relation that writes the backing
-// data — the tuple heap, the columnar store pointer, or the
-// computed-field table — must bump the relation's generation in the
-// same body, or stale display lists and spatial indexes survive the
-// mutation.
+// data — the tuple store pointer or the computed-field table — must bump
+// the relation's generation in the same body, or stale display lists and
+// spatial indexes survive the mutation.
 var GenBump = &Analyzer{
 	Name:  "genbump",
 	Doc:   "mutating methods on rel.Relation must call bumpGen(); JoinState maintained state and colStore chunk directories only mutate through declared mutators",
@@ -26,28 +25,25 @@ const (
 )
 
 var genbumpFields = map[string]bool{
-	"tuples":   true,
 	"computed": true,
-	// cols is the columnar storage pointer: swapping it in or out is a
-	// data mutation exactly like rewriting the tuple heap. (colview is
-	// deliberately absent — it is a cache keyed on the generation, so
-	// writing it without a bump is the intended fast path.)
+	// cols is the tuple store: installing a new store version is the
+	// data mutation.
 	"cols": true,
 }
 
-// The PR 8 incremental-join surface: JoinState's maintained state —
-// the hash tables, pair list, and materialized output that must stay
-// consistent with (lLen, rLen) — may only be written by the declared
-// delta mutators. Scratch buffers are reusable by design and exempt.
+// The incremental-join surface: JoinState's maintained state — the hash
+// tables, pair list, and output store that must stay consistent with
+// (lLen, rLen) — may only be written by the declared delta mutators.
+// Scratch buffers are reusable by design and exempt.
 const genbumpJoinType = "JoinState"
 
 var genbumpJoinFields = map[string]bool{
-	"table":     true,
-	"probeIdx":  true,
-	"pairs":     true,
-	"outTuples": true,
-	"lLen":      true,
-	"rLen":      true,
+	"table":    true,
+	"probeIdx": true,
+	"pairs":    true,
+	"out":      true,
+	"lLen":     true,
+	"rLen":     true,
 }
 
 var genbumpJoinMutators = map[string]bool{
@@ -71,10 +67,9 @@ var genbumpColStoreFields = map[string]bool{
 }
 
 var genbumpColStoreMutators = map[string]bool{
-	"newColStore":   true, // construction from a ChunkSource
-	"buildColStore": true, // construction from row-major tuples
-	"withAppend":    true, // copy-on-write append
-	"withUpdate":    true, // copy-on-write cell update
+	"newColStore": true, // construction from a ChunkSource
+	"withAppend":  true, // copy-on-write append
+	"withRow":     true, // copy-on-write row replacement
 }
 
 func runGenBump(pass *Pass) error {
@@ -154,7 +149,7 @@ func checkColStoreWrites(pass *Pass, fn *ast.FuncDecl) {
 	}
 	reportGuardedWrites(fn.Body, roots, genbumpColStoreFields, func(t ast.Expr, root, field string) {
 		pass.Report(t.Pos(), "GB003",
-			"%s writes colStore chunk directory %s.%s outside the declared chunk mutators (newColStore, buildColStore, withAppend, withUpdate); shared chunk-backed versions will diverge",
+			"%s writes colStore chunk directory %s.%s outside the declared chunk mutators (newColStore, withAppend, withRow); shared store versions will diverge",
 			fn.Name.Name, root, field)
 	})
 }
@@ -289,7 +284,7 @@ func firstDataWrite(body *ast.BlockStmt, recv string) (string, token.Pos) {
 
 // stampedFieldTarget unwraps an assignment target down to a selector on
 // the receiver and returns the field name when it is one of the
-// stamped fields. `r.tuples`, `r.tuples[i]`, and parenthesised forms
+// stamped fields. `r.cols`, `r.computed[i]`, and parenthesised forms
 // all count.
 func stampedFieldTarget(e ast.Expr, recv string) string {
 	for {

@@ -1,8 +1,8 @@
 // GB003 fixture: colStore chunk directories are immutable versions
 // shared across relations and the chunk cache; only the declared
-// constructors and copy-on-write mutators (newColStore, buildColStore,
-// withAppend, withUpdate) may write them. chunkSlot residency is the
-// cache's own mutable state and exempt.
+// constructors and copy-on-write mutators (newColStore, withAppend,
+// withRow) may write them. chunkSlot residency is the cache's own
+// mutable state and exempt.
 package rel
 
 type chunkSlot struct {
@@ -25,12 +25,6 @@ func newColStore(n int) *colStore {
 	return cs
 }
 
-func buildColStore(rows int) *colStore {
-	out := &colStore{}
-	out.rows = rows
-	return out
-}
-
 func (cs *colStore) withAppend() *colStore {
 	out := &colStore{chunkRows: cs.chunkRows}
 	out.slots = append(out.slots, cs.slots...)
@@ -38,11 +32,16 @@ func (cs *colStore) withAppend() *colStore {
 	return out
 }
 
-func (cs *colStore) withUpdate(i int) *colStore {
+func (cs *colStore) withRow(i int) *colStore {
 	out := &colStore{rows: cs.rows, chunkRows: cs.chunkRows}
 	out.slots = make([]*chunkSlot, len(cs.slots))
 	out.slots[i] = &chunkSlot{}
 	return out
+}
+
+// A store built as one composite literal writes no field.
+func (cs *colStore) renamed(schema []string) *colStore {
+	return &colStore{schema: schema, slots: cs.slots, rows: cs.rows, chunkRows: cs.chunkRows}
 }
 
 // --- violations ---

@@ -9,7 +9,7 @@ type JoinState struct {
 	table      map[int][]int
 	probeIdx   map[int][]int
 	pairs      []joinPair
-	outTuples  []int
+	out        []int
 	lLen, rLen int
 
 	scratch    []int
@@ -25,14 +25,14 @@ func BuildJoinState(l, r []int) *JoinState {
 }
 
 func (s *JoinState) Apply(delta []int) {
-	s.outTuples = append(s.outTuples, delta...)
+	s.out = append(s.out, delta...)
 	s.lLen += len(delta)
 }
 
 // --- violations ---
 
 func (s *JoinState) RewriteOutput(v int) {
-	s.outTuples = append(s.outTuples, v) // want `RewriteOutput writes JoinState maintained state s\.outTuples outside the declared delta mutators`
+	s.out = append(s.out, v) // want `RewriteOutput writes JoinState maintained state s\.out outside the declared delta mutators`
 }
 
 func (s *JoinState) ForceLengths(l, r int) {
@@ -61,7 +61,7 @@ func (s *JoinState) Probe(vals []int) []int {
 }
 
 // Reads of maintained state are always fine.
-func (s *JoinState) Len() int { return len(s.outTuples) }
+func (s *JoinState) Len() int { return len(s.out) }
 
 // A non-JoinState variable with a coincidental field name is not a root.
 type other struct{ pairs []int }

@@ -4,10 +4,9 @@
 package rel
 
 type Relation struct {
-	tuples   []int
 	computed map[string]int
 	cols     *colStore
-	colview  int
+	name     string
 	gen      int64
 }
 
@@ -16,7 +15,7 @@ func (r *Relation) bumpGen() { r.gen++ }
 // Correct mutators: write + bump in the same body.
 
 func (r *Relation) Append(v int) {
-	r.tuples = append(r.tuples, v)
+	r.cols = r.cols.withAppend()
 	r.bumpGen()
 }
 
@@ -30,12 +29,12 @@ func (r *Relation) SetComputed(name string, v int) {
 
 // Broken mutators: the deliberate bugs the analyzer must catch.
 
-func (r *Relation) BrokenAppend(v int) { // want `BrokenAppend writes r\.tuples but never calls r\.bumpGen`
-	r.tuples = append(r.tuples, v)
+func (r *Relation) BrokenAppend(v int) { // want `BrokenAppend writes r\.cols but never calls r\.bumpGen`
+	r.cols = r.cols.withAppend()
 }
 
-func (r *Relation) BrokenUpdate(i, v int) { // want `BrokenUpdate writes r\.tuples but never calls r\.bumpGen`
-	r.tuples[i] = v
+func (r *Relation) BrokenUpdate(i, v int) { // want `BrokenUpdate writes r\.cols but never calls r\.bumpGen`
+	r.cols = r.cols.withRow(i)
 }
 
 func (r *Relation) BrokenDropComputed(name string) { // want `BrokenDropComputed writes r\.computed but never calls r\.bumpGen`
@@ -43,8 +42,8 @@ func (r *Relation) BrokenDropComputed(name string) { // want `BrokenDropComputed
 	r.computed = r.computed
 }
 
-func (rel Relation) BrokenValueWrite(v int) { // want `BrokenValueWrite writes rel\.tuples but never calls rel\.bumpGen`
-	rel.tuples = append(rel.tuples, v)
+func (rel Relation) BrokenValueWrite(v int) { // want `BrokenValueWrite writes rel\.cols but never calls rel\.bumpGen`
+	rel.cols = nil
 }
 
 // The columnar store pointer is stamped data too: swapping in a new
@@ -63,23 +62,22 @@ func (r *Relation) BrokenSwapCols(cs *colStore) { // want `BrokenSwapCols writes
 // Shapes that must stay clean.
 
 // Len only reads.
-func (r *Relation) Len() int { return len(r.tuples) }
+func (r *Relation) Len() int { return r.cols.rows }
 
 // Clone writes a fresh relation through a local, not the receiver.
 func (r *Relation) Clone() *Relation {
 	out := &Relation{}
-	out.tuples = append(out.tuples, r.tuples...)
+	out.cols = r.cols
 	return out
 }
 
-// Gen writes a non-stamped field; only tuples/computed/cols need bumps.
+// Touch writes a non-stamped field; only computed/cols need bumps.
 func (r *Relation) Touch() { r.gen = r.gen }
 
-// colview is a generation-keyed cache, not data: writing it without a
-// bump is the intended fast path.
-func (r *Relation) WarmView() { r.colview = 1 }
+// The name is not tuple data: renaming needs no bump.
+func (r *Relation) Rename(name string) { r.name = name }
 
 // merge is a plain function, not a method; receiver rules don't apply.
 func merge(dst *Relation, src *Relation) {
-	dst.tuples = append(dst.tuples, src.tuples...)
+	dst.cols = src.cols
 }

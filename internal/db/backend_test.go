@@ -56,8 +56,11 @@ func TestBackendSaveLoadRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !st2.ChunkBacked() {
-				t.Fatal("backend-loaded table is not chunk-backed")
+			rel.DropResidentChunks()
+			loads := rel.ChunkCacheStats().Loads
+			st2.Tuple(0)
+			if rel.ChunkCacheStats().Loads == loads {
+				t.Fatal("backend-loaded table does not fault its chunks from the backend")
 			}
 			if st2.Len() != st.Len() {
 				t.Fatalf("tuples %d vs %d", st2.Len(), st.Len())

@@ -22,8 +22,9 @@ import (
 // It is safe for concurrent readers; writes take the lock.
 //
 // The write path is copy-on-write: every committed mutation clones the
-// affected relation (rel.CowClone — O(rows) pointer copies), mutates
-// the clone, and swaps the catalog pointer under the lock. A relation
+// affected relation (rel.CowClone shares the immutable chunk store; the
+// write copies one chunk directory), mutates the clone, and swaps the
+// catalog pointer under the lock. A relation
 // pointer obtained from Table or a Snap is therefore an immutable
 // snapshot of that table as of the fetch: it never changes underneath
 // a reader, and long reads (renders) never block writers. Readers that
@@ -180,9 +181,8 @@ func (d *Database) updateLocked(t *rel.Relation, table string, row int, col stri
 	d.seq++
 	obs.Inc(obs.DBUpdates)
 	watchers, subs := d.notifyLocked()
-	// oldRow aliases the pre-write version, whose row slice Update left
-	// untouched (the clone got a fresh copy), so both sides of the delta
-	// are frozen.
+	// Tuple decodes a fresh slice from each version, so both sides of
+	// the delta are frozen.
 	delta := &rel.TupleDelta{Ops: []rel.DeltaOp{{
 		Kind: rel.DeltaUpdate, Row: row, Tuple: nt.Tuple(row), Old: oldRow,
 	}}}

@@ -8,10 +8,10 @@ package raster
 import (
 	"fmt"
 	"image"
-	"image/color"
 	"image/png"
 	"io"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/draw"
 )
@@ -135,16 +135,35 @@ func (img *Image) WritePPM(w io.Writer) error {
 }
 
 // WritePNG writes the image as PNG via the standard library encoder.
+// It keeps one RGBA copy and one compressor for the next call: a frame
+// server encodes every frame it sends, and that garbage would otherwise
+// set the collector's pace. One value each, not a sync.Pool, so the
+// memory kept is fixed; an encode that finds one taken allocates its own.
 func (img *Image) WritePNG(w io.Writer) error {
-	out := image.NewRGBA(image.Rect(0, 0, img.W, img.H))
-	for y := 0; y < img.H; y++ {
-		for x := 0; x < img.W; x++ {
-			p := img.Pix[y*img.W+x]
-			out.SetRGBA(x, y, color.RGBA{R: p.R, G: p.G, B: p.B, A: p.A})
-		}
+	out := rgbaCopy.Swap(nil)
+	if out == nil || out.Rect.Dx() != img.W || out.Rect.Dy() != img.H {
+		out = image.NewRGBA(image.Rect(0, 0, img.W, img.H))
 	}
-	return png.Encode(w, out)
+	defer rgbaCopy.Store(out)
+	for i, p := range img.Pix {
+		o := out.Pix[4*i : 4*i+4 : 4*i+4]
+		o[0], o[1], o[2], o[3] = p.R, p.G, p.B, p.A
+	}
+	return pngEncoder.Encode(w, out)
 }
+
+var (
+	rgbaCopy   atomic.Pointer[image.RGBA]
+	pngEncoder = png.Encoder{BufferPool: new(pngBuffer)}
+)
+
+// pngBuffer is a png.EncoderBufferPool holding one buffer.
+type pngBuffer struct {
+	atomic.Pointer[png.EncoderBuffer]
+}
+
+func (b *pngBuffer) Get() *png.EncoderBuffer    { return b.Swap(nil) }
+func (b *pngBuffer) Put(buf *png.EncoderBuffer) { b.Store(buf) }
 
 // ASCII renders the framebuffer as character art, one character per
 // cellW x cellH pixel block, darker blocks getting denser characters. It

@@ -57,13 +57,12 @@ var ErrBadSegment = errors.New("rel: bad segment format")
 //	dirOffset u64                   (trailer; offset of the directory)
 var segMagic = [8]byte{'T', 'G', 'S', 'E', 'G', '0', '0', '1'}
 
-// writeSegmentTo streams r's chunks through w in the segment format.
-// Chunks come from r's columnar view, so a chunk-backed relation
-// round-trips its (canonical) encoding and a row-major relation encodes
-// lazily chunk by chunk — peak memory is one chunk, not the table.
+// writeSegmentTo streams r's chunks through w in the segment format,
+// one chunk at a time: a segment-backed relation faults each chunk in
+// only while it is written, so peak memory is one chunk, not the table.
 func writeSegmentTo(w io.Writer, r *Relation) error {
-	cs := r.columnar()
-	nchunks := cs.numChunks()
+	cs := r.cols
+	nchunks := len(cs.slots)
 	hdr := make([]byte, 0, 24)
 	hdr = append(hdr, segMagic[:]...)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(cs.chunkRows))
@@ -111,8 +110,9 @@ type segEntry struct {
 // segmentSource is a lazily-loading ChunkSource over a segment image.
 // ReadChunk decodes from the underlying ReaderAt on every call (the
 // chunk cache, not the source, provides residency), verifies the
-// directory checksum, and so returns byte-identical chunks for the
-// lifetime of the segment.
+// directory checksum and the chunk's shape against the directory and
+// schema, and so returns byte-identical chunks for the lifetime of the
+// segment.
 type segmentSource struct {
 	ra        io.ReaderAt
 	schema    *Schema
@@ -142,9 +142,19 @@ func (s *segmentSource) ReadChunk(ci int) (*Chunk, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rel: segment %s chunk %d: %w", s.name, ci, err)
 	}
+	if want := min(s.chunkRows, s.rows-ci*s.chunkRows); ck.rows != want {
+		return nil, fmt.Errorf("%w: segment %s: chunk %d has %d rows, the directory says %d",
+			ErrBadSegment, s.name, ci, ck.rows, want)
+	}
 	if len(ck.cols) != s.schema.Len() {
 		return nil, fmt.Errorf("%w: segment %s: chunk %d has %d columns, schema has %d",
 			ErrBadSegment, s.name, ci, len(ck.cols), s.schema.Len())
+	}
+	for i := range ck.cols {
+		if c := s.schema.Col(i); ck.cols[i].kind != c.Kind {
+			return nil, fmt.Errorf("%w: segment %s: chunk %d column %q holds %s, schema says %s",
+				ErrBadSegment, s.name, ci, c.Name, ck.cols[i].kind, c.Kind)
+		}
 	}
 	return ck, nil
 }
@@ -162,9 +172,15 @@ func openSegmentImage(name string, schema *Schema, ra io.ReaderAt, size int64) (
 	if !bytes.Equal(hdr[:8], segMagic[:]) {
 		return nil, fmt.Errorf("%w: segment %s: bad magic", ErrBadSegment, name)
 	}
-	chunkRows := int(binary.LittleEndian.Uint32(hdr[8:12]))
-	nchunks := int(binary.LittleEndian.Uint32(hdr[12:16]))
-	rows := int(binary.LittleEndian.Uint64(hdr[16:24]))
+	// Every chunk but the last holds chunkRows rows and the last at least
+	// one (u32 × u32 cannot overflow u64, so the checks are exact).
+	chunkRows := uint64(binary.LittleEndian.Uint32(hdr[8:12]))
+	nchunks := uint64(binary.LittleEndian.Uint32(hdr[12:16]))
+	rows := binary.LittleEndian.Uint64(hdr[16:24])
+	if chunkRows == 0 || rows > nchunks*chunkRows || (nchunks > 0 && rows <= (nchunks-1)*chunkRows) {
+		return nil, fmt.Errorf("%w: segment %s: inconsistent shape (%d rows in %d chunks of %d)",
+			ErrBadSegment, name, rows, nchunks, chunkRows)
+	}
 	trailer := make([]byte, 8)
 	if _, err := ra.ReadAt(trailer, size-8); err != nil {
 		return nil, err
@@ -186,15 +202,14 @@ func openSegmentImage(name string, schema *Schema, ra io.ReaderAt, size int64) (
 			n:   binary.LittleEndian.Uint64(p[8:16]),
 			crc: binary.LittleEndian.Uint32(p[16:20]),
 		}
-		if dir[i].off+dir[i].n > uint64(dirOff) {
+		// Every stored row costs its chunk at least one byte, which bounds
+		// what a scan of the segment allocates by the segment's size.
+		e, span := dir[i], min(chunkRows, rows-uint64(i)*chunkRows)
+		if e.off < 24 || e.n > uint64(dirOff) || e.off > uint64(dirOff)-e.n || (schema.Len() > 0 && span > e.n) {
 			return nil, fmt.Errorf("%w: segment %s: chunk %d overruns directory", ErrBadSegment, name, i)
 		}
 	}
-	src := &segmentSource{ra: ra, schema: schema, chunkRows: chunkRows, rows: rows, dir: dir, name: name}
-	if chunkRows <= 0 || nchunks != (rows+chunkRows-1)/chunkRows {
-		return nil, fmt.Errorf("%w: segment %s: inconsistent shape", ErrBadSegment, name)
-	}
-	return src, nil
+	return &segmentSource{ra: ra, schema: schema, chunkRows: int(chunkRows), rows: int(rows), dir: dir, name: name}, nil
 }
 
 // --- in-memory backend ------------------------------------------------

@@ -333,7 +333,7 @@ func TestBackendConcurrentFaults(t *testing.T) {
 					return
 				}
 			}
-			got := rd.take(big.Len() - 1)
+			got := rd.at(big.Len() - 1)
 			if rd.Err() != nil {
 				errs <- rd.Err()
 				return

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/types"
 )
@@ -54,14 +56,27 @@ func (c *colVec) value(row int) types.Value {
 }
 
 // Chunk is a fixed-size run of tuples stored column-major: per-attribute
-// contiguous arrays with validity bitmaps. Chunks are immutable once
-// sealed — mutation in the CoW discipline replaces the chunk pointer,
-// never the arrays — so any number of relation versions, scans, and
-// cursors may share one safely.
+// contiguous arrays with validity bitmaps. A chunk's visible contents
+// never change — mutation in the CoW discipline builds a new chunk
+// version (appended, withRow) — so any number of relation versions,
+// scans, and cursors may share one safely.
 type Chunk struct {
-	rows  int
-	cols  []colVec
-	bytes int64 // memoized resident-size estimate, set by seal
+	rows int
+	cols []colVec
+	// claim guards in-place appends. Versions that share lane backing
+	// arrays share one claim, holding the highest row count any of them
+	// has extended the lanes to; a version with r rows may write row r
+	// into the lanes' spare capacity only by moving the claim from r to
+	// r+1, so two versions forked from one parent never write the same
+	// slot. Chunks decoded from a source have none and are never
+	// extended in place.
+	claim *atomic.Int64
+}
+
+func newClaim(rows int) *atomic.Int64 {
+	c := new(atomic.Int64)
+	c.Store(int64(rows))
+	return c
 }
 
 // Rows returns the number of tuples in the chunk.
@@ -69,7 +84,17 @@ func (c *Chunk) Rows() int { return c.rows }
 
 // Bytes returns the chunk's approximate resident size, used for quota
 // accounting by the chunk cache.
-func (c *Chunk) Bytes() int64 { return c.bytes }
+func (c *Chunk) Bytes() int64 {
+	n := int64(64)
+	for i := range c.cols {
+		v := &c.cols[i]
+		n += int64(len(v.ints))*8 + int64(len(v.floats))*8 + int64(len(v.valid))*8
+		for _, s := range v.strs {
+			n += int64(len(s)) + 16
+		}
+	}
+	return n
+}
 
 // Value returns the value at (col, row).
 func (c *Chunk) Value(col, row int) types.Value { return c.cols[col].value(row) }
@@ -83,110 +108,239 @@ func (c *Chunk) DecodeRow(row int, buf []types.Value) []types.Value {
 	return buf
 }
 
-// seal computes the memoized byte size. Called once when building.
-func (c *Chunk) seal() {
-	var n int64
-	for i := range c.cols {
-		v := &c.cols[i]
-		n += int64(len(v.ints))*8 + int64(len(v.floats))*8 + int64(len(v.valid))*8
-		for _, s := range v.strs {
-			n += int64(len(s)) + 16
+// store writes val into lane slot off, setting its validity bit unless
+// val is null (whose slot holds the zero value). The slot's bit must be
+// clear, and the lane and bitmap private to the caller.
+func (v *colVec) store(off int, val types.Value) {
+	if val.IsNull() {
+		switch v.kind {
+		case types.Float:
+			v.floats[off] = 0
+		case types.Text:
+			v.strs[off] = ""
+		default:
+			v.ints[off] = 0
 		}
+		return
 	}
-	c.bytes = n + 64
+	v.valid[off>>6] |= 1 << (uint(off) & 63)
+	switch v.kind {
+	case types.Float:
+		v.floats[off] = val.Float()
+	case types.Text:
+		v.strs[off] = val.Text()
+	case types.Bool:
+		v.ints[off] = 0
+		if val.Bool() {
+			v.ints[off] = 1
+		}
+	case types.Date:
+		v.ints[off] = val.DateDays()
+	default:
+		v.ints[off] = val.Int()
+	}
 }
 
-// chunkBuilder accumulates rows into a chunk.
+// push appends val as row `row`, growing the validity bitmap as needed.
+func (v *colVec) push(val types.Value, row int) {
+	switch v.kind {
+	case types.Float:
+		v.floats = append(v.floats, 0)
+	case types.Text:
+		v.strs = append(v.strs, "")
+	default:
+		v.ints = append(v.ints, 0)
+	}
+	for len(v.valid) <= row>>6 {
+		v.valid = append(v.valid, 0)
+	}
+	v.store(row, val)
+}
+
+// holds reports whether row off already stores exactly val: 0 and -0
+// differ, and NaN never matches (a harmless extra copy).
+func (v *colVec) holds(off int, val types.Value) bool {
+	old := v.value(off)
+	return old == val && (old.Kind() != types.Float || math.Signbit(old.Float()) == math.Signbit(val.Float()))
+}
+
+// appended returns a new version of c with tuple (kinds already checked)
+// as its last row. When no other version has extended c's lanes past
+// c.rows, the row goes in place into their spare capacity, past every
+// row c and older versions read; otherwise the new version gets lanes
+// of its own. Validity words are always copied — the new row's bit
+// shares a word with rows older versions read — but nothing is decoded.
+func (c *Chunk) appended(tuple []types.Value) *Chunk {
+	row := c.rows
+	out := &Chunk{rows: row + 1, cols: slices.Clone(c.cols), claim: c.claim}
+	own := c.claim != nil && c.claim.CompareAndSwap(int64(row), int64(row)+1)
+	if !own {
+		out.claim = newClaim(row + 1)
+	}
+	for i := range out.cols {
+		v := &out.cols[i]
+		if !own {
+			// Capped lanes copy on the append below.
+			v.ints, v.floats, v.strs = slices.Clip(v.ints), slices.Clip(v.floats), slices.Clip(v.strs)
+		}
+		valid := make([]uint64, (row+64)/64)
+		copy(valid, v.valid)
+		v.valid = valid
+		v.push(tuple[i], row)
+	}
+	return out
+}
+
+// withRow returns a version of c with row off replaced by tuple (kinds
+// already checked). Lanes whose cell is unchanged stay shared; a changed
+// lane, and its validity bitmap, are copied whole before the write.
+func (c *Chunk) withRow(off int, tuple []types.Value) *Chunk {
+	out := &Chunk{rows: c.rows, cols: slices.Clone(c.cols), claim: c.claim}
+	for i := range out.cols {
+		v := &out.cols[i]
+		if v.holds(off, tuple[i]) {
+			continue
+		}
+		v.valid = slices.Clone(v.valid)
+		v.valid[off>>6] &^= 1 << (uint(off) & 63)
+		switch v.kind {
+		case types.Float:
+			v.floats = slices.Clone(v.floats)
+		case types.Text:
+			v.strs = slices.Clone(v.strs)
+		default:
+			v.ints = slices.Clone(v.ints)
+		}
+		v.store(off, tuple[i])
+	}
+	return out
+}
+
+// checkTuple reports an arity or kind mismatch between tuple and schema
+// (null is accepted in any column).
+func checkTuple(schema *Schema, tuple []types.Value) error {
+	if len(tuple) != schema.Len() {
+		return fmt.Errorf("tuple arity %d != schema arity %d", len(tuple), schema.Len())
+	}
+	for i, v := range tuple {
+		if c := schema.Col(i); !v.IsNull() && v.Kind() != c.Kind {
+			return fmt.Errorf("column %q wants %s, got %s", c.Name, c.Kind, v.Kind())
+		}
+	}
+	return nil
+}
+
+// chunkBuilder accumulates rows into a chunk. Lanes start at capRows
+// capacity and grow by append past it.
 type chunkBuilder struct {
 	schema *Schema
 	c      *Chunk
-	cap    int
 }
 
 func newChunkBuilder(schema *Schema, capRows int) *chunkBuilder {
-	b := &chunkBuilder{schema: schema, cap: capRows, c: &Chunk{}}
-	b.c.cols = make([]colVec, schema.Len())
-	words := (capRows + 63) / 64
-	for i := range b.c.cols {
-		v := &b.c.cols[i]
+	c := &Chunk{cols: make([]colVec, schema.Len())}
+	for i := range c.cols {
+		v := &c.cols[i]
 		v.kind = schema.Col(i).Kind
-		v.valid = make([]uint64, words)
+		v.valid = make([]uint64, 0, (capRows+63)/64)
 		switch v.kind {
-		case types.Int, types.Bool, types.Date:
-			v.ints = make([]int64, 0, capRows)
 		case types.Float:
 			v.floats = make([]float64, 0, capRows)
 		case types.Text:
 			v.strs = make([]string, 0, capRows)
+		default:
+			v.ints = make([]int64, 0, capRows)
 		}
 	}
-	return b
+	return &chunkBuilder{schema: schema, c: c}
 }
 
-// appendRow adds one tuple. The tuple values must already match the
-// schema kinds (null anywhere is fine) — the relation's Append/Update
-// paths enforce that; appendRow rejects drift so a kind mismatch cannot
-// be silently re-typed by the columnar encoding.
+// appendRow adds one tuple. A kind mismatch is an error rather than a
+// silent re-typing by the columnar encoding.
 func (b *chunkBuilder) appendRow(tuple []types.Value) error {
-	row := b.c.rows
+	if err := checkTuple(b.schema, tuple); err != nil {
+		return err
+	}
 	for i := range b.c.cols {
-		v := &b.c.cols[i]
-		val := tuple[i]
-		if val.IsNull() {
-			switch v.kind {
-			case types.Int, types.Bool, types.Date:
-				v.ints = append(v.ints, 0)
-			case types.Float:
-				v.floats = append(v.floats, 0)
-			case types.Text:
-				v.strs = append(v.strs, "")
-			}
-			continue
-		}
-		if val.Kind() != v.kind {
-			return fmt.Errorf("rel: chunk column %q wants %s, got %s", b.schema.Col(i).Name, v.kind, val.Kind())
-		}
-		v.valid[row>>6] |= 1 << (uint(row) & 63)
-		switch v.kind {
-		case types.Int:
-			v.ints = append(v.ints, val.Int())
-		case types.Bool:
-			var x int64
-			if val.Bool() {
-				x = 1
-			}
-			v.ints = append(v.ints, x)
-		case types.Date:
-			v.ints = append(v.ints, val.DateDays())
-		case types.Float:
-			v.floats = append(v.floats, val.Float())
-		case types.Text:
-			v.strs = append(v.strs, val.Text())
-		}
+		b.c.cols[i].push(tuple[i], b.c.rows)
 	}
 	b.c.rows++
 	return nil
 }
 
-// finish seals and returns the chunk.
-func (b *chunkBuilder) finish() *Chunk {
-	words := (b.c.rows + 63) / 64
-	for i := range b.c.cols {
-		b.c.cols[i].valid = b.c.cols[i].valid[:words]
+// gather writes the next len(rows) rows of output columns first,
+// first+1, ... from rows of src, in the given order: output column
+// first+j copies source column colMap[j] lane slot by lane slot, validity
+// bit by validity bit, without materializing a tuple. It walks the rows
+// in runs that share a source chunk, copying each run column by column,
+// so a chunk is fetched once per run — ascending rows fault each source
+// chunk once, however many columns they fill. The caller advances the
+// row count once every column is written.
+func (b *chunkBuilder) gather(first int, src *colStore, rows, colMap []int) error {
+	for at := 0; at < len(rows); {
+		ci, _ := src.rowChunk(rows[at])
+		ck, err := src.chunk(ci)
+		if err != nil {
+			return err
+		}
+		lo, hi := src.chunkSpan(ci)
+		end := at + 1
+		for end < len(rows) && rows[end] >= lo && rows[end] < hi {
+			end++
+		}
+		for j, sc := range colMap {
+			dst, sv := &b.c.cols[first+j], &ck.cols[sc]
+			switch dst.kind {
+			case types.Float:
+				dst.floats = gatherLane(dst.floats, sv.floats, rows[at:end], lo)
+			case types.Text:
+				dst.strs = gatherLane(dst.strs, sv.strs, rows[at:end], lo)
+			default:
+				dst.ints = gatherLane(dst.ints, sv.ints, rows[at:end], lo)
+			}
+			dst.valid = gatherBits(dst.valid, sv.valid, rows[at:end], lo, b.c.rows+at)
+		}
+		at = end
 	}
-	b.c.seal()
-	return b.c
+	return nil
 }
 
-// encodeRows builds a chunk directly from a run of row-major tuples.
-func encodeRows(schema *Schema, tuples [][]types.Value) (*Chunk, error) {
-	b := newChunkBuilder(schema, len(tuples))
-	for _, t := range tuples {
-		if err := b.appendRow(t); err != nil {
-			return nil, err
+// gatherLane appends src[row-lo] for each row.
+func gatherLane[T any](dst, src []T, rows []int, lo int) []T {
+	for _, row := range rows {
+		dst = append(dst, src[row-lo])
+	}
+	return dst
+}
+
+// gatherBits sets bit pos+i of dst wherever src, the validity bitmap of
+// the rows' chunk, has bit rows[i]-lo set, growing dst to cover every
+// written position.
+func gatherBits(dst, src []uint64, rows []int, lo, pos int) []uint64 {
+	for len(dst) < (pos+len(rows)+63)/64 {
+		dst = append(dst, 0)
+	}
+	for i, row := range rows {
+		off, p := row-lo, pos+i
+		if src[off>>6]&(1<<(uint(off)&63)) != 0 {
+			dst[p>>6] |= 1 << (uint(p) & 63)
 		}
 	}
-	return b.finish(), nil
+	return dst
+}
+
+// finish completes the validity bitmaps and returns the chunk, claimable
+// for in-place appends.
+func (b *chunkBuilder) finish() *Chunk {
+	c := b.c
+	for i := range c.cols {
+		v := &c.cols[i]
+		for len(v.valid) < (c.rows+63)/64 {
+			v.valid = append(v.valid, 0)
+		}
+	}
+	c.claim = newClaim(c.rows)
+	return c
 }
 
 // Chunk wire format (inside segment files):
@@ -229,71 +383,73 @@ func appendChunk(buf []byte, c *Chunk) []byte {
 	return buf
 }
 
-// decodeChunk parses one serialized chunk.
+// decodeChunk parses one serialized chunk. Every failure wraps
+// ErrBadSegment, and no allocation exceeds what the remaining bytes can
+// fill: a lane is allocated only after its bytes are known present.
 func decodeChunk(buf []byte) (*Chunk, error) {
 	if len(buf) < 8 {
-		return nil, fmt.Errorf("rel: chunk truncated (%d bytes)", len(buf))
+		return nil, fmt.Errorf("%w: chunk truncated (%d bytes)", ErrBadSegment, len(buf))
 	}
 	rows := int(binary.LittleEndian.Uint32(buf))
 	ncols := int(binary.LittleEndian.Uint32(buf[4:]))
-	if rows < 0 || ncols < 0 || rows > 1<<26 || ncols > 1<<16 {
-		return nil, fmt.Errorf("rel: chunk header implausible (rows=%d cols=%d)", rows, ncols)
-	}
 	buf = buf[8:]
 	words := (rows + 63) / 64
+	if rows > 1<<26 || ncols > 1<<16 || ncols*(1+words*8) > len(buf) {
+		return nil, fmt.Errorf("%w: chunk header implausible (rows=%d cols=%d, %d bytes)", ErrBadSegment, rows, ncols, len(buf))
+	}
 	c := &Chunk{rows: rows, cols: make([]colVec, ncols)}
 	for i := 0; i < ncols; i++ {
 		if len(buf) < 1+words*8 {
-			return nil, fmt.Errorf("rel: chunk column %d truncated", i)
+			return nil, fmt.Errorf("%w: chunk column %d truncated", ErrBadSegment, i)
 		}
 		v := &c.cols[i]
 		v.kind = types.Kind(buf[0])
 		buf = buf[1:]
 		v.valid = make([]uint64, words)
-		for w := 0; w < words; w++ {
+		for w := range v.valid {
 			v.valid[w] = binary.LittleEndian.Uint64(buf)
 			buf = buf[8:]
 		}
 		switch v.kind {
-		case types.Int, types.Bool, types.Date:
+		case types.Int, types.Bool, types.Date, types.Float:
 			if len(buf) < rows*8 {
-				return nil, fmt.Errorf("rel: chunk column %d lane truncated", i)
+				return nil, fmt.Errorf("%w: chunk column %d lane truncated", ErrBadSegment, i)
 			}
-			v.ints = make([]int64, rows)
-			for r := 0; r < rows; r++ {
-				v.ints[r] = int64(binary.LittleEndian.Uint64(buf))
-				buf = buf[8:]
+			if v.kind == types.Float {
+				v.floats = make([]float64, rows)
+				for r := range v.floats {
+					v.floats[r] = math.Float64frombits(binary.LittleEndian.Uint64(buf[r*8:]))
+				}
+			} else {
+				v.ints = make([]int64, rows)
+				for r := range v.ints {
+					v.ints[r] = int64(binary.LittleEndian.Uint64(buf[r*8:]))
+				}
 			}
-		case types.Float:
-			if len(buf) < rows*8 {
-				return nil, fmt.Errorf("rel: chunk column %d lane truncated", i)
-			}
-			v.floats = make([]float64, rows)
-			for r := 0; r < rows; r++ {
-				v.floats[r] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-				buf = buf[8:]
-			}
+			buf = buf[rows*8:]
 		case types.Text:
+			if len(buf) < rows*4 {
+				return nil, fmt.Errorf("%w: chunk column %d strings truncated", ErrBadSegment, i)
+			}
 			v.strs = make([]string, rows)
 			for r := 0; r < rows; r++ {
 				if len(buf) < 4 {
-					return nil, fmt.Errorf("rel: chunk column %d string %d truncated", i, r)
+					return nil, fmt.Errorf("%w: chunk column %d string %d truncated", ErrBadSegment, i, r)
 				}
-				n := int(binary.LittleEndian.Uint32(buf))
+				n := binary.LittleEndian.Uint32(buf)
 				buf = buf[4:]
-				if n < 0 || len(buf) < n {
-					return nil, fmt.Errorf("rel: chunk column %d string %d truncated", i, r)
+				if uint64(len(buf)) < uint64(n) {
+					return nil, fmt.Errorf("%w: chunk column %d string %d truncated", ErrBadSegment, i, r)
 				}
 				v.strs[r] = string(buf[:n])
 				buf = buf[n:]
 			}
 		default:
-			return nil, fmt.Errorf("rel: chunk column %d has unknown kind %d", i, int(v.kind))
+			return nil, fmt.Errorf("%w: chunk column %d has unknown kind %d", ErrBadSegment, i, int(v.kind))
 		}
 	}
 	if len(buf) != 0 {
-		return nil, fmt.Errorf("rel: chunk has %d trailing bytes", len(buf))
+		return nil, fmt.Errorf("%w: chunk has %d trailing bytes", ErrBadSegment, len(buf))
 	}
-	c.seal()
 	return c, nil
 }

@@ -39,8 +39,8 @@ type chunkCache struct {
 
 // DefaultMemoryQuota bounds cache-managed chunk memory out of the box.
 // Without a bound the LRU list would keep every faulted chunk alive for
-// the life of the process — including columnar views of relations long
-// since dropped — so "unbounded" (quota 0) is an explicit opt-in.
+// the life of the process — including chunks of segment-backed relations
+// long since dropped — so "unbounded" (quota 0) is an explicit opt-in.
 const DefaultMemoryQuota int64 = 256 << 20
 
 var globalChunkCache = newChunkCacheState()

@@ -1,7 +1,7 @@
 package rel
 
 import (
-	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/types"
@@ -29,10 +29,10 @@ type ChunkSource interface {
 // Slots without a source (freshly written or mutated chunks) are pinned
 // resident for the lifetime of the store versions that reference them.
 //
-// Slots are shared freely between relation versions — CowClone copies
-// the slot-pointer slice — which is safe because the only mutable field
-// is the resident pointer, and loading/evicting never changes the
-// chunk's logical contents.
+// Slots are shared freely between store versions — mutators copy the
+// slot-pointer slice — which is safe because the only mutable field is
+// the resident pointer, and loading/evicting never changes the chunk's
+// logical contents.
 type chunkSlot struct {
 	res atomic.Pointer[Chunk]
 	src ChunkSource // nil = pinned resident
@@ -51,11 +51,10 @@ func pinnedSlot(c *Chunk) *chunkSlot {
 	return s
 }
 
-// colStore is the columnar storage of one relation version: an ordered
+// colStore is the tuple storage of one relation version: an ordered
 // slice of chunk slots over a fixed schema. Stores are immutable —
-// mutation helpers return a new store sharing all untouched slots, which
-// is exactly the CoW discipline Relation already applies to its row
-// storage.
+// mutation helpers return a new store sharing all untouched slots, so a
+// relation's copy-on-write clone copies only this chunk directory.
 type colStore struct {
 	schema    *Schema
 	slots     []*chunkSlot
@@ -74,18 +73,6 @@ func newColStore(schema *Schema, src ChunkSource) *colStore {
 	}
 	return cs
 }
-
-// buildColStore encodes row-major tuples into a store whose slots fault
-// lazily from the tuple slice itself: nothing is encoded until a kernel
-// first touches a chunk, and encoded chunks are evictable because the
-// rows remain the ground truth.
-func buildColStore(schema *Schema, tuples [][]types.Value, chunkRows int) *colStore {
-	src := &rowChunkSource{schema: schema, tuples: tuples, chunkRows: chunkRows}
-	return newColStore(schema, src)
-}
-
-// numChunks returns the slot count.
-func (cs *colStore) numChunks() int { return len(cs.slots) }
 
 // chunkSpan returns the [lo, hi) row range of chunk i.
 func (cs *colStore) chunkSpan(i int) (lo, hi int) {
@@ -113,127 +100,134 @@ func (cs *colStore) chunk(i int) (*Chunk, error) {
 	return globalChunkCache.fault(s)
 }
 
-// value reads a single value without materializing the row.
-func (cs *colStore) value(row, col int) (types.Value, error) {
+// tuple decodes row into a fresh slice.
+func (cs *colStore) tuple(row int) ([]types.Value, error) {
 	ci, off := cs.rowChunk(row)
 	c, err := cs.chunk(ci)
 	if err != nil {
-		return types.Null, err
+		return nil, err
 	}
-	return c.Value(col, off), nil
+	return c.DecodeRow(off, make([]types.Value, 0, len(c.cols))), nil
 }
 
-// withAppend returns a new store with tuple appended. The tail chunk is
-// rebuilt copy-on-write (or a fresh chunk started when the tail is
-// full); all other slots are shared. The new tail has no source — it
-// diverged from any segment backing — so it stays pinned resident.
+// withAppend returns a new store with tuple appended: the tail chunk
+// gains a row (in place when it can, see Chunk.appended), or a fresh
+// tail starts when it is full. All other slots are shared. The new tail
+// has no source — it diverged from any segment backing — so it stays
+// pinned resident.
 func (cs *colStore) withAppend(tuple []types.Value) (*colStore, error) {
+	if err := checkTuple(cs.schema, tuple); err != nil {
+		return nil, err
+	}
 	out := &colStore{schema: cs.schema, chunkRows: cs.chunkRows, rows: cs.rows + 1}
-	n := len(cs.slots)
-	tailRows := cs.rows - (n-1)*cs.chunkRows
-	if n == 0 || tailRows >= cs.chunkRows {
-		// Start a fresh tail chunk.
-		c, err := encodeRows(cs.schema, [][]types.Value{tuple})
-		if err != nil {
+	keep := len(cs.slots)
+	var tail *Chunk
+	if cs.rows < keep*cs.chunkRows {
+		keep--
+		var err error
+		if tail, err = cs.chunk(keep); err != nil {
 			return nil, err
 		}
-		out.slots = make([]*chunkSlot, n+1)
-		copy(out.slots, cs.slots)
-		out.slots[n] = pinnedSlot(c)
-		return out, nil
+	} else {
+		tail = newChunkBuilder(cs.schema, 0).finish()
 	}
-	old, err := cs.chunk(n - 1)
-	if err != nil {
-		return nil, err
-	}
-	b := newChunkBuilder(cs.schema, old.rows+1)
-	buf := make([]types.Value, 0, cs.schema.Len())
-	for r := 0; r < old.rows; r++ {
-		buf = old.DecodeRow(r, buf[:0])
-		if err := b.appendRow(buf); err != nil {
-			return nil, err
-		}
-	}
-	if err := b.appendRow(tuple); err != nil {
-		return nil, err
-	}
-	out.slots = make([]*chunkSlot, n)
-	copy(out.slots, cs.slots)
-	out.slots[n-1] = pinnedSlot(b.finish())
+	out.slots = append(cs.slots[:keep:keep], pinnedSlot(tail.appended(tuple)))
 	return out, nil
 }
 
-// withUpdate returns a new store with (row, col) replaced by v. Only the
-// affected chunk is rebuilt; the new chunk is pinned resident.
-func (cs *colStore) withUpdate(row, col int, v types.Value) (*colStore, error) {
+// withRow returns a new store with row replaced by tuple. Only the
+// affected chunk gets a new version, sharing every unchanged lane (see
+// Chunk.withRow); it is pinned resident.
+func (cs *colStore) withRow(row int, tuple []types.Value) (*colStore, error) {
+	if err := checkTuple(cs.schema, tuple); err != nil {
+		return nil, err
+	}
 	ci, off := cs.rowChunk(row)
 	old, err := cs.chunk(ci)
 	if err != nil {
 		return nil, err
 	}
-	b := newChunkBuilder(cs.schema, old.rows)
-	buf := make([]types.Value, 0, cs.schema.Len())
-	for r := 0; r < old.rows; r++ {
-		buf = old.DecodeRow(r, buf[:0])
-		if r == off {
-			buf[col] = v
-		}
-		if err := b.appendRow(buf); err != nil {
-			return nil, err
-		}
-	}
 	out := &colStore{schema: cs.schema, chunkRows: cs.chunkRows, rows: cs.rows}
-	out.slots = make([]*chunkSlot, len(cs.slots))
-	copy(out.slots, cs.slots)
-	out.slots[ci] = pinnedSlot(b.finish())
+	out.slots = slices.Clone(cs.slots)
+	out.slots[ci] = pinnedSlot(old.withRow(off, tuple))
 	return out, nil
 }
 
-// materialize decodes the whole store into row-major tuples.
-func (cs *colStore) materialize() ([][]types.Value, error) {
-	out := make([][]types.Value, 0, cs.rows)
-	for i := 0; i < len(cs.slots); i++ {
-		c, err := cs.chunk(i)
-		if err != nil {
-			return nil, err
+// storeBuilder encodes rows arriving one at a time into pinned chunks
+// of DefaultChunkRows rows, sealing each chunk once: a bulk producer
+// (Builder, Union) never makes a copy-on-write version per row.
+type storeBuilder struct {
+	schema *Schema
+	slots  []*chunkSlot
+	cur    *chunkBuilder
+	rows   int
+}
+
+// appendRow adds one tuple.
+func (b *storeBuilder) appendRow(tuple []types.Value) error {
+	if b.cur == nil {
+		b.cur = newChunkBuilder(b.schema, 0)
+	}
+	if err := b.cur.appendRow(tuple); err != nil {
+		return err
+	}
+	if b.rows++; b.cur.c.rows == DefaultChunkRows {
+		b.slots = append(b.slots, pinnedSlot(b.cur.finish()))
+		b.cur = nil
+	}
+	return nil
+}
+
+// finish returns the built store.
+func (b *storeBuilder) finish() *colStore {
+	slots := b.slots
+	if b.cur != nil {
+		slots = append(slots, pinnedSlot(b.cur.finish()))
+	}
+	return &colStore{schema: b.schema, slots: slots, rows: b.rows, chunkRows: DefaultChunkRows}
+}
+
+// part is one source of a gather: rows of src, whose columns colMap
+// fill a run of the output's columns.
+type part struct {
+	src          *colStore
+	rows, colMap []int
+}
+
+// gatherStore builds a store of pinned chunks holding one row per entry
+// of the parts' (equally long) row lists, each part filling the next
+// len(colMap) output columns (see chunkBuilder.gather). Output chunks
+// are independent, so a large gather fills them with up to workers
+// scan workers (0 inherits the package setting, as for scans).
+func gatherStore(schema *Schema, workers int, parts ...part) (*colStore, error) {
+	n := len(parts[0].rows)
+	slots := make([]*chunkSlot, (n+DefaultChunkRows-1)/DefaultChunkRows)
+	err := runChunks(len(slots), min(scanChunks(n, workers), len(slots)), func(_, lo, hi int) error {
+		for k := lo; k < hi; k++ {
+			from, to := k*DefaultChunkRows, min((k+1)*DefaultChunkRows, n)
+			cb, first := newChunkBuilder(schema, to-from), 0
+			for _, p := range parts {
+				if err := cb.gather(first, p.src, p.rows[from:to], p.colMap); err != nil {
+					return err
+				}
+				first += len(p.colMap)
+			}
+			cb.c.rows = to - from
+			slots[k] = pinnedSlot(cb.finish())
 		}
-		for r := 0; r < c.rows; r++ {
-			out = append(out, c.DecodeRow(r, make([]types.Value, 0, len(c.cols))))
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return &colStore{schema: schema, slots: slots, rows: n, chunkRows: DefaultChunkRows}, nil
 }
 
-// rowChunkSource lazily encodes chunks from an immutable row-major tuple
-// slice. It backs the derived columnar view of resident relations: the
-// rows are the ground truth, so encoded chunks are freely evictable and
-// re-encoding is deterministic.
-type rowChunkSource struct {
-	schema    *Schema
-	tuples    [][]types.Value
-	chunkRows int
-}
-
-// NumChunks implements ChunkSource.
-func (s *rowChunkSource) NumChunks() int {
-	return (len(s.tuples) + s.chunkRows - 1) / s.chunkRows
-}
-
-// ChunkRows implements ChunkSource.
-func (s *rowChunkSource) ChunkRows() int { return s.chunkRows }
-
-// Rows implements ChunkSource.
-func (s *rowChunkSource) Rows() int { return len(s.tuples) }
-
-// ReadChunk implements ChunkSource.
-func (s *rowChunkSource) ReadChunk(i int) (*Chunk, error) {
-	lo := i * s.chunkRows
-	hi := lo + s.chunkRows
-	if hi > len(s.tuples) {
-		hi = len(s.tuples)
+// identityMap returns [0, 1, ..., n-1]: every column (or row) in place.
+func identityMap(n int) []int {
+	m := make([]int, n)
+	for i := range m {
+		m[i] = i
 	}
-	if lo < 0 || lo >= hi {
-		return nil, fmt.Errorf("rel: chunk %d out of range", i)
-	}
-	return encodeRows(s.schema, s.tuples[lo:hi])
+	return m
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/types"
 )
 
@@ -404,6 +405,38 @@ func TestParallelScanErrorDeterminism(t *testing.T) {
 		if parErr.Error() != serialErr.Error() {
 			t.Fatalf("parallel error %q differs from serial %q", parErr, serialErr)
 		}
+	}
+}
+
+// A fused scan's worker count bounds its whole firing: with one worker
+// neither the selection nor the gather of its (multi-chunk) output
+// dispatches parallel chunks, whatever the package setting.
+func TestFusedScanWorkersBoundGather(t *testing.T) {
+	r := bigRelation(t, 3*DefaultScanThreshold)
+	ops := []FusedOp{{Pred: expr.MustParse("id >= 0")}, {Project: []string{"id", "tag"}}}
+	prevObs := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(prevObs)
+	prevW := SetScanWorkers(4)
+	defer SetScanWorkers(prevW)
+
+	chunksDuring := func(workers int) int64 {
+		before := obs.CounterValue(obs.RelScanChunks)
+		res, err := FusedScan(r, ops, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Out.Len() != r.Len() {
+			t.Fatalf("kept %d of %d rows", res.Out.Len(), r.Len())
+		}
+		return obs.CounterValue(obs.RelScanChunks) - before
+	}
+	if got := chunksDuring(1); got != 0 {
+		t.Fatalf("FusedScan with one worker dispatched %d parallel chunks", got)
+	}
+	// The package setting still applies when the caller inherits it.
+	if got := chunksDuring(0); got == 0 {
+		t.Fatal("FusedScan inheriting 4 workers dispatched no parallel chunks")
 	}
 }
 

@@ -82,15 +82,16 @@ func countAppends(d *TupleDelta) int {
 // project pipeline. newIn is the input relation AFTER the delta d has
 // been applied to it; oldOut is the memoized pipeline output over the
 // previous version. On success it returns the new output (sharing
-// untouched tuples with oldOut), the pipeline's own output delta, and
-// ok=true; any situation the incremental path cannot handle — predicate
-// errors, membership changes that would insert or delete interior rows,
-// provenance shapes it cannot reason about — returns ok=false and the
-// caller refires the full scan.
+// untouched chunks and lanes with oldOut), the pipeline's own output
+// delta, and ok=true; any situation the incremental path cannot handle —
+// predicate errors, membership changes that would insert or delete
+// interior rows, provenance shapes it cannot reason about — returns
+// ok=false and the caller refires the full scan.
 //
-// oldOut is never mutated: appends extend past its length (invisible to
-// holders of the old slice header, the same discipline as the CoW table
-// append path) and in-place row replacements copy the outer slice first.
+// oldOut is never mutated: its tuples change only through the store's
+// copy-on-write mutators, the ones table writes use, and its provenance
+// list only grows past its length (invisible to holders of the old
+// slice header).
 func FusedDelta(ctx context.Context, newIn, oldOut *Relation, ops []FusedOp, d *TupleDelta) (*FusedResult, *TupleDelta, bool, error) {
 	if len(ops) == 0 || newIn == nil || oldOut == nil {
 		return nil, nil, false, nil
@@ -114,23 +115,14 @@ func FusedDelta(ctx context.Context, newIn, oldOut *Relation, ops []FusedOp, d *
 	}
 	inLen := newIn.Len() - countAppends(d)
 	keep := oldOut.provRows
-	outTuples := oldOut.tuples
-	if inLen < 0 || len(keep) != len(outTuples) {
+	out := oldOut.cols
+	if inLen < 0 || len(keep) != out.rows {
 		return nil, nil, false, nil
 	}
 	if len(keep) > 0 && keep[len(keep)-1] >= inLen {
 		// The memo's provenance points past the pre-delta input length, so
 		// it cannot be a view over the previous version of newIn.
 		return nil, nil, false, nil
-	}
-	copied := false
-	ensureCopy := func() {
-		if copied {
-			return
-		}
-		keep = append([]int(nil), keep...)
-		outTuples = append([][]types.Value(nil), outTuples...)
-		copied = true
 	}
 	var outOps []DeltaOp
 	var sc evalScratch
@@ -151,9 +143,11 @@ func FusedDelta(ctx context.Context, newIn, oldOut *Relation, ops []FusedOp, d *
 				continue
 			}
 			nt := sh.projectRow(op.Tuple)
-			outTuples = append(outTuples, nt)
+			if out, err = out.withAppend(nt); err != nil {
+				return nil, nil, false, nil
+			}
 			keep = append(keep, row)
-			outOps = append(outOps, DeltaOp{Kind: DeltaAppend, Row: len(outTuples) - 1, Tuple: nt})
+			outOps = append(outOps, DeltaOp{Kind: DeltaAppend, Row: out.rows - 1, Tuple: nt})
 		case DeltaUpdate:
 			if op.Row < 0 || op.Row >= inLen || len(op.Tuple) != newIn.schema.Len() {
 				return nil, nil, false, nil
@@ -176,9 +170,13 @@ func FusedDelta(ctx context.Context, newIn, oldOut *Relation, ops []FusedOp, d *
 			switch {
 			case member && pass:
 				nt := sh.projectRow(op.Tuple)
-				ensureCopy()
-				old := outTuples[j]
-				outTuples[j] = nt
+				old, err := out.tuple(j)
+				if err == nil {
+					out, err = out.withRow(j, nt)
+				}
+				if err != nil {
+					return nil, nil, false, nil
+				}
 				outOps = append(outOps, DeltaOp{Kind: DeltaUpdate, Row: j, Tuple: nt, Old: old})
 			case !member && !pass:
 				// Was filtered out, still is: nothing to do.
@@ -191,16 +189,16 @@ func FusedDelta(ctx context.Context, newIn, oldOut *Relation, ops []FusedOp, d *
 			return nil, nil, false, nil
 		}
 	}
-	out := sh.shape
-	out.tuples = outTuples
-	out.setProv(newIn, keep)
-	return &FusedResult{Out: out, Shapes: sh.shapes}, &TupleDelta{Ops: outOps}, true, nil
+	res := sh.shape
+	res.cols = out
+	res.setProv(newIn, keep)
+	return &FusedResult{Out: res, Shapes: sh.shapes}, &TupleDelta{Ops: outOps}, true, nil
 }
 
 // JoinState is the maintained state of a hash equi-join: the build side
 // exactly as hashJoin constructed it, a probe-side index for the reverse
-// lookup build appends need, and the (probeRow, buildRow) pair behind
-// every output tuple in emission order. Built once by replaying the
+// lookup build appends need, the (probeRow, buildRow) pair behind every
+// output tuple in emission order, and the output's tuple store. Built once by replaying the
 // join, it then absorbs tuple deltas in O(affected pairs) per frame.
 //
 // A JoinState that returns ok=false from Apply is poisoned — its indexes
@@ -213,7 +211,7 @@ type JoinState struct {
 
 	probeIdx   map[valueKey][]int // key -> probe rows, in probe-row order
 	pairs      [][2]int           // (probeRow, buildRow) per output tuple, probe-major
-	outTuples  [][]types.Value
+	out        *colStore
 	lLen, rLen int
 }
 
@@ -247,7 +245,7 @@ func BuildJoinState(oldL, oldR, oldOut *Relation, pred expr.Node) (*JoinState, b
 		rLen:  oldR.Len(),
 	}
 	s.hashBuild, err = hashJoin(oldL, oldR, oldL.schema.Index(la), oldR.schema.Index(ra), s.res,
-		func(prow, brow int, _, _ []types.Value) { s.pairs = append(s.pairs, [2]int{prow, brow}) })
+		func(prow, brow int) { s.pairs = append(s.pairs, [2]int{prow, brow}) })
 	if err != nil || len(s.pairs) != oldOut.Len() {
 		return nil, false
 	}
@@ -265,7 +263,7 @@ func BuildJoinState(oldL, oldR, oldOut *Relation, pred expr.Node) (*JoinState, b
 	if prd.Err() != nil {
 		return nil, false
 	}
-	s.outTuples = oldOut.tuples
+	s.out = oldOut.cols
 	return s, true
 }
 
@@ -296,16 +294,8 @@ func (s *JoinState) Apply(newL, newR *Relation, dl, dr *TupleDelta) (*Relation, 
 		buildLen, probeLen = s.lLen, s.rLen
 	}
 	buildRel, probeRel := s.inputs(newL, newR)
-	outTuples := s.outTuples
+	out := s.out
 	pairs := s.pairs
-	copied := false
-	ensureCopy := func() {
-		if copied {
-			return
-		}
-		outTuples = append([][]types.Value(nil), outTuples...)
-		copied = true
-	}
 	var outOps []DeltaOp
 	prd := probeRel.reader()
 	brd := buildRel.reader()
@@ -372,9 +362,11 @@ func (s *JoinState) Apply(newL, newR *Relation, dl, dr *TupleDelta) (*Relation, 
 				}
 				if keep {
 					nt := joinTuple(lt, rt)
-					outTuples = append(outTuples, nt)
+					if out, err = out.withAppend(nt); err != nil {
+						return nil, nil, false
+					}
 					pairs = append(pairs, [2]int{prow, brow})
-					outOps = append(outOps, DeltaOp{Kind: DeltaAppend, Row: len(outTuples) - 1, Tuple: nt})
+					outOps = append(outOps, DeltaOp{Kind: DeltaAppend, Row: out.rows - 1, Tuple: nt})
 				}
 			}
 			s.probeIdx[k] = append(s.probeIdx[k], prow)
@@ -420,22 +412,24 @@ func (s *JoinState) Apply(newL, newR *Relation, dl, dr *TupleDelta) (*Relation, 
 			if j != hi {
 				return nil, nil, false
 			}
-			if len(newTuples) > 0 {
-				ensureCopy()
-				for idx, nt := range newTuples {
-					pos := lo + idx
-					old := outTuples[pos]
-					outTuples[pos] = nt
-					outOps = append(outOps, DeltaOp{Kind: DeltaUpdate, Row: pos, Tuple: nt, Old: old})
+			for idx, nt := range newTuples {
+				pos := lo + idx
+				old, err := out.tuple(pos)
+				if err == nil {
+					out, err = out.withRow(pos, nt)
 				}
+				if err != nil {
+					return nil, nil, false
+				}
+				outOps = append(outOps, DeltaOp{Kind: DeltaUpdate, Row: pos, Tuple: nt, Old: old})
 			}
 		default:
 			return nil, nil, false
 		}
 	}
 
-	newOut := &Relation{schema: s.shell.schema, computed: s.shell.computed, tuples: outTuples}
-	s.outTuples = outTuples
+	newOut := &Relation{schema: s.shell.schema, computed: s.shell.computed, cols: out}
+	s.out = out
 	s.pairs = pairs
 	s.lLen, s.rLen = newL.Len(), newR.Len()
 	return newOut, &TupleDelta{Ops: outOps}, true

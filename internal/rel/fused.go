@@ -88,7 +88,7 @@ func FusedScanCtx(ctx context.Context, r *Relation, ops []FusedOp, workers int) 
 	}
 	res, err := fusedScan(ctx, r, ops, workers)
 	if err == nil {
-		sp.Annotate("rows_out", strconv.Itoa(len(res.Out.tuples)))
+		sp.Annotate("rows_out", strconv.Itoa(res.Out.Len()))
 	}
 	sp.End()
 	return res, err
@@ -134,12 +134,11 @@ func runStep(r *Relation, op FusedOp, name string) (*Relation, error) {
 // their shapes. run scans with it; the incremental path (FusedDelta)
 // reuses it to evaluate single rows.
 type fusedShape struct {
-	shape    *Relation   // final output shape (schema + surviving computed attrs)
-	shapes   []*Relation // per-step shapes, last == shape
-	colMap   []int       // final stored column -> source tuple ordinal
-	preds    []*fusedPred
-	matp     *matPlan
-	identity bool // output columns are the source columns in place
+	shape  *Relation   // final output shape (schema + surviving computed attrs)
+	shapes []*Relation // per-step shapes, last == shape
+	colMap []int       // final stored column -> source tuple ordinal
+	preds  []*fusedPred
+	matp   *matPlan
 }
 
 // tracedShapePass is fusedShapePass under a rel.compile.pass span.
@@ -168,11 +167,9 @@ func fusedShapePass(r *Relation, ops []FusedOp) (*fusedShape, error) {
 		}
 	}
 	matp, mat, compile := r.prepare(prednodes...)
-	shape := &Relation{schema: r.schema, computed: r.computed}
-	colMap := make([]int, r.schema.Len())
-	for i := range colMap {
-		colMap[i] = i
-	}
+	shape := New("", r.schema)
+	shape.computed = r.computed
+	colMap := identityMap(r.schema.Len())
 	sh := &fusedShape{shapes: make([]*Relation, len(ops)), matp: matp}
 	for i, op := range ops {
 		switch {
@@ -200,13 +197,6 @@ func fusedShapePass(r *Relation, ops []FusedOp) (*fusedShape, error) {
 		sh.shapes[i] = shape
 	}
 	sh.shape, sh.colMap = shape, colMap
-	sh.identity = len(colMap) == r.schema.Len()
-	for i, ci := range colMap {
-		if ci != i {
-			sh.identity = false
-			break
-		}
-	}
 	return sh, nil
 }
 
@@ -230,13 +220,8 @@ func (sh *fusedShape) evalRow(tup []types.Value, sc *evalScratch) (bool, error) 
 	return true, nil
 }
 
-// projectRow maps one surviving source tuple into the output layout. With
-// an identity column map the source tuple is shared, exactly like the full
-// scan.
+// projectRow maps one surviving source tuple into the output layout.
 func (sh *fusedShape) projectRow(tup []types.Value) []types.Value {
-	if sh.identity {
-		return tup
-	}
 	nt := make([]types.Value, len(sh.colMap))
 	for j, ci := range sh.colMap {
 		nt[j] = tup[ci]
@@ -247,34 +232,17 @@ func (sh *fusedShape) projectRow(tup []types.Value) []types.Value {
 // run is the one scan behind Restrict, Project and FusedScan. It
 // selects the surviving rows — with the columnar kernel when every
 // predicate kernel-compiles, else in one chunk-parallel row pass through
-// the prepared predicates — and materializes them into the final shape
-// with provenance. When every source column survives in place the output
-// shares tuple storage with the input, exactly like an unfused Restrict.
-// Predicate failures come back as *FusedStepError; chunk read errors
-// come back bare, for the caller to prefix with its operator name.
+// the prepared predicates — and gathers them column by column into the
+// final shape's pinned chunks, with provenance. Predicate failures come
+// back as *FusedStepError; chunk read errors come back bare, for the
+// caller to prefix with its operator name.
 func (sh *fusedShape) run(r *Relation, workers int) (*Relation, error) {
 	rows, err := sh.selectRows(r, workers)
 	if err != nil {
 		return nil, err
 	}
 	out := sh.shape
-	out.tuples = make([][]types.Value, len(rows))
-	rd := r.reader()
-	if sh.identity {
-		for i, row := range rows {
-			out.tuples[i] = rd.take(row)
-		}
-	} else {
-		for i, row := range rows {
-			src := rd.at(row)
-			nt := make([]types.Value, len(sh.colMap))
-			for j, ci := range sh.colMap {
-				nt[j] = src[ci]
-			}
-			out.tuples[i] = nt
-		}
-	}
-	if err := rd.Err(); err != nil {
+	if out.cols, err = gatherStore(out.schema, workers, part{r.cols, rows, sh.colMap}); err != nil {
 		return nil, err
 	}
 	out.setProv(r, rows)
@@ -288,11 +256,7 @@ func (sh *fusedShape) run(r *Relation, workers int) (*Relation, error) {
 func (sh *fusedShape) selectRows(r *Relation, workers int) ([]int, error) {
 	n := r.Len()
 	if len(sh.preds) == 0 {
-		rows := make([]int, n)
-		for i := range rows {
-			rows[i] = i
-		}
-		return rows, nil
+		return identityMap(n), nil
 	}
 	if rows, ok, err := sh.kernelRows(r, workers); ok || err != nil {
 		return rows, err

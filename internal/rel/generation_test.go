@@ -81,8 +81,8 @@ func TestGenerationBumpsOnMutation(t *testing.T) {
 func TestCloneGetsFreshGeneration(t *testing.T) {
 	r := genRel(t)
 	g := r.Generation()
-	if c := r.Clone(); c.Generation() == g {
-		t.Fatal("Clone shares the source's generation")
+	if c := r.CowClone(); c.Generation() == g {
+		t.Fatal("CowClone shares the source's generation")
 	}
 	if c := r.ShallowClone(); c.Generation() == g {
 		t.Fatal("ShallowClone shares the source's generation")

@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/expr"
@@ -65,31 +66,16 @@ func SetColumnarDisabled(off bool) bool { return columnarOff.Swap(off) }
 // ColumnarDisabled reports whether the columnar kernels are disabled.
 func ColumnarDisabled() bool { return columnarOff.Load() }
 
-// kernelMinRows is the row count below which a row-major relation is
-// not worth encoding into a columnar view for one scan.
-const kernelMinRows = DefaultChunkRows
-
 // ---------------------------------------------------------------------
 // Bitmaps.
 
-// kbits is a row bitmap. Word counts follow the producing context's row
-// count; binary combinators run over the shorter operand (a constant
-// vector is sized for a full chunk, the last chunk of a relation is
-// shorter). Bits at or above the consumer's row count are meaningless
-// and every consuming loop is bounded, so trailing garbage is harmless.
-// A nil kbits means "no bits set" and may be returned shared by the
-// combinators; treat every kbits as immutable once produced.
+// kbits is a row bitmap with one bit per row of the producing context,
+// so every bitmap of one context has the same word count. Bits at or
+// above the row count are meaningless and every consuming loop is
+// bounded, so trailing garbage is harmless. A nil kbits means "no bits
+// set" and may be returned shared by the combinators; treat every kbits
+// as immutable once produced.
 type kbits []uint64
-
-func newKbits(n int) kbits { return make(kbits, (n+63)/64) }
-
-func onesKbits(n int) kbits {
-	b := newKbits(n)
-	for i := range b {
-		b[i] = ^uint64(0)
-	}
-	return b
-}
 
 func (b kbits) set(i int)       { b[i>>6] |= 1 << (uint(i) & 63) }
 func (b kbits) test(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
@@ -105,62 +91,70 @@ func kAny(b kbits) bool {
 	return false
 }
 
-func minWords(a, b kbits) int {
-	if len(a) < len(b) {
-		return len(a)
-	}
-	return len(b)
+// bits returns an n-row bitmap with every bit clear.
+func (kc *kctx) bits(n int) kbits {
+	b := kbits(kc.words.take((n + 63) / 64))
+	clear(b)
+	return b
 }
 
-// kOr returns a|b; nil operands pass the other through unchanged.
-func kOr(a, b kbits) kbits {
+// ones returns an n-row bitmap with every bit set.
+func (kc *kctx) ones(n int) kbits {
+	b := kbits(kc.words.take((n + 63) / 64))
+	for i := range b {
+		b[i] = ^uint64(0)
+	}
+	return b
+}
+
+// or returns a|b; nil operands pass the other through unchanged.
+func (kc *kctx) or(a, b kbits) kbits {
 	if a == nil {
 		return b
 	}
 	if b == nil {
 		return a
 	}
-	out := make(kbits, minWords(a, b))
+	out := kbits(kc.words.take(len(a)))
 	for i := range out {
 		out[i] = a[i] | b[i]
 	}
 	return out
 }
 
-// kAnd returns a&b; nil if either operand is nil.
-func kAnd(a, b kbits) kbits {
+// and returns a&b; nil if either operand is nil.
+func (kc *kctx) and(a, b kbits) kbits {
 	if a == nil || b == nil {
 		return nil
 	}
-	out := make(kbits, minWords(a, b))
+	out := kbits(kc.words.take(len(a)))
 	for i := range out {
 		out[i] = a[i] & b[i]
 	}
 	return out
 }
 
-// kAndNot returns a&^b.
-func kAndNot(a, b kbits) kbits {
+// andNot returns a&^b.
+func (kc *kctx) andNot(a, b kbits) kbits {
 	if a == nil || b == nil {
 		return a
 	}
-	out := make(kbits, minWords(a, b))
+	out := kbits(kc.words.take(len(a)))
 	for i := range out {
 		out[i] = a[i] &^ b[i]
 	}
 	return out
 }
 
-// kNot3 returns ^(a|b|c) over a's word count (a must be non-nil; b and
-// c may be nil).
-func kNot3(a, b, c kbits) kbits {
-	out := make(kbits, len(a))
+// not3 returns ^(a|b|c) (a must be non-nil; b and c may be nil).
+func (kc *kctx) not3(a, b, c kbits) kbits {
+	out := kbits(kc.words.take(len(a)))
 	for i := range out {
 		w := a[i]
-		if b != nil && i < len(b) {
+		if b != nil {
 			w |= b[i]
 		}
-		if c != nil && i < len(c) {
+		if c != nil {
 			w |= c[i]
 		}
 		out[i] = ^w
@@ -186,25 +180,52 @@ type kvec struct {
 	errs   kbits // nil = no errors (division/modulo by zero)
 }
 
-// kctx is the per-chunk evaluation context. memo caches computed-
-// attribute vectors by definition node for the current chunk.
+// kctx is one scan worker's evaluation context: the current chunk, a
+// memo of computed-attribute vectors by definition node, and arenas the
+// vectors' lanes and bitmaps are carved from. No vector outlives the
+// chunk it was computed for, so reset takes every slice back for the
+// next chunk, and a pooled context carries its arenas on to the next
+// scan: a warm scan allocates no lanes.
 type kctx struct {
-	c    *Chunk
-	n    int
-	memo map[expr.Node]*kvec
+	c      *Chunk
+	n      int
+	memo   map[expr.Node]*kvec
+	ints   arena[int64]
+	floats arena[float64]
+	strs   arena[string]
+	words  arena[uint64]
 }
 
+// kctxPool keeps scan workers' contexts between scans.
+var kctxPool = sync.Pool{New: func() any { return new(kctx) }}
+
 func (kc *kctx) reset(c *Chunk) {
-	kc.c, kc.n, kc.memo = c, c.Rows(), nil
+	kc.c, kc.n = c, c.Rows()
+	clear(kc.memo)
+	kc.ints.next, kc.floats.next, kc.strs.next, kc.words.next = 0, 0, 0, 0
+}
+
+// arena hands out slices in order and takes them all back at once.
+type arena[T any] struct {
+	bufs [][]T
+	next int
+}
+
+// take returns an n-element slice not handed out since the last reset.
+// Its contents are garbage: the caller writes every element.
+func (a *arena[T]) take(n int) []T {
+	if a.next == len(a.bufs) {
+		a.bufs = append(a.bufs, nil)
+	}
+	if cap(a.bufs[a.next]) < n {
+		a.bufs[a.next] = make([]T, n)
+	}
+	a.next++
+	return a.bufs[a.next-1][:n]
 }
 
 // kfn evaluates one compiled node over the context's chunk.
 type kfn func(kc *kctx) *kvec
-
-// kernProg is a kernel-compiled predicate.
-type kernProg struct {
-	root kfn
-}
 
 // kernScope resolves attribute names for the kernel compiler: stored
 // columns map (through colMap when the caller's name space is a fused
@@ -234,88 +255,76 @@ func (s kernScope) resolve(name string) (ord int, kind types.Kind, def expr.Node
 
 // kernelCompilePred compiles pred to a chunk kernel, or reports false
 // when any node falls outside the exactly-reproducible set.
-func kernelCompilePred(pred expr.Node, scope kernScope, maxRows int) (*kernProg, bool) {
-	c := &kernCompiler{scope: scope, maxRows: maxRows}
+func kernelCompilePred(pred expr.Node, scope kernScope) (kfn, bool) {
+	c := &kernCompiler{scope: scope}
 	fn, kind, _, ok := c.compile(pred)
 	if !ok || kind != types.Bool {
 		return nil, false
 	}
-	return &kernProg{root: fn}, true
+	return fn, true
 }
 
 // ---------------------------------------------------------------------
 // Compiler.
 
 type kernCompiler struct {
-	scope   kernScope
-	maxRows int
-	depth   int
+	scope kernScope
+	depth int
 }
 
-// compile lowers one node, folding constant subtrees to a broadcast
-// vector built once at compile time (errors included — a constant 1/0
-// becomes an all-error vector whose rows all fall back, reproducing the
-// interpreter's first-row error).
+// compile lowers one node, folding constant subtrees to their value —
+// computed once, at compile time, and broadcast over each chunk (errors
+// included: a constant 1/0 becomes an all-error vector whose rows all
+// fall back, reproducing the interpreter's first-row error).
 func (c *kernCompiler) compile(n expr.Node) (kfn, types.Kind, bool, bool) {
 	fn, kind, konst, ok := c.compileNode(n)
 	if !ok {
 		return nil, types.Invalid, false, false
 	}
 	if konst {
-		v := fn(&kctx{n: 1})
-		bc := c.broadcast(v, kind)
-		return func(*kctx) *kvec { return bc }, kind, true, true
+		return broadcast(fn(&kctx{n: 1}), kind), kind, true, true
 	}
 	return fn, kind, false, true
 }
 
-// broadcast expands a single-row vector to maxRows rows.
-func (c *kernCompiler) broadcast(v *kvec, kind types.Kind) *kvec {
-	out := &kvec{kind: kind}
-	if (v.errs != nil && v.errs.test(0)) || (v.null != nil && v.null.test(0)) {
-		if v.errs != nil && v.errs.test(0) {
-			out.errs = onesKbits(c.maxRows)
-		} else {
-			out.null = onesKbits(c.maxRows)
-		}
-		// Zero-filled lanes keep the kvec invariant (error/null slots
-		// hold zero values) so arithmetic consumers can slice blindly.
+// broadcast returns a node giving every row of the chunk v's single row,
+// filled into the context's arena: a constant costs a fill per chunk,
+// not an allocation.
+func broadcast(v *kvec, kind types.Kind) kfn {
+	errs := v.errs != nil && v.errs.test(0)
+	null := v.null != nil && v.null.test(0)
+	return func(kc *kctx) *kvec {
+		n := kc.n
+		out := &kvec{kind: kind}
 		switch kind {
 		case types.Int, types.Date:
-			out.ints = make([]int64, c.maxRows)
+			out.ints = fill(kc.ints.take(n), v.ints[0])
 		case types.Float:
-			out.floats = make([]float64, c.maxRows)
+			out.floats = fill(kc.floats.take(n), v.floats[0])
 		case types.Text:
-			out.strs = make([]string, c.maxRows)
+			out.strs = fill(kc.strs.take(n), v.strs[0])
 		case types.Bool:
-			out.t = newKbits(c.maxRows)
+			if v.t.test(0) {
+				out.t = kc.ones(n)
+			} else {
+				out.t = kc.bits(n)
+			}
+		}
+		if errs {
+			out.errs = kc.ones(n)
+		} else if null {
+			out.null = kc.ones(n)
 		}
 		return out
 	}
-	switch kind {
-	case types.Int, types.Date:
-		out.ints = make([]int64, c.maxRows)
-		for i := range out.ints {
-			out.ints[i] = v.ints[0]
-		}
-	case types.Float:
-		out.floats = make([]float64, c.maxRows)
-		for i := range out.floats {
-			out.floats[i] = v.floats[0]
-		}
-	case types.Text:
-		out.strs = make([]string, c.maxRows)
-		for i := range out.strs {
-			out.strs[i] = v.strs[0]
-		}
-	case types.Bool:
-		if v.t.test(0) {
-			out.t = onesKbits(c.maxRows)
-		} else {
-			out.t = newKbits(c.maxRows)
-		}
+}
+
+// fill sets every element of s to x.
+func fill[T any](s []T, x T) []T {
+	for i := range s {
+		s[i] = x
 	}
-	return out
+	return s
 }
 
 func isIF(k types.Kind) bool { return k == types.Int || k == types.Float }
@@ -343,7 +352,7 @@ func (c *kernCompiler) compileNode(n expr.Node) (kfn, types.Kind, bool, bool) {
 		case types.Text:
 			single.strs = []string{v.Text()}
 		case types.Bool:
-			single.t = newKbits(1)
+			single.t = kbits{0}
 			if v.Bool() {
 				single.t.set(0)
 			}
@@ -367,9 +376,8 @@ func (c *kernCompiler) compileNode(n expr.Node) (kfn, types.Kind, bool, bool) {
 		}
 		return func(kc *kctx) *kvec {
 			cv := &kc.c.cols[ord]
-			words := (kc.n + 63) / 64
-			null := make(kbits, words)
-			for w := 0; w < words; w++ {
+			null := kbits(kc.words.take((kc.n + 63) / 64))
+			for w := range null {
 				null[w] = ^cv.valid[w]
 			}
 			out := &kvec{kind: kind, null: null}
@@ -381,14 +389,14 @@ func (c *kernCompiler) compileNode(n expr.Node) (kfn, types.Kind, bool, bool) {
 			case types.Text:
 				out.strs = cv.strs
 			case types.Bool:
-				t := make(kbits, words)
+				t := kc.bits(kc.n)
 				lane := cv.ints
 				for i := 0; i < kc.n; i++ {
 					if lane[i] != 0 {
 						t.set(i)
 					}
 				}
-				out.t = kAndNot(t, null)
+				out.t = kc.andNot(t, null)
 			}
 			return out
 		}, kind, false, true
@@ -404,7 +412,7 @@ func (c *kernCompiler) compileNode(n expr.Node) (kfn, types.Kind, bool, bool) {
 			case types.Int:
 				return func(kc *kctx) *kvec {
 					x := xf(kc)
-					res := make([]int64, kc.n)
+					res := kc.ints.take(kc.n)
 					lane := x.ints[:kc.n]
 					for i := range res {
 						res[i] = -lane[i]
@@ -414,7 +422,7 @@ func (c *kernCompiler) compileNode(n expr.Node) (kfn, types.Kind, bool, bool) {
 			case types.Float:
 				return func(kc *kctx) *kvec {
 					x := xf(kc)
-					res := make([]float64, kc.n)
+					res := kc.floats.take(kc.n)
 					lane := x.floats[:kc.n]
 					for i := range res {
 						res[i] = -lane[i]
@@ -429,7 +437,7 @@ func (c *kernCompiler) compileNode(n expr.Node) (kfn, types.Kind, bool, bool) {
 			}
 			return func(kc *kctx) *kvec {
 				x := xf(kc)
-				return &kvec{kind: types.Bool, t: kNot3(x.t, x.null, x.errs), null: x.null, errs: x.errs}
+				return &kvec{kind: types.Bool, t: kc.not3(x.t, x.null, x.errs), null: x.null, errs: x.errs}
 			}, types.Bool, konst, true
 		}
 		return nil, types.Invalid, false, false
@@ -456,16 +464,16 @@ func (c *kernCompiler) compileNode(n expr.Node) (kfn, types.Kind, bool, bool) {
 				if isAnd {
 					// false-l short-circuits: r's errors and nulls only
 					// matter where l is true or null.
-					out.errs = kOr(l.errs, kAnd(kOr(l.t, l.null), r.errs))
-					out.null = kAndNot(kOr(l.null, kAnd(l.t, r.null)), out.errs)
-					out.t = kAnd(l.t, r.t)
+					out.errs = kc.or(l.errs, kc.and(kc.or(l.t, l.null), r.errs))
+					out.null = kc.andNot(kc.or(l.null, kc.and(l.t, r.null)), out.errs)
+					out.t = kc.and(l.t, r.t)
 				} else {
 					// true-l short-circuits: r matters where l is false
 					// or null (null-l still propagates r's errors).
-					fl := kNot3(l.t, l.null, l.errs)
-					out.errs = kOr(l.errs, kAndNot(r.errs, l.t))
-					out.null = kAndNot(kOr(l.null, kAnd(fl, r.null)), out.errs)
-					out.t = kOr(l.t, kAnd(fl, r.t))
+					fl := kc.not3(l.t, l.null, l.errs)
+					out.errs = kc.or(l.errs, kc.andNot(r.errs, l.t))
+					out.null = kc.andNot(kc.or(l.null, kc.and(fl, r.null)), out.errs)
+					out.t = kc.or(l.t, kc.and(fl, r.t))
 				}
 				return out
 			}, types.Bool, konst, true
@@ -526,15 +534,13 @@ func (c *kernCompiler) compileComputed(def expr.Node) (kfn, types.Kind, bool, bo
 		return nil, types.Invalid, false, false
 	}
 	fn := func(kc *kctx) *kvec {
-		if kc.memo != nil {
-			if v, ok := kc.memo[def]; ok {
-				return v
-			}
+		if v, ok := kc.memo[def]; ok {
+			return v
 		}
 		v := sub(kc)
 		if v.errs != nil {
 			nv := *v
-			nv.null = kOr(v.null, v.errs)
+			nv.null = kc.or(v.null, v.errs)
 			nv.errs = nil
 			v = &nv
 		}
@@ -555,7 +561,7 @@ func (c *kernCompiler) coerceFloat(fn kfn, kind types.Kind, konst bool) kfn {
 	}
 	conv := func(kc *kctx) *kvec {
 		x := fn(kc)
-		res := make([]float64, kc.n)
+		res := kc.floats.take(kc.n)
 		lane := x.ints[:kc.n]
 		for i := range res {
 			res[i] = float64(lane[i])
@@ -563,8 +569,7 @@ func (c *kernCompiler) coerceFloat(fn kfn, kind types.Kind, konst bool) kfn {
 		return &kvec{kind: types.Float, floats: res, null: x.null, errs: x.errs}
 	}
 	if konst {
-		bc := conv(&kctx{n: c.maxRows})
-		return func(*kctx) *kvec { return bc }
+		return broadcast(conv(&kctx{n: 1}), types.Float)
 	}
 	return conv
 }
@@ -575,9 +580,9 @@ func (c *kernCompiler) intArith(op string, lf, rf kfn) kfn {
 	return func(kc *kctx) *kvec {
 		l, r := lf(kc), rf(kc)
 		n := kc.n
-		errs := kOr(l.errs, r.errs)
-		null := kAndNot(kOr(l.null, r.null), errs)
-		res := make([]int64, n)
+		errs := kc.or(l.errs, r.errs)
+		null := kc.andNot(kc.or(l.null, r.null), errs)
+		res := kc.ints.take(n)
 		a, b := l.ints[:n], r.ints[:n]
 		var zero kbits
 		switch op {
@@ -597,7 +602,7 @@ func (c *kernCompiler) intArith(op string, lf, rf kfn) kfn {
 			for i := 0; i < n; i++ {
 				if b[i] == 0 {
 					if zero == nil {
-						zero = newKbits(n)
+						zero = kc.bits(n)
 					}
 					zero.set(i)
 					continue
@@ -608,7 +613,7 @@ func (c *kernCompiler) intArith(op string, lf, rf kfn) kfn {
 			for i := 0; i < n; i++ {
 				if b[i] == 0 {
 					if zero == nil {
-						zero = newKbits(n)
+						zero = kc.bits(n)
 					}
 					zero.set(i)
 					continue
@@ -619,9 +624,9 @@ func (c *kernCompiler) intArith(op string, lf, rf kfn) kfn {
 		if zero != nil {
 			// A zero divisor only errors on rows that were live: a null
 			// operand already made the row null (its lane slot is 0).
-			ne := kAndNot(kAndNot(zero, null), errs)
+			ne := kc.andNot(kc.andNot(zero, null), errs)
 			if kAny(ne) {
-				errs = kOr(errs, ne)
+				errs = kc.or(errs, ne)
 			}
 		}
 		return &kvec{kind: types.Int, ints: res, null: null, errs: errs}
@@ -634,9 +639,9 @@ func (c *kernCompiler) floatArith(op string, lf, rf kfn) kfn {
 	return func(kc *kctx) *kvec {
 		l, r := lf(kc), rf(kc)
 		n := kc.n
-		errs := kOr(l.errs, r.errs)
-		null := kAndNot(kOr(l.null, r.null), errs)
-		res := make([]float64, n)
+		errs := kc.or(l.errs, r.errs)
+		null := kc.andNot(kc.or(l.null, r.null), errs)
+		res := kc.floats.take(n)
 		a, b := l.floats[:n], r.floats[:n]
 		var zero kbits
 		switch op {
@@ -656,7 +661,7 @@ func (c *kernCompiler) floatArith(op string, lf, rf kfn) kfn {
 			for i := 0; i < n; i++ {
 				if b[i] == 0 {
 					if zero == nil {
-						zero = newKbits(n)
+						zero = kc.bits(n)
 					}
 					zero.set(i)
 					continue
@@ -665,9 +670,9 @@ func (c *kernCompiler) floatArith(op string, lf, rf kfn) kfn {
 			}
 		}
 		if zero != nil {
-			ne := kAndNot(kAndNot(zero, null), errs)
+			ne := kc.andNot(kc.andNot(zero, null), errs)
 			if kAny(ne) {
-				errs = kOr(errs, ne)
+				errs = kc.or(errs, ne)
 			}
 		}
 		return &kvec{kind: types.Float, floats: res, null: null, errs: errs}
@@ -681,9 +686,9 @@ func (c *kernCompiler) floatCompare(op string, lf, rf kfn) kfn {
 	return func(kc *kctx) *kvec {
 		l, r := lf(kc), rf(kc)
 		n := kc.n
-		errs := kOr(l.errs, r.errs)
-		null := kAndNot(kOr(l.null, r.null), errs)
-		t := newKbits(n)
+		errs := kc.or(l.errs, r.errs)
+		null := kc.andNot(kc.or(l.null, r.null), errs)
+		t := kc.bits(n)
 		a, b := l.floats[:n], r.floats[:n]
 		switch op {
 		case "<":
@@ -723,7 +728,7 @@ func (c *kernCompiler) floatCompare(op string, lf, rf kfn) kfn {
 				}
 			}
 		}
-		t = kAndNot(kAndNot(t, null), errs)
+		t = kc.andNot(kc.andNot(t, null), errs)
 		return &kvec{kind: types.Bool, t: t, null: null, errs: errs}
 	}
 }
@@ -734,9 +739,9 @@ func (c *kernCompiler) textEq(neq bool, lf, rf kfn) kfn {
 	return func(kc *kctx) *kvec {
 		l, r := lf(kc), rf(kc)
 		n := kc.n
-		errs := kOr(l.errs, r.errs)
-		null := kAndNot(kOr(l.null, r.null), errs)
-		t := newKbits(n)
+		errs := kc.or(l.errs, r.errs)
+		null := kc.andNot(kc.or(l.null, r.null), errs)
+		t := kc.bits(n)
 		a, b := l.strs[:n], r.strs[:n]
 		if neq {
 			for i := 0; i < n; i++ {
@@ -751,7 +756,7 @@ func (c *kernCompiler) textEq(neq bool, lf, rf kfn) kfn {
 				}
 			}
 		}
-		t = kAndNot(kAndNot(t, null), errs)
+		t = kc.andNot(kc.andNot(t, null), errs)
 		return &kvec{kind: types.Bool, t: t, null: null, errs: errs}
 	}
 }
@@ -759,39 +764,25 @@ func (c *kernCompiler) textEq(neq bool, lf, rf kfn) kfn {
 // ---------------------------------------------------------------------
 // Drivers.
 
-// kernelEligible gates kernel use: kernels are a compiled fast path
-// (compileOff ablates them with the rest), columnarOff ablates them
-// alone, and small row-major relations are not worth encoding.
-func kernelEligible(r *Relation) bool {
-	if columnarOff.Load() || compileOff.Load() {
-		return false
-	}
-	n := r.Len()
-	if n == 0 {
-		return false
-	}
-	if r.cols == nil && n < kernelMinRows {
-		return false
-	}
-	return true
-}
-
 // kernelRows evaluates every restriction of the pipeline over r's
 // chunks with selection-vector composition: step k runs only against
 // rows still selected when entering it (its errors on already-dropped
 // rows are ignored, mirroring the row path's short-circuit), and error
 // rows re-evaluate row-wise through evalRow in ascending order,
 // preserving the exact error and its step. ok=false declines to the row
-// path: every pipeline step must kernel-compile, or none runs.
+// path: every pipeline step must kernel-compile, or none runs. Kernels
+// are a compiled fast path (compileOff ablates them with the rest),
+// columnarOff ablates them alone, and an empty relation has no chunk to
+// run them over.
 func (sh *fusedShape) kernelRows(r *Relation, workers int) ([]int, bool, error) {
-	if !kernelEligible(r) {
+	if columnarOff.Load() || compileOff.Load() || r.Len() == 0 {
 		return nil, false, nil
 	}
-	cs := r.columnar()
-	progs := make([]*kernProg, len(sh.preds))
+	cs := r.cols
+	progs := make([]kfn, len(sh.preds))
 	for i, fp := range sh.preds {
 		sc := kernScope{schema: fp.shape.schema, colMap: fp.colMap, computed: fp.shape.computed}
-		p, ok := kernelCompilePred(fp.pred.node, sc, cs.chunkRows)
+		p, ok := kernelCompilePred(fp.pred.node, sc)
 		if !ok {
 			return nil, false, nil
 		}
@@ -805,7 +796,7 @@ func (sh *fusedShape) kernelRows(r *Relation, workers int) ([]int, bool, error) 
 	}
 	chunkKeep := make([][]int, nchunks)
 	err := runChunks(nchunks, w, func(_, lo, hi int) error {
-		var kc kctx
+		kc := kctxPool.Get().(*kctx)
 		var sc evalScratch
 		var tup []types.Value
 		for ci := lo; ci < hi; ci++ {
@@ -816,18 +807,18 @@ func (sh *fusedShape) kernelRows(r *Relation, workers int) ([]int, bool, error) 
 			base, _ := cs.chunkSpan(ci)
 			kc.reset(ck)
 			cn := kc.n
-			sel := onesKbits(cn)
+			sel := kc.ones(cn)
 			var fallback kbits
 			for _, prog := range progs {
-				v := prog.root(&kc)
+				v := prog(kc)
 				if v.errs != nil {
-					if nf := kAnd(v.errs, sel); kAny(nf) {
-						fallback = kOr(fallback, nf)
+					if nf := kc.and(v.errs, sel); kAny(nf) {
+						fallback = kc.or(fallback, nf)
 					}
 				}
-				sel = kAnd(sel, v.t)
+				sel = kc.and(sel, v.t)
 				if fallback != nil {
-					sel = kAndNot(sel, fallback)
+					sel = kc.andNot(sel, fallback)
 				}
 			}
 			keep := make([]int, 0, cn/4+8)
@@ -858,6 +849,9 @@ func (sh *fusedShape) kernelRows(r *Relation, workers int) ([]int, bool, error) 
 			}
 			chunkKeep[ci] = keep
 		}
+		kc.c = nil // a pooled context must not pin the last chunk it read
+		clear(kc.memo)
+		kctxPool.Put(kc)
 		return nil
 	})
 	if err != nil {

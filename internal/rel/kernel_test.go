@@ -73,19 +73,40 @@ func kernelRelation(t testing.TB, n int) *Relation {
 	return r
 }
 
-// asChunkBacked rebuilds r as a chunk-backed relation (lazily encoded
-// from its frozen tuples) with the given chunk size, carrying the
-// computed attributes over.
+// asChunkBacked rebuilds r as a chunk-backed relation with the given
+// chunk size, its chunks round-tripped through the segment encoding and
+// faulted in lazily, carrying the computed attributes over.
 func asChunkBacked(t testing.TB, r *Relation, chunkRows int) *Relation {
 	t.Helper()
-	out, err := FromChunkSource(r.name+"_chunks", r.schema,
-		&rowChunkSource{schema: r.schema, tuples: r.tuples, chunkRows: chunkRows})
+	src := &decodedSource{chunkRows: chunkRows, rows: r.Len()}
+	for lo := 0; lo < r.Len(); lo += chunkRows {
+		b := newChunkBuilder(r.schema, chunkRows)
+		for i := lo; i < min(lo+chunkRows, r.Len()); i++ {
+			if err := b.appendRow(r.Tuple(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		src.images = append(src.images, appendChunk(nil, b.finish()))
+	}
+	out, err := FromChunkSource(r.name+"_chunks", r.schema, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out.computed = append([]Computed(nil), r.computed...)
 	return out
 }
+
+// decodedSource serves chunks decoded from their encoded images on
+// every read, as a segment does.
+type decodedSource struct {
+	images          [][]byte
+	chunkRows, rows int
+}
+
+func (s *decodedSource) NumChunks() int                  { return len(s.images) }
+func (s *decodedSource) ChunkRows() int                  { return s.chunkRows }
+func (s *decodedSource) Rows() int                       { return s.rows }
+func (s *decodedSource) ReadChunk(i int) (*Chunk, error) { return decodeChunk(s.images[i]) }
 
 // kernelPreds is the differential corpus. kernel marks predicates the
 // chunk kernel is expected to accept; the rest must reject cleanly and

@@ -53,17 +53,14 @@ func Restrict(r *Relation, pred expr.Node) (*Relation, error) {
 }
 
 // takeRows fills a freshly derived out with rows of src, in the given
-// order, sharing tuple storage where src has any, and records them as
-// out's provenance.
+// order, gathered column by column into pinned chunks, and records them
+// as out's provenance.
 func takeRows(out, src *Relation, rows []int) error {
-	out.tuples = make([][]types.Value, len(rows))
-	rd := src.reader()
-	for i, row := range rows {
-		out.tuples[i] = rd.take(row)
-	}
-	if err := rd.Err(); err != nil {
+	cs, err := gatherStore(out.schema, 0, part{src.cols, rows, identityMap(src.schema.Len())})
+	if err != nil {
 		return err
 	}
+	out.cols = cs
 	out.setProv(src, rows)
 	return nil
 }
@@ -159,26 +156,15 @@ func Sample(r *Relation, p float64, seed int64) (*Relation, error) {
 	obs.Inc(obs.RelSamples)
 	rng := rand.New(rand.NewSource(seed))
 	out := r.derive(r.schema, true)
-	// Expected output size is p·n; pad a little so typical draws append
-	// without growing.
-	n := r.Len()
-	est := int(float64(n)*p) + 16
-	if est > n {
-		est = n
-	}
-	out.tuples = make([][]types.Value, 0, est)
-	rows := make([]int, 0, est)
-	rd := r.reader()
-	for i := 0; i < n; i++ {
+	var rows []int
+	for i, n := 0, r.Len(); i < n; i++ {
 		if rng.Float64() < p {
-			out.tuples = append(out.tuples, rd.take(i))
 			rows = append(rows, i)
 		}
 	}
-	if err := rd.Err(); err != nil {
+	if err := takeRows(out, r, rows); err != nil {
 		return nil, fmt.Errorf("rel: sample: %w", err)
 	}
-	out.setProv(r, rows)
 	return out, nil
 }
 
@@ -218,7 +204,7 @@ func joinShape(l, r *Relation) (*Relation, map[string]string, error) {
 		return nil, nil, fmt.Errorf("rel: join: %w", err)
 	}
 
-	out := &Relation{schema: schema}
+	out := New("", schema)
 	// Carry computed attributes that still resolve.
 	for _, src := range [][]Computed{l.computed, r.computed} {
 		for _, c := range src {
@@ -252,18 +238,32 @@ func Join(l, r *Relation, pred expr.Node, strategy JoinStrategy) (*Relation, err
 		return nil, fmt.Errorf("rel: join predicate: %w", err)
 	}
 	res := newJoinResidual(out, pred)
-	emit := func(_, _ int, lt, rt []types.Value) {
-		out.tuples = append(out.tuples, joinTuple(lt, rt))
+	// The kept pairs' rows, gathered column by column into the output
+	// once the scan is done.
+	var lrows, rrows []int
+	done := func() (*Relation, error) {
+		var err error
+		out.cols, err = gatherStore(out.schema, 0, part{l.cols, lrows, identityMap(l.schema.Len())}, part{r.cols, rrows, identityMap(r.schema.Len())})
+		if err != nil {
+			return nil, fmt.Errorf("rel: join: %w", err)
+		}
+		obs.Add(obs.RelJoinRowsOut, int64(out.Len()))
+		return out, nil
 	}
 
 	if strategy == JoinAuto || strategy == JoinHash {
 		if la, ra, ok := equiKey(pred, l, r, rRename); ok {
 			obs.Inc(obs.RelJoinHash)
-			if _, err := hashJoin(l, r, l.schema.Index(la), r.schema.Index(ra), res, emit); err != nil {
+			h, err := hashJoin(l, r, l.schema.Index(la), r.schema.Index(ra), res, func(prow, brow int) {
+				lrows, rrows = append(lrows, prow), append(rrows, brow)
+			})
+			if err != nil {
 				return nil, fmt.Errorf("rel: join: %w", err)
 			}
-			obs.Add(obs.RelJoinRowsOut, int64(len(out.tuples)))
-			return out, nil
+			if !h.buildIsRight {
+				lrows, rrows = rrows, lrows
+			}
+			return done()
 		}
 		if strategy == JoinHash {
 			return nil, fmt.Errorf("rel: join: hash strategy requires an equality predicate between the inputs")
@@ -281,7 +281,7 @@ func Join(l, r *Relation, pred expr.Node, strategy JoinStrategy) (*Relation, err
 				return nil, fmt.Errorf("rel: join: %w", err)
 			}
 			if keep {
-				emit(i, j, lt, rt)
+				lrows, rrows = append(lrows, i), append(rrows, j)
 			}
 		}
 	}
@@ -291,8 +291,7 @@ func Join(l, r *Relation, pred expr.Node, strategy JoinStrategy) (*Relation, err
 	if err := rrd.Err(); err != nil {
 		return nil, fmt.Errorf("rel: join: %w", err)
 	}
-	obs.Add(obs.RelJoinRowsOut, int64(len(out.tuples)))
-	return out, nil
+	return done()
 }
 
 // joinResidual evaluates a join predicate over candidate (lt, rt) pairs,
@@ -401,9 +400,10 @@ func (h *hashBuild) sides(ptup, btup []types.Value) (lt, rt []types.Value) {
 // builds on the right unless the left is strictly smaller, buckets the
 // build side's non-null keys in row order, then probes in probe-row
 // order, calling emit for each pair the residual keeps — probe-major,
-// bucket order within a probe row. It returns the build side for
-// incremental maintenance (JoinState).
-func hashJoin(l, r *Relation, li, ri int, res *joinResidual, emit func(prow, brow int, lt, rt []types.Value)) (*hashBuild, error) {
+// bucket order within a probe row. A probe row is decoded only when its
+// key's bucket is non-empty. It returns the build side for incremental
+// maintenance (JoinState).
+func hashJoin(l, r *Relation, li, ri int, res *joinResidual, emit func(prow, brow int)) (*hashBuild, error) {
 	h := &hashBuild{bi: ri, pi: li, buildIsRight: true}
 	if l.Len() < r.Len() {
 		h.bi, h.pi, h.buildIsRight = li, ri, false
@@ -422,19 +422,23 @@ func hashJoin(l, r *Relation, li, ri int, res *joinResidual, emit func(prow, bro
 	prd := probe.reader()
 	bget := build.reader() // random access into build during probe
 	for prow, n := 0, probe.Len(); prow < n; prow++ {
-		ptup := prd.at(prow)
-		v := ptup[h.pi]
+		v := prd.value(prow, h.pi)
 		if v.IsNull() {
 			continue
 		}
-		for _, brow := range h.table[keyOf(v)] {
+		bucket := h.table[keyOf(v)]
+		if len(bucket) == 0 {
+			continue
+		}
+		ptup := prd.at(prow)
+		for _, brow := range bucket {
 			lt, rt := h.sides(ptup, bget.at(brow))
 			keep, err := res.keep(lt, rt)
 			if err != nil {
 				return nil, err
 			}
 			if keep {
-				emit(prow, brow, lt, rt)
+				emit(prow, brow)
 			}
 		}
 	}
@@ -549,19 +553,19 @@ func Union(rels ...*Relation) (*Relation, error) {
 		}
 	}
 	out := rels[0].derive(rels[0].schema, true)
+	sb := &storeBuilder{schema: out.schema}
 	for _, r := range rels {
-		if r.cols == nil {
-			out.tuples = append(out.tuples, r.tuples...)
-			continue
-		}
 		rd := r.reader()
 		for i, n := 0, r.Len(); i < n; i++ {
-			out.tuples = append(out.tuples, rd.take(i))
+			if err := sb.appendRow(rd.at(i)); err != nil {
+				return nil, fmt.Errorf("rel: union: %w", err)
+			}
 		}
 		if err := rd.Err(); err != nil {
 			return nil, fmt.Errorf("rel: union: %w", err)
 		}
 	}
+	out.cols = sb.finish()
 	return out, nil
 }
 
@@ -585,13 +589,13 @@ func Partition(r *Relation, preds []expr.Node) ([]*Relation, error) {
 	rd := r.reader()
 	var sc evalScratch
 	for ti, n := 0, r.Len(); ti < n; ti++ {
+		t := rd.at(ti)
 		for pi, cp := range cps {
-			keep, err := cp.eval(rd.at(ti), &sc)
+			keep, err := cp.eval(t, &sc)
 			if err != nil {
 				return nil, fmt.Errorf("rel: partition: %w", err)
 			}
 			if keep {
-				outs[pi].tuples = append(outs[pi].tuples, rd.take(ti))
 				rows[pi] = append(rows[pi], ti)
 				break
 			}
@@ -601,7 +605,9 @@ func Partition(r *Relation, preds []expr.Node) ([]*Relation, error) {
 		return nil, fmt.Errorf("rel: partition: %w", err)
 	}
 	for pi := range outs {
-		outs[pi].setProv(r, rows[pi])
+		if err := takeRows(outs[pi], r, rows[pi]); err != nil {
+			return nil, fmt.Errorf("rel: partition: %w", err)
+		}
 	}
 	return outs, nil
 }
@@ -625,33 +631,40 @@ func MapColumn(r *Relation, col string, def expr.Node) (*Relation, error) {
 		return nil, err
 	}
 	out := r.derive(schema, true)
-	n := r.Len()
-	out.tuples = make([][]types.Value, n)
-	rows := make([]int, n)
-	// Chunk-parallel above the row threshold: chunks write disjoint index
-	// ranges of the preallocated output, so order is deterministic by
+	// Chunk-parallel above the row threshold: each source chunk maps to
+	// the output chunk at the same position, so order is deterministic by
 	// construction.
+	cs := r.cols
+	slots := make([]*chunkSlot, len(cs.slots))
 	ce := r.compileExpr(def)
-	err = runChunks(n, scanChunks(n, 0), func(c, lo, hi int) error {
+	err = runChunks(len(slots), min(scanChunks(cs.rows, 0), len(slots)), func(_, lo, hi int) error {
 		var sc evalScratch
-		rd := r.reader()
-		for i := lo; i < hi; i++ {
-			t := rd.at(i)
-			v, err := ce.eval(t, &sc)
+		var t []types.Value
+		for k := lo; k < hi; k++ {
+			ck, err := cs.chunk(k)
 			if err != nil {
-				return fmt.Errorf("rel: map column %q row %d: %w", col, i, err)
+				return err
 			}
-			nt := append([]types.Value(nil), t...)
-			nt[ci] = v
-			out.tuples[i] = nt
-			rows[i] = i
+			base, _ := cs.chunkSpan(k)
+			b := newChunkBuilder(schema, ck.rows)
+			for i := 0; i < ck.rows; i++ {
+				t = ck.DecodeRow(i, t[:0])
+				if t[ci], err = ce.eval(t, &sc); err == nil {
+					err = b.appendRow(t)
+				}
+				if err != nil {
+					return fmt.Errorf("rel: map column %q row %d: %w", col, base+i, err)
+				}
+			}
+			slots[k] = pinnedSlot(b.finish())
 		}
-		return rd.Err()
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out.setProv(r, rows)
+	out.cols = &colStore{schema: schema, slots: slots, rows: cs.rows, chunkRows: cs.chunkRows}
+	out.setProv(r, identityMap(cs.rows))
 	return out, nil
 }
 
@@ -675,18 +688,10 @@ func SwapColumns(r *Relation, a, b string) (*Relation, error) {
 		return nil, err
 	}
 	out := r.derive(schema, true)
-	out.tuples = r.tuples
-	if r.cols != nil {
-		// Share chunk storage under the renamed schema: the swap only
-		// touches names, and chunks store no names, so the slots carry
-		// over untouched.
-		out.cols = &colStore{schema: schema, slots: r.cols.slots, rows: r.cols.rows, chunkRows: r.cols.chunkRows}
-	}
-	rows := make([]int, r.Len())
-	for i := range rows {
-		rows[i] = i
-	}
-	out.setProv(r, rows)
+	// Share chunk storage under the renamed schema: the swap only touches
+	// names, and chunks store no names, so the slots carry over untouched.
+	out.cols = &colStore{schema: schema, slots: r.cols.slots, rows: r.cols.rows, chunkRows: r.cols.chunkRows}
+	out.setProv(r, identityMap(r.Len()))
 	return out, nil
 }
 
@@ -752,13 +757,14 @@ func Distinct(r *Relation) (*Relation, error) {
 			continue
 		}
 		seen[key] = true
-		out.tuples = append(out.tuples, rd.take(i))
 		rows = append(rows, i)
 	}
 	if err := rd.Err(); err != nil {
 		return nil, fmt.Errorf("rel: distinct: %w", err)
 	}
-	out.setProv(r, rows)
+	if err := takeRows(out, r, rows); err != nil {
+		return nil, fmt.Errorf("rel: distinct: %w", err)
+	}
 	return out, nil
 }
 
@@ -772,22 +778,8 @@ func Limit(r *Relation, n int) (*Relation, error) {
 		n = r.Len()
 	}
 	out := r.derive(r.schema, true)
-	if r.cols == nil {
-		out.tuples = r.tuples[:n]
-	} else {
-		out.tuples = make([][]types.Value, n)
-		rd := r.reader()
-		for i := 0; i < n; i++ {
-			out.tuples[i] = rd.take(i)
-		}
-		if err := rd.Err(); err != nil {
-			return nil, fmt.Errorf("rel: limit: %w", err)
-		}
+	if err := takeRows(out, r, identityMap(n)); err != nil {
+		return nil, fmt.Errorf("rel: limit: %w", err)
 	}
-	rows := make([]int, n)
-	for i := range rows {
-		rows[i] = i
-	}
-	out.setProv(r, rows)
 	return out, nil
 }

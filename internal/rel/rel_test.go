@@ -524,7 +524,7 @@ func TestRowEnvMissingAttr(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	r := testRelation(t)
-	c := r.Clone()
+	c := r.CowClone()
 	if err := c.Update(0, "salary", types.NewFloat(1)); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -33,29 +34,20 @@ type Computed struct {
 }
 
 // Relation is a table: a stored schema, tuple storage, computed
-// attributes, and optional secondary indexes on stored columns. Derived
-// relations produced by operators share immutable tuple storage with their
-// inputs where possible; only the db package mutates base tables, through
-// Relation's update hooks.
+// attributes, and optional secondary indexes on stored columns. Only the
+// db package mutates base tables, through Relation's update hooks.
 type Relation struct {
 	name     string
 	schema   *Schema
-	tuples   [][]types.Value
 	computed []Computed
 	indexes  map[string]*btree.Tree
-	// cols, when non-nil, is the authoritative tuple storage: typed
-	// columnar chunks (tuples stays nil). Chunk-backed relations come
-	// from persistent backends via FromChunkSource; their chunks fault
-	// in lazily through the bounded chunk cache. colStore values are
-	// immutable, so CoW here is plain pointer replacement: mutators
-	// install a new store sharing every untouched chunk slot.
+	// cols is the tuple storage: typed columnar chunks. Resident tables
+	// and operator outputs hold pinned chunks; relations opened from a
+	// persistent backend (FromChunkSource) fault theirs in lazily through
+	// the bounded chunk cache. colStore values are immutable, so CoW is
+	// plain pointer replacement: mutators install a new store sharing
+	// every untouched chunk slot.
 	cols *colStore
-	// colview caches a lazily-encoded columnar view of a row-major
-	// relation, keyed by generation, so compiled predicate kernels can
-	// run over contiguous arrays without the relation itself migrating.
-	// The view's chunks are encoded on demand from the (immutable at
-	// this generation) tuple slices and are freely evictable.
-	colview atomic.Pointer[colView]
 	// provenance: when set, tuple i of this relation derives from tuple
 	// provRows[i] of provBase. Operators that keep tuples intact
 	// (Restrict, Sample, Sort, Project, column maps) maintain it so a
@@ -115,16 +107,43 @@ func (r *Relation) BaseRow(i int) (*Relation, int) {
 	return r.provBase, r.provRows[i]
 }
 
-// colView pairs a derived columnar encoding with the generation it was
-// built from.
-type colView struct {
-	gen int64
-	cs  *colStore
-}
-
 // New creates an empty relation with the given schema.
 func New(name string, schema *Schema) *Relation {
-	return &Relation{name: name, schema: schema}
+	return &Relation{name: name, schema: schema, cols: &colStore{schema: schema, chunkRows: DefaultChunkRows}}
+}
+
+// Builder encodes a new relation's tuples chunk by chunk in one pass,
+// for producers that create a whole table at once, such as the workload
+// generators. Append on an existing relation is the incremental path.
+type Builder struct {
+	name string
+	sb   *storeBuilder
+}
+
+// NewBuilder starts an empty relation with the given schema.
+func NewBuilder(name string, schema *Schema) *Builder {
+	return &Builder{name: name, sb: &storeBuilder{schema: schema}}
+}
+
+// Append adds a tuple, checked like Relation.Append.
+func (b *Builder) Append(tuple []types.Value) error {
+	if err := b.sb.appendRow(tuple); err != nil {
+		return fmt.Errorf("rel: %s: %w", b.name, err)
+	}
+	return nil
+}
+
+// MustAppend is Append that panics on error, for fixtures and generators.
+func (b *Builder) MustAppend(tuple []types.Value) {
+	if err := b.Append(tuple); err != nil {
+		panic(err)
+	}
+}
+
+// Relation returns the built relation. The builder must not be used
+// afterwards.
+func (b *Builder) Relation() *Relation {
+	return &Relation{name: b.name, schema: b.sb.schema, cols: b.sb.finish()}
 }
 
 // FromChunkSource creates a chunk-backed relation over src: tuple
@@ -133,8 +152,8 @@ func New(name string, schema *Schema) *Relation {
 // memory quota. The relation participates in the normal CoW/versioning
 // discipline — Append and Update replace only the affected chunk.
 func FromChunkSource(name string, schema *Schema, src ChunkSource) (*Relation, error) {
-	if src.ChunkRows() <= 0 {
-		return nil, fmt.Errorf("rel: %s: chunk source reports %d rows per chunk", name, src.ChunkRows())
+	if src.ChunkRows() <= 0 || src.Rows() < 0 {
+		return nil, fmt.Errorf("rel: %s: chunk source reports %d rows at %d per chunk", name, src.Rows(), src.ChunkRows())
 	}
 	want := (src.Rows() + src.ChunkRows() - 1) / src.ChunkRows()
 	if src.NumChunks() != want {
@@ -144,61 +163,10 @@ func FromChunkSource(name string, schema *Schema, src ChunkSource) (*Relation, e
 	return &Relation{name: name, schema: schema, cols: newColStore(schema, src)}, nil
 }
 
-// ChunkBacked reports whether tuple storage is columnar chunks (true
-// for relations loaded through a persistent backend) rather than
-// resident row-major slices.
-func (r *Relation) ChunkBacked() bool { return r.cols != nil }
-
-// columnar returns a columnar view of the relation: the authoritative
-// store for chunk-backed relations, or a generation-keyed lazily-encoded
-// view for row-major ones. The view encodes chunks on demand, so taking
-// it is cheap; kernels that never touch a chunk never pay for it.
-func (r *Relation) columnar() *colStore {
-	if r.cols != nil {
-		return r.cols
-	}
-	g := r.Generation()
-	if v := r.colview.Load(); v != nil && v.gen == g {
-		return v.cs
-	}
-	cs := buildColStore(r.schema, r.tuples, DefaultChunkRows)
-	r.colview.Store(&colView{gen: g, cs: cs})
-	return cs
-}
-
-// storedValue reads stored column col of row i through whichever
-// storage the relation uses. Chunk read errors (possible only on
-// file-backed sources) degrade to null here; scan paths use rowReader,
-// which carries a sticky error instead.
-func (r *Relation) storedValue(i, col int) types.Value {
-	if r.cols == nil {
-		return r.tuples[i][col]
-	}
-	v, err := r.cols.value(i, col)
-	if err != nil {
-		return types.Null
-	}
-	return v
-}
-
-// tupleAt materializes row i from whichever storage the relation uses.
-func (r *Relation) tupleAt(i int) ([]types.Value, error) {
-	if r.cols == nil {
-		return r.tuples[i], nil
-	}
-	ci, off := r.cols.rowChunk(i)
-	c, err := r.cols.chunk(ci)
-	if err != nil {
-		return nil, err
-	}
-	return c.DecodeRow(off, make([]types.Value, 0, r.schema.Len())), nil
-}
-
-// rowReader is sequential row access for scan loops. For row-major
-// relations it is a bounds-checked slice read; for chunk-backed ones it
-// decodes a chunk at a time, pinning the current chunk so eviction
-// cannot pull the arrays out from under the scan. Readers are cheap;
-// parallel scans make one per worker.
+// rowReader is sequential row access for scan loops. It decodes a chunk
+// at a time, holding the current chunk so eviction cannot pull the
+// arrays out from under the scan. Readers are cheap; parallel scans make
+// one per worker.
 type rowReader struct {
 	r          *Relation
 	ck         *Chunk
@@ -208,17 +176,19 @@ type rowReader struct {
 }
 
 // reader returns a fresh rowReader over r.
-func (r *Relation) reader() rowReader { return rowReader{r: r, ckLo: -1, ckHi: -1} }
+func (r *Relation) reader() rowReader { return rowReader{r: r} }
 
-// seek positions the reader's chunk window over row i.
-func (rd *rowReader) seek(i int) bool {
+// hold positions the reader's chunk window over row i, reporting false
+// — and recording the error for Err — when the chunk cannot be read.
+func (rd *rowReader) hold(i int) bool {
+	if i >= rd.ckLo && i < rd.ckHi {
+		return true
+	}
 	cs := rd.r.cols
 	ci, _ := cs.rowChunk(i)
 	c, err := cs.chunk(ci)
 	if err != nil {
-		if rd.err == nil {
-			rd.err = err
-		}
+		rd.err = cmp.Or(rd.err, err)
 		return false
 	}
 	rd.ck = c
@@ -226,64 +196,28 @@ func (rd *rowReader) seek(i int) bool {
 	return true
 }
 
-// at returns row i. For chunk-backed relations the slice is a scratch
-// buffer valid only until the next at call; use take when the tuple is
-// retained. On a chunk read error it returns a null-filled row and
-// records the error for Err.
+// at returns row i in a scratch buffer valid only until the next at
+// call. On a chunk read error it returns a null-filled row.
 func (rd *rowReader) at(i int) []types.Value {
-	if rd.r.cols == nil {
-		return rd.r.tuples[i]
-	}
-	if i < rd.ckLo || i >= rd.ckHi {
-		if !rd.seek(i) {
-			return rd.nullRow()
-		}
+	if !rd.hold(i) {
+		rd.buf = append(rd.buf[:0], make([]types.Value, rd.r.schema.Len())...)
+		return rd.buf
 	}
 	rd.buf = rd.ck.DecodeRow(i-rd.ckLo, rd.buf[:0])
 	return rd.buf
 }
 
-// take returns row i as a slice safe to retain and share: the stored
-// slice itself for row-major relations (frozen by convention), a fresh
-// decode for chunk-backed ones.
-func (rd *rowReader) take(i int) []types.Value {
-	if rd.r.cols == nil {
-		return rd.r.tuples[i]
-	}
-	if i < rd.ckLo || i >= rd.ckHi {
-		if !rd.seek(i) {
-			return rd.nullRow()
-		}
-	}
-	return rd.ck.DecodeRow(i-rd.ckLo, make([]types.Value, 0, rd.r.schema.Len()))
-}
-
-// value reads one stored column of row i without decoding the row.
+// value reads one stored column of row i without decoding the row; a
+// chunk read error reads as null.
 func (rd *rowReader) value(i, col int) types.Value {
-	if rd.r.cols == nil {
-		return rd.r.tuples[i][col]
-	}
-	if i < rd.ckLo || i >= rd.ckHi {
-		if !rd.seek(i) {
-			return types.Null
-		}
+	if !rd.hold(i) {
+		return types.Null
 	}
 	return rd.ck.Value(col, i-rd.ckLo)
 }
 
 // Err reports the first chunk read error the reader hit, if any.
 func (rd *rowReader) Err() error { return rd.err }
-
-func (rd *rowReader) nullRow() []types.Value {
-	if cap(rd.buf) < rd.r.schema.Len() {
-		rd.buf = make([]types.Value, rd.r.schema.Len())
-	}
-	rd.buf = rd.buf[:rd.r.schema.Len()]
-	for i := range rd.buf {
-		rd.buf[i] = types.Null
-	}
-	return rd.buf
-}
 
 // Name returns the relation's name ("" for anonymous derived relations).
 func (r *Relation) Name() string { return r.name }
@@ -292,12 +226,7 @@ func (r *Relation) Name() string { return r.name }
 func (r *Relation) Schema() *Schema { return r.schema }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int {
-	if r.cols != nil {
-		return r.cols.rows
-	}
-	return len(r.tuples)
-}
+func (r *Relation) Len() int { return r.cols.rows }
 
 // Computed returns the computed attribute definitions in order.
 func (r *Relation) Computed() []Computed { return append([]Computed(nil), r.computed...) }
@@ -338,25 +267,12 @@ func (r *Relation) AttrNames() []string {
 // Append adds a tuple. The tuple must match the schema arity and types
 // (null is accepted in any column).
 func (r *Relation) Append(tuple []types.Value) error {
-	if len(tuple) != r.schema.Len() {
-		return fmt.Errorf("rel: %s: tuple arity %d != schema arity %d", r.name, len(tuple), r.schema.Len())
-	}
-	for i, v := range tuple {
-		if !v.IsNull() && v.Kind() != r.schema.Col(i).Kind {
-			return fmt.Errorf("rel: %s: column %q wants %s, got %s",
-				r.name, r.schema.Col(i).Name, r.schema.Col(i).Kind, v.Kind())
-		}
-	}
 	row := r.Len()
-	if r.cols != nil {
-		cs, err := r.cols.withAppend(tuple)
-		if err != nil {
-			return fmt.Errorf("rel: %s: %w", r.name, err)
-		}
-		r.cols = cs
-	} else {
-		r.tuples = append(r.tuples, tuple)
+	cs, err := r.cols.withAppend(tuple)
+	if err != nil {
+		return fmt.Errorf("rel: %s: %w", r.name, err)
 	}
+	r.cols = cs
 	for col, idx := range r.indexes {
 		v := tuple[r.schema.Index(col)]
 		if !v.IsNull() {
@@ -374,13 +290,13 @@ func (r *Relation) MustAppend(tuple []types.Value) {
 	}
 }
 
-// Tuple returns the i'th stored tuple. The returned slice must not be
-// mutated; use Update. For chunk-backed relations it decodes a fresh
-// slice; a chunk read error (file-backed sources only) panics, matching
-// the out-of-range behavior of the slice read — bulk paths that want an
-// error use a reader or Cursor instead.
+// Tuple returns the i'th stored tuple, decoded into a fresh slice that
+// is the caller's to keep; Update is the way to change the table. A
+// chunk read error (file-backed sources only) panics, like an
+// out-of-range row — bulk paths that want an error use a reader or
+// Cursor instead.
 func (r *Relation) Tuple(i int) []types.Value {
-	t, err := r.tupleAt(i)
+	t, err := r.cols.tuple(i)
 	if err != nil {
 		panic(fmt.Sprintf("rel: %s: reading tuple %d: %v", r.name, i, err))
 	}
@@ -404,7 +320,18 @@ func (r *Relation) Update(row int, col string, v types.Value) error {
 	if !v.IsNull() && v.Kind() != r.schema.Col(ci).Kind {
 		return fmt.Errorf("rel: %s: column %q wants %s, got %s", r.name, col, r.schema.Col(ci).Kind, v.Kind())
 	}
-	old := r.storedValue(row, ci)
+	nt, err := r.cols.tuple(row)
+	if err != nil {
+		return fmt.Errorf("rel: %s: %w", r.name, err)
+	}
+	old := nt[ci]
+	nt[ci] = v
+	// Copy-on-write the affected chunk; every other chunk slot, and every
+	// unchanged lane of this one, is shared with the previous version.
+	cs, err := r.cols.withRow(row, nt)
+	if err != nil {
+		return fmt.Errorf("rel: %s: %w", r.name, err)
+	}
 	if idx, ok := r.indexes[col]; ok {
 		if !old.IsNull() {
 			idx.Delete(old, row)
@@ -413,22 +340,7 @@ func (r *Relation) Update(row int, col string, v types.Value) error {
 			idx.Insert(v, row)
 		}
 	}
-	if r.cols != nil {
-		// Copy-on-write the affected chunk; every other chunk slot is
-		// shared with the previous version.
-		cs, err := r.cols.withUpdate(row, ci, v)
-		if err != nil {
-			return fmt.Errorf("rel: %s: %w", r.name, err)
-		}
-		r.cols = cs
-		r.bumpGen()
-		return nil
-	}
-	// Copy-on-write the tuple so derived relations sharing storage keep a
-	// consistent view until re-evaluated.
-	nt := append([]types.Value(nil), r.tuples[row]...)
-	nt[ci] = v
-	r.tuples[row] = nt
+	r.cols = cs
 	r.bumpGen()
 	return nil
 }
@@ -565,58 +477,25 @@ func (r *Relation) ShallowClone() *Relation {
 	return &Relation{
 		name:     r.name,
 		schema:   r.schema,
-		tuples:   r.tuples,
 		cols:     r.cols,
 		computed: append([]Computed(nil), r.computed...),
 		provBase: r.provBase,
 		provRows: r.provRows,
 	}
-}
-
-// Clone returns a relation with copied tuple storage and attribute
-// definitions, used by the undo machinery and by Replace Box.
-func (r *Relation) Clone() *Relation {
-	out := &Relation{
-		name:     r.name,
-		schema:   r.schema,
-		computed: append([]Computed(nil), r.computed...),
-	}
-	if r.cols != nil {
-		// Chunks are immutable, so sharing the store IS a deep copy:
-		// no future mutation of either relation can reach the other.
-		out.cols = r.cols
-		return out
-	}
-	out.tuples = make([][]types.Value, len(r.tuples))
-	for i, t := range r.tuples {
-		out.tuples[i] = append([]types.Value(nil), t...)
-	}
-	return out
 }
 
 // CowClone returns a copy-on-write clone for the db write path: the
-// outer tuples slice, the computed-attribute list, and the secondary
-// indexes are fresh, while the per-row tuple slices are shared with the
-// original. Because Update already replaces a row's slice instead of
-// mutating it in place, any mutation applied to the clone — Append,
-// Update, computed-attribute edits, index maintenance — is invisible to
+// computed-attribute list and the secondary indexes are fresh, while the
+// tuple store is shared with the original. Stores are immutable — Append
+// and Update install a new store version sharing every untouched chunk
+// slot and lane — so any mutation applied to the clone is invisible to
 // holders of the original: the clone is the next version of the table,
-// the original remains an immutable snapshot. Cost is O(rows) pointer
-// copies plus an index copy, versus Clone's O(rows × cols) value
-// copies. The clone starts unstamped, so the first cache to observe it
-// receives a fresh generation. Chunk-backed storage needs no copy at
-// all: colStore values are immutable, so sharing the pointer is CoW —
-// mutators install a new store that shares every untouched chunk slot.
+// the original remains an immutable snapshot. Cost is the index copy;
+// tuple storage costs nothing until a write copies one chunk directory.
+// The clone starts unstamped, so the first cache to observe it receives
+// a fresh generation.
 func (r *Relation) CowClone() *Relation {
-	out := &Relation{
-		name:     r.name,
-		schema:   r.schema,
-		tuples:   append([][]types.Value(nil), r.tuples...),
-		cols:     r.cols,
-		computed: append([]Computed(nil), r.computed...),
-		provBase: r.provBase,
-		provRows: r.provRows,
-	}
+	out := r.ShallowClone()
 	if r.indexes != nil {
 		out.indexes = make(map[string]*btree.Tree, len(r.indexes))
 		for col, idx := range r.indexes {
@@ -627,29 +506,28 @@ func (r *Relation) CowClone() *Relation {
 }
 
 // derive builds an anonymous relation sharing this relation's computed
-// attributes but with new tuple storage; operators use it.
+// attributes but with new (for now empty) tuple storage; operators use
+// it and then install the store they build.
 func (r *Relation) derive(schema *Schema, keepComputed bool) *Relation {
-	out := &Relation{schema: schema}
+	out := New("", schema)
 	if keepComputed {
 		// Keep only computed attributes whose references survive in the
 		// new schema or in earlier surviving computed attributes.
 		for _, c := range r.computed {
 			ok := true
 			for _, ref := range expr.Refs(c.Expr) {
-				if !out.HasAttr(ref) && !schemaHas(schema, ref) {
+				if !out.HasAttr(ref) && !schema.Has(ref) {
 					ok = false
 					break
 				}
 			}
-			if ok && !schemaHas(schema, c.Name) {
+			if ok && !schema.Has(c.Name) {
 				out.computed = append(out.computed, c)
 			}
 		}
 	}
 	return out
 }
-
-func schemaHas(s *Schema, name string) bool { return s.Has(name) }
 
 // String renders a compact description for program-window labels.
 func (r *Relation) String() string {
@@ -687,7 +565,9 @@ func (w Row) Relation() *Relation { return w.rel }
 // AttrValue implements expr.Env.
 func (w Row) AttrValue(name string) (types.Value, bool) {
 	if i := w.rel.schema.Index(name); i >= 0 {
-		return w.rel.storedValue(w.idx, i), true
+		// A chunk read error (file-backed sources only) reads as null.
+		rd := w.rel.reader()
+		return rd.value(w.idx, i), true
 	}
 	for _, c := range w.rel.computed {
 		if c.Name == name {

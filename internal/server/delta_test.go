@@ -63,6 +63,9 @@ func TestUpdateOpStaleCodeOnWire(t *testing.T) {
 	srv, database, addr := newTestServer(t, 8, 6, 1)
 	c := attachClient(t, addr, 200, 150)
 	sess, _ := srv.Session("weather")
+	// The client's initial frame takes the session read lock; let it
+	// finish first, or the op below queues behind that frame for good.
+	c.waitFor(10*time.Second, "initial frame", func() bool { return len(c.frames) > 0 })
 
 	sess.mu.Lock()
 	if err := database.UpdateTuple("Stations", 0, "altitude", types.NewFloat(1)); err != nil {

@@ -12,7 +12,7 @@ import (
 
 // TestRenderChunkBackedUnderEvictionChurn is the satellite property for
 // the render path: a chunk-backed dataset roughly 4x the chunk-cache
-// quota must render pixel-identically to its row-major twin while
+// quota must render pixel-identically to its resident twin while
 // chunks fault and evict beneath the sweep cursors.
 func TestRenderChunkBackedUnderEvictionChurn(t *testing.T) {
 	const n = 24000
@@ -103,7 +103,7 @@ func TestRenderChunkBackedUnderEvictionChurn(t *testing.T) {
 
 	got := render(cb)
 	if !bytes.Equal(got, want) {
-		t.Fatal("chunk-backed render differs from row-major render under eviction churn")
+		t.Fatal("chunk-backed render differs from resident render under eviction churn")
 	}
 	st := rel.ChunkCacheStats()
 	if st.Peak > quota {

@@ -71,7 +71,7 @@ func StationsSchema() *rel.Schema {
 // state of interest).
 func Stations(n int, seed int64) *rel.Relation {
 	rng := rand.New(rand.NewSource(seed))
-	r := rel.New("Stations", StationsSchema())
+	r := rel.NewBuilder("Stations", StationsSchema())
 	for i := 0; i < n; i++ {
 		// Bias toward Louisiana: every 4th station.
 		var box int
@@ -102,7 +102,7 @@ func Stations(n int, seed int64) *rel.Relation {
 			built,
 		})
 	}
-	return r
+	return r.Relation()
 }
 
 // ObservationsSchema returns the schema of the Observations relation.
@@ -122,7 +122,7 @@ func ObservationsSchema() *rel.Schema {
 // non-negative with seasonal swing.
 func Observations(stations *rel.Relation, perStation int, seed int64) (*rel.Relation, error) {
 	rng := rand.New(rand.NewSource(seed))
-	out := rel.New("Observations", ObservationsSchema())
+	out := rel.NewBuilder("Observations", ObservationsSchema())
 	baseTemp := make(map[string]float64, len(stateBoxes))
 	basePrecip := make(map[string]float64, len(stateBoxes))
 	for _, b := range stateBoxes {
@@ -155,7 +155,7 @@ func Observations(stations *rel.Relation, perStation int, seed int64) (*rel.Rela
 			}
 		}
 	}
-	return out, nil
+	return out.Relation(), nil
 }
 
 // louisianaBorder is a coarse clockwise outline of Louisiana in
@@ -186,7 +186,7 @@ func MapSchema() *rel.Schema {
 
 // LouisianaMap returns the border-line relation for Louisiana.
 func LouisianaMap() *rel.Relation {
-	r := rel.New("LouisianaMap", MapSchema())
+	r := rel.NewBuilder("LouisianaMap", MapSchema())
 	for i := range louisianaBorder {
 		a := louisianaBorder[i]
 		b := louisianaBorder[(i+1)%len(louisianaBorder)]
@@ -198,7 +198,7 @@ func LouisianaMap() *rel.Relation {
 			types.NewFloat(round4(b[1] - a[1])),
 		})
 	}
-	return r
+	return r.Relation()
 }
 
 // SalesSchema returns the schema of the Sales relation used by the
@@ -219,7 +219,7 @@ var departments = []string{"toys", "shoes", "garden", "electronics"}
 // Sales generates n salespeople across departments.
 func Sales(n int, seed int64) *rel.Relation {
 	rng := rand.New(rand.NewSource(seed))
-	r := rel.New("Sales", SalesSchema())
+	r := rel.NewBuilder("Sales", SalesSchema())
 	for i := 0; i < n; i++ {
 		dept := departments[rng.Intn(len(departments))]
 		salary := 2000 + rng.Float64()*8000
@@ -233,7 +233,7 @@ func Sales(n int, seed int64) *rel.Relation {
 			hired,
 		})
 	}
-	return r
+	return r.Relation()
 }
 
 func round2(f float64) float64 { return math.Round(f*100) / 100 }
