@@ -14,7 +14,8 @@ import (
 // TestRenderFigure7WithTrace saves the Figure 7 program into a database
 // directory, renders it headlessly the way `tioga-render -trace` does, and
 // checks the resulting file is a well-formed Chrome trace: a top-level
-// traceEvents array of balanced B/E pairs covering the render phases.
+// traceEvents array of complete ("X") events covering the render phases,
+// each parent id naming another event of the file.
 func TestRenderFigure7WithTrace(t *testing.T) {
 	obs.Reset()
 	obs.SetEnabled(true)
@@ -61,11 +62,10 @@ func TestRenderFigure7WithTrace(t *testing.T) {
 	}
 	var tf struct {
 		TraceEvents []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			TS   float64 `json:"ts"`
-			PID  int64   `json:"pid"`
-			TID  int64   `json:"tid"`
+			Name string            `json:"name"`
+			Ph   string            `json:"ph"`
+			Dur  float64           `json:"dur"`
+			Args map[string]string `json:"args"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(data, &tf); err != nil {
@@ -74,26 +74,18 @@ func TestRenderFigure7WithTrace(t *testing.T) {
 	if len(tf.TraceEvents) == 0 {
 		t.Fatal("empty trace")
 	}
-	// Balanced begin/end events per track, in order.
-	depth := map[int64]int{}
+	spans := map[string]bool{}
 	seen := map[string]bool{}
 	for _, e := range tf.TraceEvents {
 		seen[e.Name] = true
-		switch e.Ph {
-		case "B":
-			depth[e.TID]++
-		case "E":
-			depth[e.TID]--
-			if depth[e.TID] < 0 {
-				t.Fatalf("unbalanced E on track %d", e.TID)
-			}
-		default:
-			t.Fatalf("unexpected phase %q", e.Ph)
+		spans[e.Args["span"]] = true
+		if e.Ph != "X" || e.Dur < 0 {
+			t.Fatalf("event %s: phase %q dur %v, want X with dur >= 0", e.Name, e.Ph, e.Dur)
 		}
 	}
-	for tid, d := range depth {
-		if d != 0 {
-			t.Fatalf("track %d left %d spans open", tid, d)
+	for _, e := range tf.TraceEvents {
+		if p := e.Args["parent"]; p != "" && !spans[p] {
+			t.Fatalf("event %s names parent %s, which is not in the trace", e.Name, p)
 		}
 	}
 	for _, want := range []string{"db.load", "eval.fire", "render.frame", "render.cull", "render.display_eval", "render.paint"} {

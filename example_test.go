@@ -74,5 +74,5 @@ func ExampleParseExpr() {
 	}
 	fmt.Println(n)
 	// Output:
-	// ((year(obs_date) < 1990) and (temperature > 20))
+	// ((year(obs_date) < 1990) and (temperature > 20.0))
 }

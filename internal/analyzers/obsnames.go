@@ -37,8 +37,6 @@ var obsNameArg = map[string]int{
 	"RecordError":     0,
 	"StartTimer":      0,
 	"LookupHistogram": 0,
-	"StartSpan":       0,
-	"StartSpanOn":     1,
 	"StartSpanCtx":    1,
 	"StartSpanCtxOn":  2,
 }

@@ -2,6 +2,7 @@ package db
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/expr"
@@ -101,6 +102,65 @@ func TestBackendSaveLoadRoundTrip(t *testing.T) {
 			}
 			if st3.Len() != st.Len()+1 {
 				t.Fatalf("append on chunk-backed table: %d rows, want %d", st3.Len(), st.Len()+1)
+			}
+		})
+	}
+}
+
+// TestBackendKeepsComputedExprs: computed attributes are saved as
+// printed expression text, so a float literal over an int column and a
+// backslash in text must come back with the same kind and every value.
+func TestBackendKeepsComputedExprs(t *testing.T) {
+	defs := []struct {
+		name, src string
+		kind      types.Kind
+		suffix    string
+	}{
+		{"half", "id / 2.0", types.Float, ""},
+		{"tagged", `name || '\\x'`, types.Text, `\x`},
+	}
+	for bname, b := range testBackends(t) {
+		t.Run(bname, func(t *testing.T) {
+			d := seeded(t)
+			err := d.AlterTable("Stations", func(st *rel.Relation) error {
+				for _, c := range defs {
+					if err := st.AddComputed(c.name, expr.MustParse(c.src)); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := d.Table("Stations")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.SaveBackend(b); err != nil {
+				t.Fatal(err)
+			}
+			d2 := New()
+			if err := d2.LoadBackend(b); err != nil {
+				t.Fatal(err)
+			}
+			st2, err := d2.Table("Stations")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range defs {
+				if k, _ := st2.AttrKind(c.name); k != c.kind {
+					t.Fatalf("%s (%s) reloaded as kind %s", c.name, c.src, k)
+				}
+				for i := 0; i < st.Len(); i++ {
+					want, got := st.Row(i).Attr(c.name), st2.Row(i).Attr(c.name)
+					if got.Kind() != want.Kind() || !got.Equal(want) {
+						t.Fatalf("%s row %d = %s (%s) after reload, want %s (%s)", c.name, i, got, got.Kind(), want, want.Kind())
+					}
+				}
+				if v := st2.Row(0).Attr(c.name).String(); c.suffix != "" && !strings.HasSuffix(v, c.suffix) {
+					t.Fatalf("%s row 0 = %q, want suffix %q", c.name, v, c.suffix)
+				}
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/types"
@@ -23,13 +24,24 @@ type Lit struct {
 	Val types.Value
 }
 
-// String implements Node.
+// String implements Node. Text is quoted with ' doubled and \ escaped,
+// and a float keeps float syntax (2.0, -0.0, 1e+21), so the literal
+// parses back to the same kind and value.
 func (n *Lit) String() string {
-	if n.Val.Kind() == types.Text {
-		return "'" + strings.ReplaceAll(n.Val.Text(), "'", "''") + "'"
+	switch n.Val.Kind() {
+	case types.Text:
+		return "'" + textEscaper.Replace(n.Val.Text()) + "'"
+	case types.Float:
+		s := strconv.FormatFloat(n.Val.Float(), 'g', -1, 64)
+		if !strings.ContainsAny(s, ".e") {
+			s += ".0"
+		}
+		return s
 	}
 	return n.Val.String()
 }
+
+var textEscaper = strings.NewReplacer(`\`, `\\`, "'", "''")
 
 func (n *Lit) walk(f func(Node)) { f(n) }
 
@@ -53,7 +65,7 @@ type Unary struct {
 // String implements Node.
 func (n *Unary) String() string {
 	if n.Op == "not" {
-		return fmt.Sprintf("not (%s)", n.X)
+		return fmt.Sprintf("(not %s)", n.X)
 	}
 	return fmt.Sprintf("%s(%s)", n.Op, n.X)
 }

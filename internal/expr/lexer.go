@@ -59,27 +59,10 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("expr: %s at offset %d in %q", e.Msg, e.Pos, e.Src)
 }
 
-// lexer scans an expression string into tokens.
+// lexer scans an expression string into tokens, one per next call.
 type lexer struct {
-	src  string
-	pos  int
-	toks []token
-}
-
-// lex scans the whole source up front; expressions are short so this is
-// simpler than streaming and gives the parser free lookahead.
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
-	for {
-		tok, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		l.toks = append(l.toks, tok)
-		if tok.kind == tokEOF {
-			return l.toks, nil
-		}
-	}
+	src string
+	pos int
 }
 
 func (l *lexer) errorf(pos int, format string, args ...interface{}) error {

@@ -19,20 +19,58 @@ import (
 //	* / %
 //	unary -
 //	primary: literal | ident | ident(args) | (expr)
+//
+// An expression may nest at most maxDepth levels deep.
 func Parse(src string) (Node, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{src: src, toks: toks}
+	p := &parser{lx: lexer{src: src}}
+	p.advance()
 	n, err := p.parseOr()
+	if p.err != nil {
+		// A lexical error ended the token stream early; it, not what the
+		// parser made of the truncated stream, is the cause.
+		return nil, p.err
+	}
 	if err != nil {
 		return nil, err
 	}
 	if tok := p.peek(); tok.kind != tokEOF {
 		return nil, p.errorf(tok.pos, "unexpected %s after expression", tok)
 	}
+	if deeper(n, maxDepth) {
+		return nil, p.tooDeep()
+	}
 	return n, nil
+}
+
+// maxDepth bounds how deep an expression nests: the parser rejects a
+// group or call argument, a run of prefix operators or a chain of
+// binary operators that alone passes it, and then any AST taller than
+// it. Evaluation, compilation and String recurse over the AST, so the
+// bound keeps a hostile predicate from overflowing the stack, and the
+// early checks keep a long one from building a huge AST first; real
+// predicates are a few levels deep. String prints one group per level,
+// so whatever Parse accepts, it accepts printed back.
+const maxDepth = 1000
+
+// deeper reports whether n is more than limit nodes deep, recursing at
+// most limit levels.
+func deeper(n Node, limit int) bool {
+	if limit == 0 {
+		return true
+	}
+	switch n := n.(type) {
+	case *Unary:
+		return deeper(n.X, limit-1)
+	case *Binary:
+		return deeper(n.L, limit-1) || deeper(n.R, limit-1)
+	case *Call:
+		for _, a := range n.Args {
+			if deeper(a, limit-1) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // MustParse is Parse that panics on error, for tests and internal
@@ -45,159 +83,68 @@ func MustParse(src string) Node {
 	return n
 }
 
+// parser reads tokens from the lexer one at a time, with one token of
+// lookahead, so a long input never holds a token slice.
 type parser struct {
-	src  string
-	toks []token
-	i    int
+	lx    lexer
+	tok   token // lookahead
+	err   error // lexical error; the lookahead is then EOF
+	depth int   // open parseOr calls
 }
 
-func (p *parser) peek() token { return p.toks[p.i] }
+func (p *parser) advance() {
+	p.tok, p.err = p.lx.next()
+}
+
+func (p *parser) peek() token { return p.tok }
 
 func (p *parser) next() token {
-	t := p.toks[p.i]
+	t := p.tok
 	if t.kind != tokEOF {
-		p.i++
+		p.advance()
 	}
 	return t
 }
 
 func (p *parser) errorf(pos int, format string, args ...interface{}) error {
-	return &SyntaxError{Src: p.src, Pos: pos, Msg: fmt.Sprintf(format, args...)}
+	return &SyntaxError{Src: p.lx.src, Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (p *parser) acceptOp(text string) bool {
-	if t := p.peek(); t.kind == tokOp && t.text == text {
-		p.next()
-		return true
-	}
-	return false
+func (p *parser) tooDeep() error {
+	return p.errorf(p.peek().pos, "expression nested deeper than %d levels", maxDepth)
 }
 
-func (p *parser) acceptKeyword(word string) bool {
-	if t := p.peek(); t.kind == tokKeyword && t.text == word {
-		p.next()
-		return true
+// accept consumes the lookahead when it is one of the given operators
+// or keywords, and returns its text ("" when it is none of them).
+func (p *parser) accept(texts ...string) string {
+	t := p.peek()
+	if t.kind != tokOp && t.kind != tokKeyword {
+		return ""
 	}
-	return false
-}
-
-func (p *parser) parseOr() (Node, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKeyword("or") {
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = &Binary{Op: "or", L: left, R: right}
-	}
-	return left, nil
-}
-
-func (p *parser) parseAnd() (Node, error) {
-	left, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKeyword("and") {
-		right, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		left = &Binary{Op: "and", L: left, R: right}
-	}
-	return left, nil
-}
-
-func (p *parser) parseNot() (Node, error) {
-	if p.acceptKeyword("not") {
-		x, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: "not", X: x}, nil
-	}
-	return p.parseComparison()
-}
-
-func (p *parser) parseComparison() (Node, error) {
-	left, err := p.parseConcat()
-	if err != nil {
-		return nil, err
-	}
-	for _, op := range []string{"<=", ">=", "!=", "=", "<", ">"} {
-		if t := p.peek(); t.kind == tokOp && t.text == op {
+	for _, text := range texts {
+		if t.text == text {
 			p.next()
-			right, err := p.parseConcat()
-			if err != nil {
-				return nil, err
-			}
-			return &Binary{Op: op, L: left, R: right}, nil
+			return text
 		}
 	}
-	return left, nil
+	return ""
 }
 
-func (p *parser) parseConcat() (Node, error) {
-	left, err := p.parseAdd()
+// chain parses a left-associative level: operand (op operand)*.
+func (p *parser) chain(operand func() (Node, error), ops ...string) (Node, error) {
+	left, err := operand()
 	if err != nil {
 		return nil, err
 	}
-	for p.acceptOp("||") {
-		right, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		left = &Binary{Op: "||", L: left, R: right}
-	}
-	return left, nil
-}
-
-func (p *parser) parseAdd() (Node, error) {
-	left, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch {
-		case p.acceptOp("+"):
-			right, err := p.parseMul()
-			if err != nil {
-				return nil, err
-			}
-			left = &Binary{Op: "+", L: left, R: right}
-		case p.acceptOp("-"):
-			right, err := p.parseMul()
-			if err != nil {
-				return nil, err
-			}
-			left = &Binary{Op: "-", L: left, R: right}
-		default:
+	for n := 1; ; n++ {
+		op := p.accept(ops...)
+		if op == "" {
 			return left, nil
 		}
-	}
-}
-
-func (p *parser) parseMul() (Node, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch {
-		case p.acceptOp("*"):
-			op = "*"
-		case p.acceptOp("/"):
-			op = "/"
-		case p.acceptOp("%"):
-			op = "%"
-		default:
-			return left, nil
+		if n >= maxDepth {
+			return nil, p.tooDeep()
 		}
-		right, err := p.parseUnary()
+		right, err := operand()
 		if err != nil {
 			return nil, err
 		}
@@ -205,24 +152,86 @@ func (p *parser) parseMul() (Node, error) {
 	}
 }
 
-func (p *parser) parseUnary() (Node, error) {
-	if p.acceptOp("-") {
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		// Fold negation of numeric literals for cleaner ASTs.
-		if lit, ok := x.(*Lit); ok {
-			switch lit.Val.Kind() {
-			case types.Int:
-				return &Lit{Val: types.NewInt(-lit.Val.Int())}, nil
-			case types.Float:
-				return &Lit{Val: types.NewFloat(-lit.Val.Float())}, nil
-			}
-		}
-		return &Unary{Op: "-", X: x}, nil
+func (p *parser) parseOr() (Node, error) {
+	if p.depth++; p.depth > maxDepth {
+		return nil, p.tooDeep()
 	}
-	return p.parsePrimary()
+	defer func() { p.depth-- }()
+	return p.chain(p.parseAnd, "or")
+}
+
+func (p *parser) parseAnd() (Node, error) { return p.chain(p.parseNot, "and") }
+
+// parseNot and parseUnary loop over a run of prefix operators rather
+// than recurse, so a long run costs no stack.
+func (p *parser) parseNot() (Node, error) {
+	nots := 0
+	for p.accept("not") != "" {
+		if nots++; nots >= maxDepth {
+			return nil, p.tooDeep()
+		}
+	}
+	x, err := p.parseComparison()
+	if err != nil {
+		return nil, err
+	}
+	for ; nots > 0; nots-- {
+		x = &Unary{Op: "not", X: x}
+	}
+	return x, nil
+}
+
+func (p *parser) parseComparison() (Node, error) {
+	left, err := p.parseConcat()
+	if err != nil {
+		return nil, err
+	}
+	op := p.accept("<=", ">=", "!=", "=", "<", ">")
+	if op == "" {
+		return left, nil
+	}
+	right, err := p.parseConcat()
+	if err != nil {
+		return nil, err
+	}
+	return &Binary{Op: op, L: left, R: right}, nil
+}
+
+func (p *parser) parseConcat() (Node, error) { return p.chain(p.parseAdd, "||") }
+
+func (p *parser) parseAdd() (Node, error) { return p.chain(p.parseMul, "+", "-") }
+
+func (p *parser) parseMul() (Node, error) { return p.chain(p.parseUnary, "*", "/", "%") }
+
+func (p *parser) parseUnary() (Node, error) {
+	negs := 0
+	for p.accept("-") != "" {
+		if negs++; negs >= maxDepth {
+			return nil, p.tooDeep()
+		}
+	}
+	x, err := p.parsePrimary()
+	if err != nil {
+		return nil, err
+	}
+	for ; negs > 0; negs-- {
+		x = negate(x)
+	}
+	return x, nil
+}
+
+// negate applies unary minus, folded into numeric literals for cleaner
+// ASTs.
+func negate(x Node) Node {
+	if lit, ok := x.(*Lit); ok {
+		switch lit.Val.Kind() {
+		case types.Int:
+			return &Lit{Val: types.NewInt(-lit.Val.Int())}
+		case types.Float:
+			return &Lit{Val: types.NewFloat(-lit.Val.Float())}
+		}
+	}
+	return &Unary{Op: "-", X: x}
 }
 
 func (p *parser) parsePrimary() (Node, error) {
@@ -253,7 +262,7 @@ func (p *parser) parsePrimary() (Node, error) {
 		}
 		return nil, p.errorf(t.pos, "unexpected keyword %s", t)
 	case tokIdent:
-		if p.acceptOp("(") {
+		if p.accept("(") != "" {
 			return p.parseCall(t)
 		}
 		return &Ref{Name: t.text}, nil
@@ -263,7 +272,7 @@ func (p *parser) parsePrimary() (Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			if !p.acceptOp(")") {
+			if p.accept(")") == "" {
 				return nil, p.errorf(p.peek().pos, "expected ) to close group")
 			}
 			return inner, nil
@@ -274,7 +283,7 @@ func (p *parser) parsePrimary() (Node, error) {
 
 func (p *parser) parseCall(name token) (Node, error) {
 	call := &Call{Name: name.text}
-	if p.acceptOp(")") {
+	if p.accept(")") != "" {
 		return call, nil
 	}
 	for {
@@ -283,10 +292,10 @@ func (p *parser) parseCall(name token) (Node, error) {
 			return nil, err
 		}
 		call.Args = append(call.Args, arg)
-		if p.acceptOp(",") {
+		if p.accept(",") != "" {
 			continue
 		}
-		if p.acceptOp(")") {
+		if p.accept(")") != "" {
 			return call, nil
 		}
 		return nil, p.errorf(p.peek().pos, "expected , or ) in call to %s", name.text)

@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -51,7 +53,7 @@ func TestParsePrecedence(t *testing.T) {
 		{"(1 + 2) * 3", "((1 + 2) * 3)"},
 		{"1 - 2 - 3", "((1 - 2) - 3)"}, // left assoc
 		{"a and b or c", "((a and b) or c)"},
-		{"not a and b", "(not (a) and b)"},
+		{"not a and b", "((not a) and b)"},
 		{"a < b and c >= d", "((a < b) and (c >= d))"},
 		{"a || b || c", "((a || b) || c)"},
 		{"x + 1 < y * 2", "((x + 1) < (y * 2))"},
@@ -164,4 +166,92 @@ func TestMustParsePanics(t *testing.T) {
 		}
 	}()
 	MustParse("((")
+}
+
+// TestLiteralsPrintBack: floats keep float syntax and text keeps its
+// backslashes, so printing and reparsing keeps every literal's kind and
+// value (saved computed attributes are stored as printed text).
+func TestLiteralsPrintBack(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{"2.0", "2.0"},
+		{"-0.0", "-0.0"},
+		{"1e21", "1e+21"},
+		{"1e-999", "0.0"},
+		{"0.5", "0.5"},
+		{`'\\'`, `'\\'`},
+		{`'a\\x''s'`, `'a\\x''s'`},
+		{"not a = b", "(not (a = b))"},
+		{"(not a) = b", "((not a) = b)"},
+	}
+	for _, c := range cases {
+		n, err := Parse(c.src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", c.src, err)
+		}
+		if got := n.String(); got != c.want {
+			t.Errorf("Parse(%q).String() = %s, want %s", c.src, got, c.want)
+		}
+		checkReparses(t, c.src, n)
+	}
+}
+
+// TestParseBoundsDepth: deep nesting and long left-deep chains are
+// syntax errors rather than stack overflows, while an expression right
+// at the bound parses and prints back.
+func TestParseBoundsDepth(t *testing.T) {
+	const n = 1_000_000
+	for name, src := range map[string]string{
+		"nested groups": strings.Repeat("(", n) + "true" + strings.Repeat(")", n),
+		"left chain":    "1" + strings.Repeat("+1", n),
+		"not run":       strings.Repeat("not ", n) + "true",
+		"minus run":     strings.Repeat("-", n) + "x",
+	} {
+		_, err := Parse(src)
+		var se *SyntaxError
+		if !errors.As(err, &se) {
+			t.Errorf("%s: got %v, want a *SyntaxError", name, err)
+		}
+	}
+	for name, src := range map[string]string{
+		"nested groups": strings.Repeat("(", maxDepth-1) + "x" + strings.Repeat(")", maxDepth-1),
+		"left chain":    "1" + strings.Repeat("+1", maxDepth-1),
+		"calls":         strings.Repeat("abs(", maxDepth-1) + "x" + strings.Repeat(")", maxDepth-1),
+	} {
+		node, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%s at the bound: %v", name, err)
+		}
+		checkReparses(t, name, node)
+	}
+}
+
+// checkReparses asserts n prints to source that parses back to an equal
+// AST. DeepEqual compares floats with ==, so the printed forms are
+// compared too: they tell -0.0 from 0.0.
+func checkReparses(t *testing.T, src string, n Node) {
+	t.Helper()
+	printed := n.String()
+	n2, err := Parse(printed)
+	if err != nil {
+		t.Fatalf("%q printed as %q, which does not parse: %v", src, printed, err)
+	}
+	if !reflect.DeepEqual(n, n2) || n2.String() != printed {
+		t.Fatalf("%q printed as %q, which parses to %s", src, printed, n2)
+	}
+}
+
+// FuzzParse: no input panics, every failure is a *SyntaxError, and
+// every success prints back to source that parses to an equal AST.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		n, err := Parse(src)
+		if err != nil {
+			var se *SyntaxError
+			if !errors.As(err, &se) {
+				t.Fatalf("Parse(%q): %T %v, want a *SyntaxError", src, err, err)
+			}
+			return
+		}
+		checkReparses(t, src, n)
+	})
 }

@@ -1,17 +1,10 @@
 package obs
 
-import (
-	"encoding/json"
-	"io"
-	"os"
-	"sort"
-	"strconv"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// SpanEvent is one completed span captured by the flight recorder: the
-// durable record of a Span created through the context API
-// (StartSpanCtx / StartSpanCtxOn). TraceID groups every span of one
+// SpanEvent is the one record of a completed span: Span.End builds it
+// once and hands it to the flight ring and, while StartTracing is
+// active, to the trace collector. TraceID groups every span of one
 // request, ParentID links the causal tree, Track matches the Chrome
 // trace tid convention (1 = main, 2+w = workers).
 type SpanEvent struct {
@@ -150,61 +143,4 @@ func FilterTrace(events []SpanEvent, traceID uint64) []SpanEvent {
 		}
 	}
 	return out
-}
-
-// WriteFlightChrome serializes flight events as Chrome trace-event JSON
-// ("X" complete events, one per span, timestamps rebased to the oldest
-// event). The output loads in chrome://tracing and Perfetto exactly
-// like a Tracer dump, with trace/span/parent ids in each event's args
-// so the causal tree survives the format.
-func WriteFlightChrome(w io.Writer, events []SpanEvent) error {
-	evs := make([]SpanEvent, len(events))
-	copy(evs, events)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].StartNS < evs[j].StartNS })
-	var base int64
-	if len(evs) > 0 {
-		base = evs[0].StartNS
-	}
-	out := make([]traceEvent, 0, len(evs))
-	for _, ev := range evs {
-		args := make(map[string]string, len(ev.Args)/2+4)
-		for i := 0; i+1 < len(ev.Args); i += 2 {
-			args[ev.Args[i]] = ev.Args[i+1]
-		}
-		args["span"] = strconv.FormatUint(ev.SpanID, 10)
-		if ev.ParentID != 0 {
-			args["parent"] = strconv.FormatUint(ev.ParentID, 10)
-		}
-		if ev.TraceID != 0 {
-			args["trace"] = strconv.FormatUint(ev.TraceID, 10)
-		}
-		if ev.Label != "" {
-			args["label"] = ev.Label
-		}
-		out = append(out, traceEvent{
-			Name: ev.Name,
-			Ph:   "X",
-			TS:   float64(ev.StartNS-base) / 1e3,
-			Dur:  float64(ev.DurNS) / 1e3,
-			PID:  1,
-			TID:  ev.Track,
-			Args: args,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(traceFile{TraceEvents: out, DisplayTimeUnit: "ms"})
-}
-
-// WriteFlightFile dumps flight events to a path as Chrome trace JSON.
-func WriteFlightFile(path string, events []SpanEvent) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := WriteFlightChrome(f, events); err != nil {
-		return err
-	}
-	return f.Close()
 }

@@ -104,7 +104,7 @@ func TestFlightConcurrentWritersDuringDump(t *testing.T) {
 // The three idle-cost benchmarks back the claim that the always-on
 // recorder is affordable in production:
 //
-//	BenchmarkSpanCtxAllOff     — tracer off, flight off: the no-op path
+//	BenchmarkSpanCtxAllOff     — tracing off, flight off: the no-op path
 //	BenchmarkSpanCtxFlightOnly — the always-on production configuration
 //	BenchmarkFlightRecord      — the raw ring publish alone
 

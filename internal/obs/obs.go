@@ -1,6 +1,6 @@
 // Package obs is the observability spine of the Tioga-2 environment:
-// named counters, log-scaled latency histograms, and a hierarchical span
-// tracer with Chrome trace-event export. Every hot path (lazy evaluation,
+// named counters, log-scaled latency histograms, and hierarchical spans
+// with Chrome trace-event export. Every hot path (lazy evaluation,
 // tuple culling, display evaluation, database scans and joins) records
 // through this package, and the shell, the headless CLIs, and the
 // benchmark harness read it back.

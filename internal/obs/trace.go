@@ -4,36 +4,66 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Tracer records hierarchical spans and exports them in the Chrome
-// trace-event format (chrome://tracing, Perfetto, speedscope). Spans are
-// emitted as B/E (duration begin/end) event pairs, so nesting falls out
-// of event order per track: a span started inside another span on the
-// same track renders as its child.
-//
-// Tracks (Chrome "tid"s) attribute concurrent work: the main render loop
-// records on track 1, and the parallel display-eval workers record on
-// tracks of their own so the fan-out is visible in the timeline.
-type Tracer struct {
+// tracing collects, while StartTracing is active, every SpanEvent a
+// Span ends into: the same record the flight ring keeps, but unbounded,
+// so a -trace file holds a whole run rather than the ring's last window.
+var tracing struct {
 	active atomic.Bool
 	mu     sync.Mutex
-	start  time.Time
-	events []traceEvent
-	now    func() time.Time // test hook; nil means time.Now
+	events []SpanEvent
 }
 
-// traceEvent is one Chrome trace-event object. Dur is only set on "X"
-// complete events (flight-recorder dumps); B/E pairs leave it zero and
-// omitted, so Tracer output is byte-identical to the pre-flight format.
+// StartTracing drops any previously collected spans and begins
+// collecting.
+func StartTracing() {
+	tracing.mu.Lock()
+	tracing.events = nil
+	tracing.mu.Unlock()
+	tracing.active.Store(true)
+}
+
+// StopTracing stops collecting; the collected spans stay available to
+// WriteTrace.
+func StopTracing() { tracing.active.Store(false) }
+
+// Tracing reports whether spans are being collected.
+func Tracing() bool { return tracing.active.Load() }
+
+// collect keeps ev when tracing is active.
+func collect(ev *SpanEvent) {
+	if !tracing.active.Load() {
+		return
+	}
+	tracing.mu.Lock()
+	tracing.events = append(tracing.events, *ev)
+	tracing.mu.Unlock()
+}
+
+// traced returns a copy of the collected spans.
+func traced() []SpanEvent {
+	tracing.mu.Lock()
+	defer tracing.mu.Unlock()
+	return append([]SpanEvent(nil), tracing.events...)
+}
+
+// WriteTrace serializes the collected spans as Chrome trace-event JSON.
+func WriteTrace(w io.Writer) error { return WriteFlightChrome(w, traced()) }
+
+// WriteTraceFile writes the collected spans to a path.
+func WriteTraceFile(path string) error { return WriteFlightFile(path, traced()) }
+
+// traceEvent is one Chrome trace-event object.
 type traceEvent struct {
 	Name string            `json:"name"`
 	Ph   string            `json:"ph"`
-	TS   float64           `json:"ts"`            // microseconds since trace start
-	Dur  float64           `json:"dur,omitempty"` // microseconds, "X" events only
+	TS   float64           `json:"ts"`  // microseconds since the oldest event
+	Dur  float64           `json:"dur"` // microseconds
 	PID  int               `json:"pid"`
 	TID  int64             `json:"tid"`
 	Args map[string]string `json:"args,omitempty"`
@@ -45,200 +75,59 @@ type traceFile struct {
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
 }
 
-// NewTracer returns an inactive tracer.
-func NewTracer() *Tracer { return &Tracer{} }
-
-var defaultTracer = NewTracer()
-
-// DefaultTracer returns the process-wide tracer used by the package-level
-// span functions.
-func DefaultTracer() *Tracer { return defaultTracer }
-
-func (t *Tracer) clock() time.Time {
-	if t.now != nil {
-		return t.now()
+// WriteFlightChrome serializes span events as Chrome trace-event JSON
+// (chrome://tracing, Perfetto, speedscope): one "X" complete event per
+// span, timestamps rebased to the oldest event, with trace/span/parent
+// ids in each event's args so the causal tree survives the format.
+// Tracks become tids: the main loop is 1, parallel workers 2+w.
+func WriteFlightChrome(w io.Writer, events []SpanEvent) error {
+	evs := make([]SpanEvent, len(events))
+	copy(evs, events)
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].StartNS < evs[j].StartNS })
+	var base int64
+	if len(evs) > 0 {
+		base = evs[0].StartNS
 	}
-	return time.Now()
-}
-
-// Start clears any previous trace and begins recording.
-func (t *Tracer) Start() {
-	t.mu.Lock()
-	t.start = t.clock()
-	t.events = nil
-	t.mu.Unlock()
-	t.active.Store(true)
-}
-
-// Stop ends recording; recorded events stay available for Write.
-func (t *Tracer) Stop() { t.active.Store(false) }
-
-// Active reports whether the tracer is recording.
-func (t *Tracer) Active() bool { return t.active.Load() }
-
-// Len returns the number of recorded events.
-func (t *Tracer) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
-// Span is one open trace span; End closes it. A nil *Span (returned when
-// tracing is off) is safe to End and annotate, so call sites need no
-// branches.
-//
-// Spans come from two APIs. The legacy Tracer API (StartSpan/
-// StartSpanOn) emits B/E pairs to a tracer and nothing else. The
-// context API (StartSpanCtx/StartSpanCtxOn in tracecontext.go)
-// additionally carries trace/span/parent ids and, on End, publishes a
-// completed SpanEvent to the flight recorder — that is the path every
-// instrumented subsystem uses.
-type Span struct {
-	t    *Tracer
-	f    *FlightRecorder
-	name string
-	tid  int64
-
-	// Context-API fields; zero for legacy tracer spans.
-	id          uint64
-	parent      uint64
-	traceID     uint64
-	label       string
-	start       time.Time
-	args        []string
-	annotations []string
-}
-
-// MainTrack is the track id used by StartSpan for non-worker spans.
-const MainTrack = 1
-
-// StartSpan opens a span on the main track. args are alternating
-// key/value annotation pairs. Returns nil (inert) when not tracing.
-func (t *Tracer) StartSpan(name string, args ...string) *Span {
-	return t.StartSpanOn(MainTrack, name, args...)
-}
-
-// StartSpanOn opens a span on an explicit track, used to attribute
-// parallel workers.
-func (t *Tracer) StartSpanOn(tid int64, name string, args ...string) *Span {
-	if !t.active.Load() {
-		return nil
-	}
-	var m map[string]string
-	if len(args) >= 2 {
-		m = make(map[string]string, len(args)/2)
-		for i := 0; i+1 < len(args); i += 2 {
-			m[args[i]] = args[i+1]
+	out := make([]traceEvent, 0, len(evs))
+	for _, ev := range evs {
+		args := make(map[string]string, len(ev.Args)/2+4)
+		for i := 0; i+1 < len(ev.Args); i += 2 {
+			args[ev.Args[i]] = ev.Args[i+1]
 		}
-	}
-	t.emit(traceEvent{Name: name, Ph: "B", TID: tid, Args: m})
-	return &Span{t: t, name: name, tid: tid}
-}
-
-// End closes the span. Safe on nil.
-func (s *Span) End() {
-	if s == nil {
-		return
-	}
-	if s.t != nil && s.t.active.Load() {
-		s.t.emit(traceEvent{Name: s.name, Ph: "E", TID: s.tid})
-	}
-	if s.f != nil {
-		args := s.args
-		if len(s.annotations) > 0 {
-			merged := make([]string, 0, len(s.args)+len(s.annotations))
-			merged = append(merged, s.args...)
-			merged = append(merged, s.annotations...)
-			args = merged
+		args["span"] = strconv.FormatUint(ev.SpanID, 10)
+		if ev.ParentID != 0 {
+			args["parent"] = strconv.FormatUint(ev.ParentID, 10)
 		}
-		s.f.Record(&SpanEvent{
-			TraceID:  s.traceID,
-			SpanID:   s.id,
-			ParentID: s.parent,
-			Name:     s.name,
-			Label:    s.label,
-			Track:    s.tid,
-			StartNS:  s.start.UnixNano(),
-			DurNS:    time.Since(s.start).Nanoseconds(),
-			Args:     args,
+		if ev.TraceID != 0 {
+			args["trace"] = strconv.FormatUint(ev.TraceID, 10)
+		}
+		if ev.Label != "" {
+			args["label"] = ev.Label
+		}
+		out = append(out, traceEvent{
+			Name: ev.Name,
+			Ph:   "X",
+			TS:   float64(ev.StartNS-base) / 1e3,
+			Dur:  float64(ev.DurNS) / 1e3,
+			PID:  1,
+			TID:  ev.Track,
+			Args: args,
 		})
 	}
-}
-
-// Annotate attaches a key/value pair to the span's flight-recorder
-// event at End time, for facts only known after the work ran (rows
-// produced, memo entries dropped). Safe on nil; legacy tracer spans
-// ignore it.
-func (s *Span) Annotate(key, value string) {
-	if s == nil {
-		return
-	}
-	s.annotations = append(s.annotations, key, value)
-}
-
-func (t *Tracer) emit(e traceEvent) {
-	ts := t.clock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e.TS = float64(ts.Sub(t.start).Nanoseconds()) / 1e3
-	e.PID = 1
-	t.events = append(t.events, e)
-}
-
-// Write serializes the trace as Chrome trace-event JSON.
-func (t *Tracer) Write(w io.Writer) error {
-	t.mu.Lock()
-	events := make([]traceEvent, len(t.events))
-	copy(events, t.events)
-	t.mu.Unlock()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(traceFile{TraceEvents: events, DisplayTimeUnit: "ms"})
+	return enc.Encode(traceFile{TraceEvents: out, DisplayTimeUnit: "ms"})
 }
 
-// WriteFile writes the trace to a path.
-func (t *Tracer) WriteFile(path string) error {
+// WriteFlightFile writes span events to a path as Chrome trace JSON.
+func WriteFlightFile(path string, events []SpanEvent) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := t.Write(f); err != nil {
+	if err := WriteFlightChrome(f, events); err != nil {
 		return err
 	}
 	return f.Close()
 }
-
-// --- package-level tracing on the default tracer -----------------------
-
-// StartTracing begins recording on the default tracer.
-func StartTracing() { defaultTracer.Start() }
-
-// StopTracing stops recording on the default tracer.
-func StopTracing() { defaultTracer.Stop() }
-
-// Tracing reports whether the default tracer is recording.
-func Tracing() bool { return defaultTracer.Active() }
-
-// StartSpan opens a span on the default tracer's main track; nil (inert)
-// when not tracing.
-func StartSpan(name string, args ...string) *Span {
-	if !defaultTracer.active.Load() {
-		return nil
-	}
-	return defaultTracer.StartSpan(name, args...)
-}
-
-// StartSpanOn opens a span on an explicit track of the default tracer.
-func StartSpanOn(tid int64, name string, args ...string) *Span {
-	if !defaultTracer.active.Load() {
-		return nil
-	}
-	return defaultTracer.StartSpanOn(tid, name, args...)
-}
-
-// WriteTrace serializes the default tracer's events.
-func WriteTrace(w io.Writer) error { return defaultTracer.Write(w) }
-
-// WriteTraceFile writes the default tracer's events to a path.
-func WriteTraceFile(path string) error { return defaultTracer.WriteFile(path) }

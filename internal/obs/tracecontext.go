@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -49,30 +48,24 @@ func ParentSpanID(ctx context.Context) uint64 {
 	return id
 }
 
-// recordingOn reports whether any span recorder could observe a span
-// right now — the default tracer is active or the flight recorder is
-// enabled. When false the ctx span API is a near-free no-op.
-func recordingOn() bool {
-	return defaultTracer.active.Load() || defaultFlight.Enabled()
-}
-
-// Recording reports whether any span recorder is active. Hot call sites
-// use it to skip building span-arg slices entirely when both the tracer
-// and the flight recorder are off.
-func Recording() bool { return recordingOn() }
+// Recording reports whether any span recorder is active: the flight
+// recorder is enabled or a trace is being collected. When false the ctx
+// span API is a near-free no-op, and hot call sites use it to skip
+// building span-arg slices entirely.
+func Recording() bool { return tracing.active.Load() || defaultFlight.Enabled() }
 
 // EnsureTrace returns ctx carrying a TraceContext, minting one labeled
 // label when ctx has none. When ctx already carries one (an enclosing
 // request) it is reused, so nested entry points — a render demanding an
 // Eval — attribute to the outer request. When no recorder could observe
 // the request at all, ctx is returned unchanged with a nil TraceContext
-// (safe to ignore): request attribution costs nothing while both the
-// tracer and the flight recorder are off.
+// (safe to ignore): request attribution costs nothing while neither
+// tracing nor the flight recorder is on.
 func EnsureTrace(ctx context.Context, label string) (context.Context, *TraceContext) {
 	if tc := TraceFromContext(ctx); tc != nil {
 		return ctx, tc
 	}
-	if !recordingOn() {
+	if !Recording() {
 		return ctx, nil
 	}
 	tc := NewTraceContext(label)
@@ -93,21 +86,37 @@ func AdoptTrace(dst, src context.Context) context.Context {
 	return dst
 }
 
+// Span is one open span; End closes it into a SpanEvent. A nil *Span
+// (returned when nothing records) is safe to End and annotate, so call
+// sites need no branches.
+type Span struct {
+	name        string
+	tid         int64
+	id          uint64
+	parent      uint64
+	traceID     uint64
+	label       string
+	start       time.Time
+	args        []string
+	annotations []string
+}
+
+// MainTrack is the track id of non-worker spans.
+const MainTrack = 1
+
 // StartSpanCtx opens a span on the main track, linked to ctx's trace
 // and parent span. It returns a derived context (the new span becomes
 // the parent for spans opened beneath it) and the span to End. When
-// neither the tracer nor the flight recorder is recording it returns
-// (ctx, nil) — a nil Span is inert, so call sites need no branches.
+// nothing is recording it returns (ctx, nil).
 func StartSpanCtx(ctx context.Context, name string, args ...string) (context.Context, *Span) {
 	return StartSpanCtxOn(ctx, MainTrack, name, args...)
 }
 
 // StartSpanCtxOn opens a span on an explicit track (used to attribute
-// parallel workers), linked to ctx's trace and parent span.
+// parallel workers), linked to ctx's trace and parent span. args are
+// alternating key/value pairs.
 func StartSpanCtxOn(ctx context.Context, tid int64, name string, args ...string) (context.Context, *Span) {
-	tracerOn := defaultTracer.active.Load()
-	flightOn := defaultFlight.Enabled()
-	if !tracerOn && !flightOn {
+	if !Recording() {
 		return ctx, nil
 	}
 	s := &Span{
@@ -122,28 +131,43 @@ func StartSpanCtxOn(ctx context.Context, tid int64, name string, args ...string)
 		s.traceID = tc.TraceID
 		s.label = tc.Label
 	}
-	if flightOn {
-		s.f = defaultFlight
-	}
-	if tracerOn {
-		s.t = defaultTracer
-		targs := make([]string, 0, len(args)+6)
-		targs = append(targs, args...)
-		targs = append(targs, "span", strconv.FormatUint(s.id, 10))
-		if s.parent != 0 {
-			targs = append(targs, "parent", strconv.FormatUint(s.parent, 10))
-		}
-		if s.traceID != 0 {
-			targs = append(targs, "trace", strconv.FormatUint(s.traceID, 10))
-		}
-		var m map[string]string
-		if len(targs) >= 2 {
-			m = make(map[string]string, len(targs)/2)
-			for i := 0; i+1 < len(targs); i += 2 {
-				m[targs[i]] = targs[i+1]
-			}
-		}
-		defaultTracer.emit(traceEvent{Name: name, Ph: "B", TID: tid, Args: m})
-	}
 	return context.WithValue(ctx, parentSpanKey{}, s.id), s
+}
+
+// Annotate attaches a key/value pair to the span's event at End time,
+// for facts only known after the work ran (rows produced, memo entries
+// dropped). Safe on nil.
+func (s *Span) Annotate(key, value string) {
+	if s == nil {
+		return
+	}
+	s.annotations = append(s.annotations, key, value)
+}
+
+// End closes the span into one SpanEvent and hands it to the flight
+// ring and the trace collector, each of which keeps it only while it is
+// on. Safe on nil.
+func (s *Span) End() {
+	if s == nil {
+		return
+	}
+	args := s.args
+	if len(s.annotations) > 0 {
+		merged := make([]string, 0, len(s.args)+len(s.annotations))
+		merged = append(merged, s.args...)
+		args = append(merged, s.annotations...)
+	}
+	ev := &SpanEvent{
+		TraceID:  s.traceID,
+		SpanID:   s.id,
+		ParentID: s.parent,
+		Name:     s.name,
+		Label:    s.label,
+		Track:    s.tid,
+		StartNS:  s.start.UnixNano(),
+		DurNS:    time.Since(s.start).Nanoseconds(),
+		Args:     args,
+	}
+	defaultFlight.Record(ev)
+	collect(ev)
 }
