@@ -554,31 +554,6 @@ func BenchmarkJoinHashVsNestedLoop(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexedRestrict compares an indexed equality Restrict against
-// a full scan.
-func BenchmarkIndexedRestrict(b *testing.B) {
-	st := workload.Stations(5000, 1)
-	indexed := st.ShallowClone()
-	if err := indexed.CreateIndex("state"); err != nil {
-		b.Fatal(err)
-	}
-	pred := expr.MustParse("state = 'LA'")
-	b.Run("Scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rel.Restrict(st, pred); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Index", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rel.Restrict(indexed, pred); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkRenderScaling measures rendering throughput against tuple
 // count (tuple-wise visualization: the cost is linear in visible tuples).
 func BenchmarkRenderScaling(b *testing.B) {

@@ -11,8 +11,8 @@ import (
 // snapSource, a dataflow TableSource, Event.Delta, or a Tuple(i) view
 // — is a frozen version shared with concurrent readers. Mutating it
 // corrupts renders that are in flight on other goroutines. The only
-// legal write path is an explicit unfreeze: CowClone (or a full
-// Clone/ShallowClone/derive) before the first mutator call.
+// legal write path is an explicit unfreeze: CowClone (or derive) before
+// the first mutator call.
 //
 // The pass is type-aware and intraprocedural: it seeds "frozen" at the
 // source expressions above, flows the mark through assignments and
@@ -43,21 +43,11 @@ var relationMutators = map[string]bool{
 	"Append":         true,
 	"MustAppend":     true,
 	"Update":         true,
-	"CreateIndex":    true,
 	"AddComputed":    true,
 	"SetComputed":    true,
 	"RemoveComputed": true,
 	"bumpGen":        true,
 	"setProv":        true,
-}
-
-// relationUnfreezers produce a privately-owned copy: their results are
-// safe to mutate regardless of how frozen the receiver was.
-var relationUnfreezers = map[string]bool{
-	"CowClone":     true,
-	"Clone":        true,
-	"ShallowClone": true,
-	"derive":       true,
 }
 
 // frozenCatalogOwners are type names whose `tables` map holds frozen
@@ -299,9 +289,9 @@ func (fc *freezeChecker) isFrozen(e ast.Expr) bool {
 		if !ok || fc.info.Selections[sel] == nil {
 			return false
 		}
+		// Every other method result — CowClone and derive among them — is
+		// a privately owned value, safe to mutate.
 		switch {
-		case relationUnfreezers[sel.Sel.Name]:
-			return false
 		case sel.Sel.Name == "Table":
 			// Any Table method whose first result is a *Relation hands
 			// out the current immutable version: Snap, Database,

@@ -38,7 +38,7 @@ func registerAttrBoxes(r *Registry) {
 			if err != nil {
 				return nil, err
 			}
-			nr := e.Rel.ShallowClone()
+			nr := e.Rel.CowClone()
 			if err := nr.AddComputed(name, def); err != nil {
 				return nil, err
 			}
@@ -72,7 +72,7 @@ func registerAttrBoxes(r *Registry) {
 			if e.Rel.Schema().Has(name) {
 				nr, err = rel.DropColumn(e.Rel, name)
 			} else {
-				nr = e.Rel.ShallowClone()
+				nr = e.Rel.CowClone()
 				err = nr.RemoveComputed(name)
 			}
 			if err != nil {
@@ -117,7 +117,7 @@ func registerAttrBoxes(r *Registry) {
 			if e.Rel.Schema().Has(name) {
 				nr, err = rel.MapColumn(e.Rel, name, def)
 			} else {
-				nr = e.Rel.ShallowClone()
+				nr = e.Rel.CowClone()
 				err = nr.SetComputed(name, def)
 			}
 			if err != nil {
@@ -222,7 +222,7 @@ func registerAttrBoxes(r *Registry) {
 					if old == nil {
 						return nil, fmt.Errorf("no computed attribute %q", attr)
 					}
-					nr = e.Rel.ShallowClone()
+					nr = e.Rel.CowClone()
 					err = nr.SetComputed(attr, &expr.Binary{Op: op, L: old, R: byExpr})
 				}
 				if err != nil {

@@ -2,7 +2,6 @@ package dataflow
 
 import (
 	"context"
-	"runtime"
 	"sync"
 
 	"repro/internal/obs"
@@ -13,9 +12,11 @@ import (
 type EvalOptions struct {
 	// Workers bounds concurrent box firings within one request, and the
 	// scan workers of a fused chain's firing. Zero or negative means
-	// GOMAXPROCS. One is the single-threaded fallback: the wavefront runs
-	// level by level in one goroutine, firing boxes in deterministic
-	// order — useful for debugging and as the determinism baseline.
+	// GOMAXPROCS concurrent firings, while fused chains, like single
+	// boxes, inherit the rel package's scan setting (rel.SetScanWorkers).
+	// One is the single-threaded fallback: the wavefront runs level by
+	// level in one goroutine, firing boxes in deterministic order —
+	// useful for debugging and as the determinism baseline.
 	Workers int
 	// Label annotates the request's trace span and Result, so concurrent
 	// requests can be told apart in a Chrome trace.
@@ -249,9 +250,6 @@ func (e *Evaluator) Eval(ctx context.Context, req Request, opts ...EvalOption) (
 	var o EvalOptions
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 
 	target, port := req.Box, req.Port

@@ -4,9 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/display"
+	"repro/internal/obs"
+	"repro/internal/rel"
+	"repro/internal/workload"
 )
 
 // buildChain wires table -> restrict -> project -> restrict, the canonical
@@ -256,5 +260,57 @@ func TestFusedParallelMatchesSerialUnfused(t *testing.T) {
 	// Each 3-box chain collapsed to one firing: table + 4 chains + 3 unions.
 	if par.Fires != 8 {
 		t.Errorf("parallel fused run fired %d boxes, want 8", par.Fires)
+	}
+}
+
+// A request that leaves Workers at zero lets a fused chain's scan inherit
+// rel.SetScanWorkers, as a single box's scan does: with one scan worker
+// the chain dispatches no parallel chunks, however many CPUs there are.
+func TestFusedChainInheritsScanWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	defer rel.SetScanWorkers(rel.ScanWorkers())
+	defer obs.SetEnabled(obs.Enabled())
+	obs.SetEnabled(true)
+
+	g := NewGraph(NewRegistry())
+	ev := NewEvaluator(g, memSource{"Stations": workload.Stations(20000, 1)})
+	var prev *Box
+	for _, b := range []struct {
+		kind string
+		p    Params
+	}{
+		{"table", Params{"name": "Stations"}},
+		{"restrict", Params{"pred": "longitude < -80"}},
+		{"restrict", Params{"pred": "latitude > 30"}},
+	} {
+		box, err := g.AddBox(b.kind, b.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev != nil {
+			if err := g.Connect(prev.ID, 0, box.ID, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		prev = box
+	}
+	chunks := func(scanWorkers int) int64 {
+		rel.SetScanWorkers(scanWorkers)
+		ev.InvalidateAll()
+		before := obs.CounterValue(obs.RelScanChunks)
+		res, err := ev.Eval(context.Background(), Request{Box: prev.ID})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Fires != 2 {
+			t.Fatalf("chain fired %d boxes, want 2 (table + one fused chain)", res.Fires)
+		}
+		return obs.CounterValue(obs.RelScanChunks) - before
+	}
+	if got := chunks(1); got != 0 {
+		t.Errorf("with one scan worker the fused chain dispatched %d parallel chunks", got)
+	}
+	if got := chunks(0); got == 0 {
+		t.Error("with GOMAXPROCS scan workers the fused chain dispatched no parallel chunks")
 	}
 }

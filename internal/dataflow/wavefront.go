@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
 
@@ -164,6 +165,9 @@ func (rs *runStats) fill(res *Result) {
 // the level is wide and the request allows it.
 func (e *Evaluator) runLevel(ctx context.Context, p *plan, level []*planNode, o EvalOptions, rs *runStats) error {
 	workers := o.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > len(level) {
 		workers = len(level)
 	}

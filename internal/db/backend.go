@@ -17,8 +17,8 @@ import (
 
 // This file is the database's one on-disk form: each table is written
 // as a chunk-encoded segment through a rel.Backend, plus one small
-// manifest blob describing schemas, computed attributes, indexes,
-// programs, and definitions. Tables reopened from a backend are
+// manifest blob describing schemas, computed attributes, programs, and
+// definitions. Tables reopened from a backend are
 // chunk-backed — their chunks fault in on demand and stay subject to
 // the global memory quota — so a database larger than memory loads in
 // O(manifest) time and scans within the bound.
@@ -38,7 +38,6 @@ type manifestTable struct {
 	Segment  string
 	Columns  []manifestColumn
 	Computed []manifestComputed
-	Indexes  []string
 }
 
 type manifestColumn struct {
@@ -121,11 +120,6 @@ func (d *Database) SaveBackend(b rel.Backend) error {
 		for _, c := range t.Computed() {
 			mt.Computed = append(mt.Computed, manifestComputed{Name: c.Name, Expr: c.Expr.String()})
 		}
-		for _, col := range t.Schema().Columns() {
-			if _, ok := t.Index(col.Name); ok {
-				mt.Indexes = append(mt.Indexes, col.Name)
-			}
-		}
 		if err := b.WriteSegment(mt.Segment, t); err != nil {
 			return opErr("save", name, err)
 		}
@@ -144,9 +138,12 @@ func (d *Database) SaveBackend(b rel.Backend) error {
 }
 
 // LoadBackend replaces the database's contents with the catalog stored
-// in b. Tables come back chunk-backed: only tables with indexes touch
-// their tuples at load time (index construction scans once, through the
-// quota-bounded cache); everything else loads lazily on first read.
+// in b. Tables come back chunk-backed: no tuple is read at load time, so
+// each table's chunks fault in lazily on first read. A manifest whose
+// content is not a valid catalog — an unknown column kind, a repeated
+// table or column name, a computed attribute that does not parse or
+// check — fails with ErrBadSnapshotFormat; segment failures keep rel's
+// ErrNoSegment and ErrBadSegment.
 func (d *Database) LoadBackend(b rel.Backend) error {
 	obs.Inc(obs.DBLoads)
 	_, sp := obs.StartSpanCtx(context.Background(), obs.SpanDBLoad)
@@ -160,7 +157,10 @@ func (d *Database) LoadBackend(b rel.Backend) error {
 	if err := readSnapHeader(rd); err != nil {
 		return opErr("load", "", err)
 	}
-	var m manifest
+	// Non-nil maps make gob decode entries into them instead of sizing a
+	// fresh map by the count the input claims, so a forged count cannot
+	// allocate more than the manifest's own length.
+	m := manifest{Programs: map[string][]byte{}, Defs: map[string][]byte{}}
 	if err := gob.NewDecoder(rd).Decode(&m); err != nil {
 		return opErr("load", "", fmt.Errorf("%w: manifest: %v", ErrBadSnapshotFormat, err))
 	}
@@ -170,13 +170,16 @@ func (d *Database) LoadBackend(b rel.Backend) error {
 
 	tables := make(map[string]*rel.Relation, len(m.Tables))
 	for _, mt := range m.Tables {
+		if _, dup := tables[mt.Name]; dup {
+			return opErr("load", mt.Name, fmt.Errorf("%w: table listed twice", ErrBadSnapshotFormat))
+		}
 		cols := make([]rel.Column, len(mt.Columns))
 		for i, c := range mt.Columns {
 			cols[i] = rel.Column{Name: c.Name, Kind: types.Kind(c.Kind)}
 		}
 		schema, err := rel.NewSchema(cols...)
 		if err != nil {
-			return opErr("load", mt.Name, err)
+			return opErr("load", mt.Name, fmt.Errorf("%w: %w", ErrBadSnapshotFormat, err))
 		}
 		src, err := b.OpenSegment(mt.Segment, schema)
 		if err != nil {
@@ -187,12 +190,7 @@ func (d *Database) LoadBackend(b rel.Backend) error {
 			return opErr("load", mt.Name, err)
 		}
 		if err := restoreComputed(t, mt.Computed); err != nil {
-			return opErr("load", mt.Name, err)
-		}
-		for _, col := range mt.Indexes {
-			if err := t.CreateIndex(col); err != nil {
-				return opErr("load", mt.Name, err)
-			}
+			return opErr("load", mt.Name, fmt.Errorf("%w: %w", ErrBadSnapshotFormat, err))
 		}
 		tables[mt.Name] = t
 	}

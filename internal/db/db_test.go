@@ -202,14 +202,11 @@ func TestDefStore(t *testing.T) {
 
 // TestSaveLoadRoundTrip saves into a FileBackend directory and reloads
 // it with LoadDir, the on-disk path of `tioga -db DIR`: tuples, computed
-// attributes, indexes, programs, and definitions all come back.
+// attributes, programs, and definitions all come back.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	d := seeded(t)
 	err := d.AlterTable("Stations", func(st *rel.Relation) error {
-		if err := st.AddComputed("alt2", expr.MustParse("altitude * 2")); err != nil {
-			return err
-		}
-		return st.CreateIndex("state")
+		return st.AddComputed("alt2", expr.MustParse("altitude * 2"))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,10 +257,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	c, _ := st2.Row(0).Attr("alt2").AsFloat()
 	if a != c {
 		t.Fatal("computed attribute value differs after load")
-	}
-	// Indexes rebuilt.
-	if _, ok := st2.Index("state"); !ok {
-		t.Fatal("index lost")
 	}
 	// Programs and defs restored.
 	if _, err := d2.LoadProgram("prog"); err != nil {

@@ -19,8 +19,9 @@ var (
 	// had moved past the snapshot it was validated against.
 	ErrSnapshotStale = errors.New("snapshot is stale")
 	// ErrBadSnapshotFormat: LoadBackend found a manifest that is not a
-	// Tioga database manifest (missing or foreign magic header), or one
-	// whose format version this build does not understand.
+	// Tioga database manifest (missing or foreign magic header), one
+	// whose format version this build does not understand, or one whose
+	// content is not a valid catalog.
 	ErrBadSnapshotFormat = errors.New("bad snapshot format")
 )
 

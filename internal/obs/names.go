@@ -62,8 +62,7 @@ const (
 	DBEventsCoalesced = "db.events_coalesced" // events dropped by backlog coalescing
 
 	// Relational engine (internal/rel).
-	RelRestrictScans   = "rel.restrict.scans"      // full-heap restricts
-	RelRestrictIndexed = "rel.restrict.index_hits" // restricts answered by a B-tree
+	RelRestrictScans   = "rel.restrict.scans"
 	RelRestrictRowsIn  = "rel.restrict.rows_in"
 	RelRestrictRowsOut = "rel.restrict.rows_out"
 	RelJoinHash        = "rel.join.hash"

@@ -18,9 +18,6 @@ func cowRel(t testing.TB) *Relation {
 	for i := 0; i < 8; i++ {
 		r.MustAppend([]types.Value{types.NewInt(int64(i)), types.NewFloat(float64(i) / 2)})
 	}
-	if err := r.CreateIndex("id"); err != nil {
-		t.Fatal(err)
-	}
 	def, err := expr.Parse("x * 2.0")
 	if err != nil {
 		t.Fatal(err)
@@ -87,33 +84,6 @@ func TestCowCloneAppendInvisibleToOriginal(t *testing.T) {
 	assertFrozen(t, orig, before)
 	if next.Len() != orig.Len()+1 {
 		t.Fatalf("clone length %d, want %d", next.Len(), orig.Len()+1)
-	}
-}
-
-func TestCowCloneIndexesIndependent(t *testing.T) {
-	orig := cowRel(t)
-	next := orig.CowClone()
-	if err := next.Update(0, "id", types.NewInt(500)); err != nil {
-		t.Fatal(err)
-	}
-	next.MustAppend([]types.Value{types.NewInt(600), types.NewFloat(0)})
-
-	oidx, ok := orig.Index("id")
-	if !ok {
-		t.Fatal("original lost its index")
-	}
-	if rows := oidx.Get(types.NewInt(0)); len(rows) != 1 || rows[0] != 0 {
-		t.Fatalf("original index for key 0 = %v, want [0]", rows)
-	}
-	if rows := oidx.Get(types.NewInt(500)); rows != nil {
-		t.Fatalf("clone's update leaked into original index: %v", rows)
-	}
-	if rows := oidx.Get(types.NewInt(600)); rows != nil {
-		t.Fatalf("clone's append leaked into original index: %v", rows)
-	}
-	nidx, _ := next.Index("id")
-	if rows := nidx.Get(types.NewInt(500)); len(rows) != 1 {
-		t.Fatalf("clone index missed the update: %v", rows)
 	}
 }
 

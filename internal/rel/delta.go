@@ -319,6 +319,9 @@ func (s *JoinState) Apply(newL, newR *Relation, dl, dr *TupleDelta) (*Relation, 
 		if v.IsNull() {
 			continue
 		}
+		if s.bf && isNaN(v) {
+			return nil, nil, false
+		}
 		k := keyOf(v)
 		for _, prow := range s.probeIdx[k] {
 			lt, rt := s.sides(prd.at(prow), op.Tuple)
@@ -349,6 +352,9 @@ func (s *JoinState) Apply(newL, newR *Relation, dl, dr *TupleDelta) (*Relation, 
 			v := op.Tuple[s.pi]
 			if v.IsNull() {
 				continue
+			}
+			if s.pf && isNaN(v) {
+				return nil, nil, false
 			}
 			k := keyOf(v)
 			for _, brow := range s.table[k] {

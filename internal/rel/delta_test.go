@@ -3,7 +3,9 @@ package rel
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/expr"
@@ -363,5 +365,56 @@ func TestJoinStateBuildUpdateFallback(t *testing.T) {
 	dr := &TupleDelta{Ops: []DeltaOp{{Kind: DeltaUpdate, Row: 0, Tuple: nr.Tuple(0), Old: old}}}
 	if _, _, ok := state.Apply(l, nr, nil, dr); ok {
 		t.Fatal("build-side update applied, want fallback")
+	}
+}
+
+// A NaN key equals every number, which the bucket tables cannot express:
+// appending a NaN-keyed row on either side must leave the incremental
+// path's result equal to a full recompute. Apply declines such a delta,
+// and so does BuildJoinState over inputs holding NaN, which leaves the
+// caller's full refire in charge.
+func TestJoinStateNaNKeyMatchesRecompute(t *testing.T) {
+	pred := expr.MustParse("a = b")
+	nan := types.NewFloat(math.NaN())
+	one, two := types.NewFloat(1), types.NewFloat(2)
+	for _, side := range []string{"probe", "build"} {
+		l, r := floatColumn("a", one, two, types.NewFloat(3)), floatColumn("b", one, two) // r smaller: r is the build side
+		out, err := Join(l, r, pred, JoinAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		state, ok := BuildJoinState(l, r, out, pred)
+		if !ok {
+			t.Fatalf("%s: BuildJoinState declined", side)
+		}
+		grow := l
+		if side == "build" {
+			grow = r
+		}
+		next := grow.CowClone()
+		next.MustAppend([]types.Value{nan})
+		d := &TupleDelta{Ops: []DeltaOp{{Kind: DeltaAppend, Row: next.Len() - 1, Tuple: next.Tuple(next.Len() - 1)}}}
+		nl, nr, dl, dr := next, r, d, (*TupleDelta)(nil)
+		if side == "build" {
+			nl, nr, dl, dr = l, next, nil, d
+		}
+		got, _, ok := state.Apply(nl, nr, dl, dr)
+		if !ok {
+			// The caller refires the join in full; a state rebuilt over
+			// that output must decline too.
+			if got, err = Join(nl, nr, pred, JoinAuto); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := BuildJoinState(nl, nr, got, pred); ok {
+				t.Fatalf("%s: BuildJoinState accepted inputs with a NaN key", side)
+			}
+		}
+		want, err := Join(nl, nr, pred, JoinNestedLoop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tupleBag(got), tupleBag(want)) {
+			t.Errorf("%s: incremental rows %v, full recompute %v", side, tupleBag(got), tupleBag(want))
+		}
 	}
 }

@@ -84,9 +84,6 @@ func TestCloneGetsFreshGeneration(t *testing.T) {
 	if c := r.CowClone(); c.Generation() == g {
 		t.Fatal("CowClone shares the source's generation")
 	}
-	if c := r.ShallowClone(); c.Generation() == g {
-		t.Fatal("ShallowClone shares the source's generation")
-	}
 	// Cloning must not disturb the source's stamp.
 	if got := r.Generation(); got != g {
 		t.Fatalf("source generation moved from %d to %d on clone", g, got)

@@ -2,12 +2,12 @@ package rel
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 
-	"repro/internal/btree"
 	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/types"
@@ -24,25 +24,12 @@ func Project(r *Relation, names []string) (*Relation, error) {
 }
 
 // Restrict filters a relation to tuples satisfying a predicate (Figure 3).
-// When the predicate is a simple comparison on an indexed stored column,
-// the index is scanned instead of the heap; otherwise every row is
-// evaluated by a one-step fused scan.
+// Every row is evaluated by a one-step fused scan.
 func Restrict(r *Relation, pred expr.Node) (*Relation, error) {
 	if err := expr.CheckPredicate(pred, r); err != nil {
 		return nil, err
 	}
 	obs.Add(obs.RelRestrictRowsIn, int64(r.Len()))
-
-	if rows, ok := indexedRows(r, pred); ok {
-		obs.Inc(obs.RelRestrictIndexed)
-		obs.Add(obs.RelRestrictRowsOut, int64(len(rows)))
-		out := r.derive(r.schema, true)
-		if err := takeRows(out, r, rows); err != nil {
-			return nil, fmt.Errorf("rel: restrict: %w", err)
-		}
-		return out, nil
-	}
-
 	obs.Inc(obs.RelRestrictScans)
 	out, err := runStep(r, FusedOp{Pred: pred}, "restrict")
 	if err != nil {
@@ -63,85 +50,6 @@ func takeRows(out, src *Relation, rows []int) error {
 	out.cols = cs
 	out.setProv(src, rows)
 	return nil
-}
-
-// indexedRows recognizes predicates of the form col OP literal (or literal
-// OP col) on an indexed column and answers them from the B-tree, returning
-// matching rows in key order.
-func indexedRows(r *Relation, pred expr.Node) ([]int, bool) {
-	b, ok := pred.(*expr.Binary)
-	if !ok {
-		return nil, false
-	}
-	var col string
-	var lit types.Value
-	op := b.Op
-	if ref, ok := b.L.(*expr.Ref); ok {
-		if l, ok := b.R.(*expr.Lit); ok {
-			col, lit = ref.Name, l.Val
-		}
-	} else if ref, ok := b.R.(*expr.Ref); ok {
-		if l, ok := b.L.(*expr.Lit); ok {
-			col, lit = ref.Name, l.Val
-			// Flip the comparison: lit OP col == col flip(OP) lit.
-			switch op {
-			case "<":
-				op = ">"
-			case "<=":
-				op = ">="
-			case ">":
-				op = "<"
-			case ">=":
-				op = "<="
-			}
-		}
-	}
-	if col == "" || lit.IsNull() {
-		return nil, false
-	}
-	idx, ok := r.Index(col)
-	if !ok {
-		return nil, false
-	}
-	// Mixed int/float comparisons through the index would need care;
-	// require the literal kind to match the column kind exactly.
-	if k, _ := r.schema.KindOf(col); k != lit.Kind() {
-		return nil, false
-	}
-
-	var rows []int
-	switch op {
-	case "=":
-		rows = append(rows, idx.Get(lit)...)
-	case "<":
-		idx.AscendRange(nil, &lit, func(it btree.Item) bool {
-			if c, _ := it.Key.Compare(lit); c < 0 {
-				rows = append(rows, it.Rows...)
-			}
-			return true
-		})
-	case "<=":
-		idx.AscendRange(nil, &lit, func(it btree.Item) bool {
-			rows = append(rows, it.Rows...)
-			return true
-		})
-	case ">":
-		idx.AscendRange(&lit, nil, func(it btree.Item) bool {
-			if c, _ := it.Key.Compare(lit); c > 0 {
-				rows = append(rows, it.Rows...)
-			}
-			return true
-		})
-	case ">=":
-		idx.AscendRange(&lit, nil, func(it btree.Item) bool {
-			rows = append(rows, it.Rows...)
-			return true
-		})
-	default:
-		return nil, false
-	}
-	sort.Ints(rows)
-	return rows, true
 }
 
 // Sample produces a random subset of the input: each tuple is retained
@@ -173,7 +81,8 @@ type JoinStrategy int
 
 // Join strategies. JoinAuto uses a hash join when the predicate is a
 // conjunction containing an equality between one attribute of each input,
-// and otherwise falls back to a nested loop.
+// and otherwise falls back to a nested loop. Both hash strategies fall
+// back to the nested loop when a key value is NaN.
 const (
 	JoinAuto JoinStrategy = iota
 	JoinHash
@@ -253,19 +162,21 @@ func Join(l, r *Relation, pred expr.Node, strategy JoinStrategy) (*Relation, err
 
 	if strategy == JoinAuto || strategy == JoinHash {
 		if la, ra, ok := equiKey(pred, l, r, rRename); ok {
-			obs.Inc(obs.RelJoinHash)
 			h, err := hashJoin(l, r, l.schema.Index(la), r.schema.Index(ra), res, func(prow, brow int) {
 				lrows, rrows = append(lrows, prow), append(rrows, brow)
 			})
-			if err != nil {
+			if err == nil {
+				obs.Inc(obs.RelJoinHash)
+				if !h.buildIsRight {
+					lrows, rrows = rrows, lrows
+				}
+				return done()
+			}
+			if !errors.Is(err, errNaNKey) {
 				return nil, fmt.Errorf("rel: join: %w", err)
 			}
-			if !h.buildIsRight {
-				lrows, rrows = rrows, lrows
-			}
-			return done()
-		}
-		if strategy == JoinHash {
+			lrows, rrows = lrows[:0], rrows[:0] // a NaN key: the nested loop keeps its pairs
+		} else if strategy == JoinHash {
 			return nil, fmt.Errorf("rel: join: hash strategy requires an equality predicate between the inputs")
 		}
 	}
@@ -375,9 +286,22 @@ func equiKey(pred expr.Node, l, r *Relation, rRename map[string]string) (la, ra 
 // hashBuild is a hash equi-join's build side: which input it is and the
 // bucket table over its keys.
 type hashBuild struct {
-	bi, pi       int // key ordinals in build and probe
+	bi, pi       int  // key ordinals in build and probe
+	bf, pf       bool // build, probe key column is Float, so may hold NaN
 	buildIsRight bool
 	table        map[valueKey][]int // key -> build rows, in build-row order
+}
+
+// errNaNKey reports a NaN join key. NaN compares equal to every number
+// (types.Value.Compare), which no hash bucket can express, so Join runs
+// the nested loop instead and JoinState declines.
+var errNaNKey = errors.New("rel: NaN join key")
+
+// isNaN reports whether key value v is NaN; callers gate it on the key
+// column being Float, so Int-keyed joins never test.
+func isNaN(v types.Value) bool {
+	f, _ := v.AsFloat()
+	return math.IsNaN(f)
 }
 
 // inputs orders (l, r) into (build, probe).
@@ -402,19 +326,24 @@ func (h *hashBuild) sides(ptup, btup []types.Value) (lt, rt []types.Value) {
 // order, calling emit for each pair the residual keeps — probe-major,
 // bucket order within a probe row. A probe row is decoded only when its
 // key's bucket is non-empty. It returns the build side for incremental
-// maintenance (JoinState).
+// maintenance (JoinState), or errNaNKey on a NaN key.
 func hashJoin(l, r *Relation, li, ri int, res *joinResidual, emit func(prow, brow int)) (*hashBuild, error) {
 	h := &hashBuild{bi: ri, pi: li, buildIsRight: true}
 	if l.Len() < r.Len() {
 		h.bi, h.pi, h.buildIsRight = li, ri, false
 	}
 	build, probe := h.inputs(l, r)
+	h.bf = build.schema.Col(h.bi).Kind == types.Float
+	h.pf = probe.schema.Col(h.pi).Kind == types.Float
 	h.table = make(map[valueKey][]int, build.Len())
 	brd := build.reader()
 	for row, n := 0, build.Len(); row < n; row++ {
 		v := brd.value(row, h.bi)
 		if v.IsNull() {
 			continue
+		}
+		if h.bf && isNaN(v) {
+			return nil, errNaNKey
 		}
 		k := keyOf(v)
 		h.table[k] = append(h.table[k], row)
@@ -425,6 +354,9 @@ func hashJoin(l, r *Relation, li, ri int, res *joinResidual, emit func(prow, bro
 		v := prd.value(prow, h.pi)
 		if v.IsNull() {
 			continue
+		}
+		if h.pf && isNaN(v) {
+			return nil, errNaNKey
 		}
 		bucket := h.table[keyOf(v)]
 		if len(bucket) == 0 {

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"repro/internal/btree"
 	"repro/internal/expr"
 	"repro/internal/types"
 )
@@ -33,14 +32,14 @@ type Computed struct {
 	Expr expr.Node
 }
 
-// Relation is a table: a stored schema, tuple storage, computed
-// attributes, and optional secondary indexes on stored columns. Only the
-// db package mutates base tables, through Relation's update hooks.
+// Relation is a table: a stored schema, tuple storage, and computed
+// attributes. It keeps no secondary indexes: every predicate is answered
+// by a scan. Only the db package mutates base tables, through Relation's
+// update hooks.
 type Relation struct {
 	name     string
 	schema   *Schema
 	computed []Computed
-	indexes  map[string]*btree.Tree
 	// cols is the tuple storage: typed columnar chunks. Resident tables
 	// and operator outputs hold pinned chunks; relations opened from a
 	// persistent backend (FromChunkSource) fault theirs in lazily through
@@ -267,18 +266,11 @@ func (r *Relation) AttrNames() []string {
 // Append adds a tuple. The tuple must match the schema arity and types
 // (null is accepted in any column).
 func (r *Relation) Append(tuple []types.Value) error {
-	row := r.Len()
 	cs, err := r.cols.withAppend(tuple)
 	if err != nil {
 		return fmt.Errorf("rel: %s: %w", r.name, err)
 	}
 	r.cols = cs
-	for col, idx := range r.indexes {
-		v := tuple[r.schema.Index(col)]
-		if !v.IsNull() {
-			idx.Insert(v, row)
-		}
-	}
 	r.bumpGen()
 	return nil
 }
@@ -307,8 +299,7 @@ func (r *Relation) Tuple(i int) []types.Value {
 // expr.Env including computed attributes.
 func (r *Relation) Row(i int) Row { return Row{rel: r, idx: i} }
 
-// Update replaces column col of tuple row with v, maintaining indexes.
-// This is the primitive beneath the Section 8 update machinery.
+// Update replaces column col of tuple row with v. This is the primitive beneath the Section 8 update machinery.
 func (r *Relation) Update(row int, col string, v types.Value) error {
 	ci := r.schema.Index(col)
 	if ci < 0 {
@@ -324,7 +315,6 @@ func (r *Relation) Update(row int, col string, v types.Value) error {
 	if err != nil {
 		return fmt.Errorf("rel: %s: %w", r.name, err)
 	}
-	old := nt[ci]
 	nt[ci] = v
 	// Copy-on-write the affected chunk; every other chunk slot, and every
 	// unchanged lane of this one, is shared with the previous version.
@@ -332,49 +322,9 @@ func (r *Relation) Update(row int, col string, v types.Value) error {
 	if err != nil {
 		return fmt.Errorf("rel: %s: %w", r.name, err)
 	}
-	if idx, ok := r.indexes[col]; ok {
-		if !old.IsNull() {
-			idx.Delete(old, row)
-		}
-		if !v.IsNull() {
-			idx.Insert(v, row)
-		}
-	}
 	r.cols = cs
 	r.bumpGen()
 	return nil
-}
-
-// CreateIndex builds a B-tree index on a stored column.
-func (r *Relation) CreateIndex(col string) error {
-	ci := r.schema.Index(col)
-	if ci < 0 {
-		return fmt.Errorf("rel: %s: cannot index %q: no such stored column", r.name, col)
-	}
-	if r.indexes == nil {
-		r.indexes = make(map[string]*btree.Tree)
-	}
-	if _, dup := r.indexes[col]; dup {
-		return fmt.Errorf("rel: %s: index on %q already exists", r.name, col)
-	}
-	t := &btree.Tree{}
-	rd := r.reader()
-	for row, n := 0, r.Len(); row < n; row++ {
-		if v := rd.value(row, ci); !v.IsNull() {
-			t.Insert(v, row)
-		}
-	}
-	if err := rd.Err(); err != nil {
-		return fmt.Errorf("rel: %s: indexing %q: %w", r.name, col, err)
-	}
-	r.indexes[col] = t
-	return nil
-}
-
-// Index returns the index on col, if any.
-func (r *Relation) Index(col string) (*btree.Tree, bool) {
-	t, ok := r.indexes[col]
-	return t, ok
 }
 
 // AddComputed defines a new computed attribute. The definition may depend
@@ -469,11 +419,18 @@ func (p prefixScope) AttrKind(name string) (types.Kind, bool) {
 	return types.Invalid, false
 }
 
-// ShallowClone returns a relation sharing tuple storage but with private
-// computed-attribute definitions, so attribute boxes can extend a derived
-// relation without mutating their input. Indexes are not carried (they
-// belong to base tables).
-func (r *Relation) ShallowClone() *Relation {
+// CowClone returns a copy-on-write clone sharing the tuple store and
+// provenance but with a private computed-attribute list. The db write
+// path uses it to build a table's next version, and attribute boxes use
+// it to extend a derived relation without mutating their input. Stores
+// are immutable — Append and Update install a new store version sharing
+// every untouched chunk slot and lane — so any mutation applied to the
+// clone is invisible to holders of the original: the clone is the next
+// version of the table, the original remains an immutable snapshot.
+// Tuple storage costs nothing until a write copies one chunk directory.
+// The clone starts unstamped, so the first cache to observe it receives
+// a fresh generation.
+func (r *Relation) CowClone() *Relation {
 	return &Relation{
 		name:     r.name,
 		schema:   r.schema,
@@ -482,27 +439,6 @@ func (r *Relation) ShallowClone() *Relation {
 		provBase: r.provBase,
 		provRows: r.provRows,
 	}
-}
-
-// CowClone returns a copy-on-write clone for the db write path: the
-// computed-attribute list and the secondary indexes are fresh, while the
-// tuple store is shared with the original. Stores are immutable — Append
-// and Update install a new store version sharing every untouched chunk
-// slot and lane — so any mutation applied to the clone is invisible to
-// holders of the original: the clone is the next version of the table,
-// the original remains an immutable snapshot. Cost is the index copy;
-// tuple storage costs nothing until a write copies one chunk directory.
-// The clone starts unstamped, so the first cache to observe it receives
-// a fresh generation.
-func (r *Relation) CowClone() *Relation {
-	out := r.ShallowClone()
-	if r.indexes != nil {
-		out.indexes = make(map[string]*btree.Tree, len(r.indexes))
-		for col, idx := range r.indexes {
-			out.indexes[col] = idx.Clone()
-		}
-	}
-	return out
 }
 
 // derive builds an anonymous relation sharing this relation's computed

@@ -10,8 +10,7 @@ import (
 	"repro/internal/types"
 )
 
-// Restrict (past its B-tree probe) and Project run as one-step fused
-// scans. These tests pin what that single scan must preserve of the
+// Restrict and Project run as one-step fused scans. These tests pin what that single scan must preserve of the
 // standalone operators: outputs with provenance, the per-call obs
 // counters, the absence of rel.* spans, and error identity — under both
 // the compiled engine and the SetCompileDisabled oracle, over row-major
@@ -19,7 +18,7 @@ import (
 
 // scanCounters are the obs counters a Restrict or Project call may move.
 var scanCounters = []string{
-	obs.RelRestrictScans, obs.RelRestrictIndexed, obs.RelRestrictRowsIn,
+	obs.RelRestrictScans, obs.RelRestrictRowsIn,
 	obs.RelRestrictRowsOut, obs.RelCompile, obs.RelKernelScans, obs.RelFusedScans,
 }
 
@@ -59,24 +58,18 @@ func TestSingleStepScansMatchFusedScan(t *testing.T) {
 	instrumented(t)
 	row := bigRelation(t, 2*DefaultScanThreshold+77)
 	chunked := asChunkBacked(t, row, 1024)
-	for _, r := range []*Relation{row, chunked} {
-		if err := r.CreateIndex("id"); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	cases := []struct {
 		name    string
 		op      FusedOp
 		scans   int64 // rel.restrict.scans
-		indexed int64 // rel.restrict.index_hits
 		compile int64 // rel.compile with compilation on
 		kernel  int64 // rel.kernel_scans with compilation on
 	}{
-		{"kernel", FusedOp{Pred: expr.MustParse("grp < 4 and val > -10.0")}, 1, 0, 1, 1},
-		{"rejected", FusedOp{Pred: expr.MustParse("len(tag) > 1")}, 1, 0, 1, 0},
-		{"indexed", FusedOp{Pred: expr.MustParse("id < 3000")}, 0, 1, 0, 0},
-		{"project", FusedOp{Project: []string{"val", "id", "tag"}}, 0, 0, 0, 0},
+		{"kernel", FusedOp{Pred: expr.MustParse("grp < 4 and val > -10.0")}, 1, 1, 1},
+		{"rejected", FusedOp{Pred: expr.MustParse("len(tag) > 1")}, 1, 1, 0},
+		{"range", FusedOp{Pred: expr.MustParse("id < 3000")}, 1, 1, 1},
+		{"project", FusedOp{Project: []string{"val", "id", "tag"}}, 0, 0, 0},
 	}
 	for _, r := range []*Relation{row, chunked} {
 		for _, tc := range cases {
@@ -106,10 +99,9 @@ func TestSingleStepScansMatchFusedScan(t *testing.T) {
 				}
 
 				wantDelta := map[string]int64{
-					obs.RelRestrictScans:   tc.scans,
-					obs.RelRestrictIndexed: tc.indexed,
-					obs.RelCompile:         tc.compile,
-					obs.RelKernelScans:     tc.kernel,
+					obs.RelRestrictScans: tc.scans,
+					obs.RelCompile:       tc.compile,
+					obs.RelKernelScans:   tc.kernel,
 				}
 				if tc.op.Pred != nil {
 					wantDelta[obs.RelRestrictRowsIn] = int64(r.Len())

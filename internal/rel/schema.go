@@ -27,15 +27,16 @@ type Schema struct {
 	index map[string]int
 }
 
-// NewSchema builds a schema, rejecting duplicate or empty column names.
+// NewSchema builds a schema, rejecting duplicate or empty column names
+// and kinds outside types.Int..types.Date.
 func NewSchema(cols ...Column) (*Schema, error) {
 	s := &Schema{cols: append([]Column(nil), cols...), index: make(map[string]int, len(cols))}
 	for i, c := range cols {
 		if c.Name == "" {
 			return nil, fmt.Errorf("rel: column %d has empty name", i)
 		}
-		if c.Kind == types.Invalid {
-			return nil, fmt.Errorf("rel: column %q has invalid type", c.Name)
+		if c.Kind < types.Int || c.Kind > types.Date {
+			return nil, fmt.Errorf("rel: column %q has invalid type %s", c.Name, c.Kind)
 		}
 		if _, dup := s.index[c.Name]; dup {
 			return nil, fmt.Errorf("rel: duplicate column %q", c.Name)
