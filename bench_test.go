@@ -675,11 +675,11 @@ func BenchmarkParallelDisplayEval(b *testing.B) {
 	}
 }
 
-// --- query fast path: compiled closures vs the interpreter ------------
+// --- query fast path: chunk kernels vs the interpreter ----------------
 
 // queryEngineModes runs fn twice as sub-benchmarks: under the full query
-// fast path (compiled closures, materialized computed attributes) and
-// under the ablated baseline (tree-walking interpreter, serial scans).
+// fast path ("compiled": chunk kernels, parallel scans) and under the
+// ablated baseline (tree-walking interpreter, serial scans).
 func queryEngineModes(b *testing.B, fn func(b *testing.B)) {
 	b.Run("compiled", fn)
 	b.Run("interpreted", func(b *testing.B) {
@@ -695,8 +695,8 @@ func queryEngineModes(b *testing.B, fn func(b *testing.B)) {
 
 // benchQueryStations is a Stations relation with the computed attributes
 // the query benchmarks lean on: the interpreter re-walks a computed
-// definition at every reference, the compiled path materializes each
-// once per row.
+// definition at every reference, a kernel evaluates each once per chunk.
+// MapColumn interprets in both modes.
 func benchQueryStations(b *testing.B, rows int) *rel.Relation {
 	b.Helper()
 	st := workload.Stations(rows, benchSeed)

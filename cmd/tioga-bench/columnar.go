@@ -19,10 +19,11 @@ import (
 // columnarBenchReport is the columnar-kernel-vs-row-major comparison
 // written to BENCH_columnar.json: the same restrict→join pipeline over
 // the Stations relation, timed with monomorphic chunk kernels against
-// the compiled-closure scan that evaluates one row at a time (the
-// "row-major" leg, kept as the kernels' fallback), plus a bounded-
-// memory pass where the dataset lives in an append-only segment several
-// times larger than the chunk-cache quota.
+// the interpreter evaluating one row at a time (the "row-major" leg,
+// rel.SetCompileDisabled: the kernels' fallback and oracle), so Speedup
+// is kernels against the interpreter, plus a bounded-memory pass where
+// the dataset lives in an append-only segment several times larger
+// than the chunk-cache quota.
 type columnarBenchReport struct {
 	GeneratedBy      string              `json:"generated_by"`
 	Meta             runMeta             `json:"meta"`
@@ -52,9 +53,9 @@ type boundedMemoryReport struct {
 }
 
 // columnarComputed installs the computed attributes the pipeline's
-// predicates lean on. All three are kernel-compilable, so the columnar
-// leg evaluates them per chunk while the row-major leg materializes them
-// per row.
+// predicates lean on. Both are kernel-compilable, so the columnar leg
+// evaluates them per chunk while the row-major leg interprets their
+// definitions at every reference.
 func columnarComputed(r *rel.Relation) error {
 	if err := r.AddComputed("dist2", expr.MustParse(
 		"(longitude + 92.0) * (longitude + 92.0) + (latitude - 31.0) * (latitude - 31.0)")); err != nil {
@@ -95,9 +96,9 @@ func columnarDim(st *rel.Relation) *rel.Relation {
 
 // runColumnarBench times the columnar_scan workload: a restrict with an
 // arithmetic-heavy predicate over computed attributes, feeding a hash
-// join against a small dimension table. Both legs run the compiled
-// engine; the ablation is SetColumnarDisabled, so the delta isolates the
-// chunk kernels from expression compilation (which both legs keep).
+// join against a small dimension table. The ablation is
+// SetCompileDisabled, so the row-major leg interprets every row of both
+// the scan and the join's candidate pairs.
 func runColumnarBench(out string, quick, verbose bool) error {
 	rows := 100000
 	if quick {
@@ -135,13 +136,13 @@ func runColumnarBench(out string, quick, verbose bool) error {
 	}
 
 	rowMajor := func(base *rel.Relation) (*rel.Relation, error) {
-		prev := rel.SetColumnarDisabled(true)
-		defer rel.SetColumnarDisabled(prev)
+		prev := rel.SetCompileDisabled(true)
+		defer rel.SetCompileDisabled(prev)
 		return pipeline(base)
 	}
 
 	// Output identity before any timing: the speedup is vacuous if the
-	// kernels disagree with the row path.
+	// kernels disagree with the interpreter.
 	rj, err := rowMajor(st)
 	if err != nil {
 		return fmt.Errorf("columnar: row-major eval: %w", err)
@@ -230,7 +231,7 @@ func runColumnarBench(out string, quick, verbose bool) error {
 		return err
 	}
 	if verbose {
-		fmt.Printf("%-24s %12d ns/op (row-major compiled)\n", "columnar_scan", rowNs)
+		fmt.Printf("%-24s %12d ns/op (row-major interpreted)\n", "columnar_scan", rowNs)
 		fmt.Printf("%-24s %12d ns/op (columnar kernels)\n", "", colNs)
 	}
 	fmt.Printf("wrote %s (speedup %.2fx, outputs identical: %v; bounded peak %d/%d bytes, %d evictions)\n",

@@ -791,10 +791,10 @@ func runRenderBench(out string, quick, verbose bool) error {
 // queryBenchReport is the compiled-vs-interpreted query pipeline
 // comparison written to BENCH_query.json: a restrict→project→restrict
 // dataflow chain plus a hash join with an arithmetic residual predicate,
-// timed with the full fast path (expression compilation, chain fusion,
-// parallel scans) against the ablated baseline (tree-walking interpreter,
-// per-box firing, serial scans), with the output-identity check the
-// speedup is only meaningful with.
+// timed with the full fast path (chunk kernels, chain fusion, parallel
+// scans) against the ablated baseline (tree-walking interpreter, per-box
+// firing, serial scans), with the output-identity check the speedup is
+// only meaningful with. The "compiled" keys name the fast path.
 type queryBenchReport struct {
 	GeneratedBy        string           `json:"generated_by"`
 	Meta               runMeta          `json:"meta"`
@@ -820,7 +820,7 @@ type queryBenchReport struct {
 // canonical fusible chain — with predicates that reference the computed
 // attributes repeatedly. This is the workload the fast path is built
 // for: the interpreter re-walks a computed definition at every
-// reference, the compiled scan materializes each once per row.
+// reference, the kernels evaluate each once per chunk.
 func buildQueryPipeline(env *core.Environment) (int, error) {
 	err := env.DB.AlterTable("Stations", func(st *rel.Relation) error {
 		if err := st.AddComputed("dist2", expr.MustParse(
@@ -883,8 +883,8 @@ func runQueryBench(out string, quick, verbose bool) error {
 		return fmt.Errorf("query: observations: %w", err)
 	}
 	// The join residual leans on computed attributes too: degf and
-	// elev_adj are re-derived per candidate pair by the interpreter,
-	// materialized once per pair by the compiled path.
+	// elev_adj are re-derived at every reference by the interpreter,
+	// once per block of candidate pairs by the kernels.
 	if err := st.AddComputed("elev_adj", expr.MustParse("altitude / 1000.0 + latitude * 0.1")); err != nil {
 		return fmt.Errorf("query: computed: %w", err)
 	}
@@ -908,7 +908,7 @@ func runQueryBench(out string, quick, verbose bool) error {
 	}
 
 	// The two engine configurations. Baseline ablates every fast-path
-	// layer: interpreter instead of compiled closures, per-box firing
+	// layer: interpreter instead of chunk kernels, per-box firing
 	// instead of fused scans, one scan worker instead of chunking.
 	workers := runtime.GOMAXPROCS(0)
 	baseline := func() (dataflow.Value, *rel.Relation, error) {
@@ -1039,7 +1039,7 @@ func runQueryBench(out string, quick, verbose bool) error {
 	}
 	if verbose {
 		fmt.Printf("%-24s %12d ns/op (interpreted)\n", "query_pipeline", interpNs)
-		fmt.Printf("%-24s %12d ns/op (compiled+fused)\n", "", fastNs)
+		fmt.Printf("%-24s %12d ns/op (kernels+fused)\n", "", fastNs)
 	}
 	fmt.Printf("wrote %s (speedup %.2fx, outputs identical: %v; stations_live %.1fx, outputs identical: %v)\n",
 		out, report.Speedup, identical, live.Speedup, live.OutputsIdentical)

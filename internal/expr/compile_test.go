@@ -1,93 +1,151 @@
-package expr
+package expr_test
 
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/expr"
+	"repro/internal/obs"
+	"repro/internal/rel"
 	"repro/internal/types"
 )
 
-// tupleScope is a CompileScope over an ordered column list plus computed
-// definitions — the same shape rel's compileScope has, without the
-// dependency.
-type tupleScope struct {
-	names []string
-	comps map[string]Node
-}
+// The language has one meaning, Eval, and one compiled form: internal/rel
+// compiles a predicate into chunk kernels, bitmap loops over a relation's
+// typed column lanes, and evaluates the rows a kernel declines with the
+// interpreter. These tests hold rel.Restrict, kernels on, to Eval itself:
+// row by row over tupleEnv, which shares no code with rel, every row must
+// be kept or dropped as EvalPredicate says, or fail with its error.
 
-func (s tupleScope) ResolveAttr(name string) (int, Node, bool) {
-	for i, n := range s.names {
-		if n == name {
-			return i, nil, true
-		}
-	}
-	if def, ok := s.comps[name]; ok {
-		return -1, def, true
-	}
-	return -1, nil, false
-}
-
-// tupleEnv is the interpreted counterpart: an Env over one tuple with the
-// same computed-attribute error swallowing the rel layer applies.
+// tupleEnv is the interpreted side: an Env over one tuple of r, where a
+// computed attribute evaluates its definition and a definition that fails
+// reads as null.
 type tupleEnv struct {
-	scope tupleScope
+	r     *rel.Relation
 	tuple []types.Value
 }
 
 func (e tupleEnv) AttrValue(name string) (types.Value, bool) {
-	for i, n := range e.scope.names {
-		if n == name {
-			return e.tuple[i], true
-		}
+	if i := e.r.Schema().Index(name); i >= 0 {
+		return e.tuple[i], true
 	}
-	if def, ok := e.scope.comps[name]; ok {
-		v, err := Eval(def, e)
-		if err != nil {
-			return types.Null, true
+	for _, c := range e.r.Computed() {
+		if c.Name == name {
+			v, err := expr.Eval(c.Expr, e)
+			if err != nil {
+				return types.Null, true
+			}
+			return v, true
 		}
-		return v, true
 	}
 	return types.Null, false
 }
 
-func mustParse(t *testing.T, src string) Node {
-	t.Helper()
-	n, err := Parse(src)
-	if err != nil {
-		t.Fatalf("parse %q: %v", src, err)
-	}
-	return n
+// fixture is a relation's columns and computed definitions, in order.
+type fixture struct {
+	cols  []rel.Column
+	comps [][2]string
 }
 
-// checkAgree compiles src against scope and verifies the closure and the
-// interpreter agree on every given tuple: same error presence, and when
-// both succeed, same kind and rendering.
-func checkAgree(t *testing.T, src string, scope tupleScope, tuples [][]types.Value) {
+var compileCols = fixture{cols: []rel.Column{
+	{Name: "x", Kind: types.Int}, {Name: "y", Kind: types.Int},
+	{Name: "f", Kind: types.Float}, {Name: "g", Kind: types.Float},
+	{Name: "s", Kind: types.Text}, {Name: "u", Kind: types.Text},
+	{Name: "b", Kind: types.Bool}, {Name: "d", Kind: types.Date},
+}}
+
+func (fx fixture) relation(t *testing.T, tuples [][]types.Value) *rel.Relation {
 	t.Helper()
-	n := mustParse(t, src)
-	c, err := Compile(n, scope)
-	if err != nil {
-		t.Fatalf("compile %q: %v", src, err)
-	}
+	r := rel.New("T", rel.MustSchema(fx.cols...))
 	for _, tu := range tuples {
-		want, werr := Eval(n, tupleEnv{scope: scope, tuple: tu})
-		got, gerr := c.Eval(tu)
-		if (werr != nil) != (gerr != nil) {
-			t.Fatalf("%q on %v: interpreted err=%v, compiled err=%v", src, tu, werr, gerr)
+		r.MustAppend(tu)
+	}
+	for _, c := range fx.comps {
+		if err := r.AddComputed(c[0], expr.MustParse(c[1])); err != nil {
+			t.Fatalf("computed %s = %s: %v", c[0], c[1], err)
 		}
-		if werr != nil {
-			continue
-		}
-		if got.Kind() != want.Kind() || got.String() != want.String() {
-			t.Fatalf("%q on %v: interpreted %s, compiled %s", src, tu, want, got)
+	}
+	return r
+}
+
+// predicates turns src into the predicates that observe its value: a
+// Bool both as it is and negated (which tells null from false), a number
+// against zero three ways, a text against two literals, a date against
+// one.
+func predicates(t *testing.T, src string, scope expr.Scope) []expr.Node {
+	t.Helper()
+	k, err := expr.Check(expr.MustParse(src), scope)
+	if err != nil {
+		t.Fatalf("%q does not check: %v", src, err)
+	}
+	var forms []string
+	switch k {
+	case types.Int, types.Float:
+		forms = []string{"(%s) > 0", "(%s) = 0", "(%s) < 0"}
+	case types.Text:
+		forms = []string{"(%s) = ''", "(%s) != 'a'"}
+	case types.Date:
+		forms = []string{"(%s) = date(1996, 5, 12)"}
+	default:
+		forms = []string{"%s", "not (%s)"}
+	}
+	preds := make([]expr.Node, len(forms))
+	for i, f := range forms {
+		preds[i] = expr.MustParse(fmt.Sprintf(f, src))
+	}
+	return preds
+}
+
+// checkAgree runs every predicate form of src over the tuples through
+// Restrict with kernels on, and through EvalPredicate row by row. The two
+// must keep the same rows; where a row fails, both must stop there with
+// the same error, and the rows after it are checked again on their own.
+func checkAgree(t *testing.T, fx fixture, src string, tuples [][]types.Value) {
+	t.Helper()
+	defer rel.SetCompileDisabled(rel.SetCompileDisabled(false))
+	for _, pred := range predicates(t, src, fx.relation(t, nil)) {
+		for rows := tuples; len(rows) > 0; {
+			r := fx.relation(t, rows)
+			var want []int
+			var werr error
+			var next [][]types.Value
+			for i := 0; i < r.Len() && werr == nil; i++ {
+				ok, err := expr.EvalPredicate(pred, tupleEnv{r: r, tuple: r.Tuple(i)})
+				if err != nil {
+					werr, next = err, rows[i+1:]
+				} else if ok {
+					want = append(want, i)
+				}
+			}
+			out, gerr := rel.Restrict(r, pred)
+			if werr != nil || gerr != nil {
+				if werr == nil || gerr == nil || !strings.HasSuffix(gerr.Error(), werr.Error()) {
+					t.Fatalf("%s over %v: interpreted err=%v, compiled err=%v", pred, rows, werr, gerr)
+				}
+			} else {
+				got := make([]int, out.Len())
+				for i := range got {
+					_, got[i] = out.BaseRow(i)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s over %v: interpreted keeps rows %v, compiled %v", pred, rows, want, got)
+				}
+			}
+			rows = next
 		}
 	}
 }
 
-var compileCols = tupleScope{
-	names: []string{"x", "y", "f", "g", "s", "u", "b", "d"},
-	comps: map[string]Node{},
+// kernelScans counts the scans fn runs as kernels, so a test can tell
+// that it compared compiled code and not the interpreter with itself.
+func kernelScans(fn func()) int64 {
+	defer obs.SetEnabled(obs.Enabled())
+	obs.SetEnabled(true)
+	before := obs.CounterValue(obs.RelKernelScans)
+	fn()
+	return obs.CounterValue(obs.RelKernelScans) - before
 }
 
 func compileTuple(x, y int64, f, g float64, s, u string, b bool, days int64) []types.Value {
@@ -118,39 +176,23 @@ func TestCompileMatchesEvalTable(t *testing.T) {
 		"x / 0", "x % 0", "1 / 0 = 1 or x > 0",
 		"if(x > 0, f, g) + 1.0",
 	}
-	for _, src := range srcs {
-		checkAgree(t, src, compileCols, tuples)
-	}
-}
-
-func TestCompileConstantFolding(t *testing.T) {
-	// A fully-constant expression compiles to a single closure evaluated
-	// once; an erroring constant defers the error to call time instead of
-	// failing the compile, so scans over empty relations still succeed.
-	c, err := Compile(mustParse(t, "1 + 2 * 3"), compileCols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := c.Eval(nil)
-	if err != nil || v.Int() != 7 {
-		t.Fatalf("folded constant = %v, %v; want 7", v, err)
-	}
-	c, err = Compile(mustParse(t, "1 / 0"), compileCols)
-	if err != nil {
-		t.Fatalf("erroring constant failed at compile time: %v", err)
-	}
-	if _, err := c.Eval(nil); err == nil {
-		t.Fatal("1/0 evaluated without error")
+	scans := kernelScans(func() {
+		for _, src := range srcs {
+			checkAgree(t, compileCols, src, tuples)
+		}
+	})
+	if scans == 0 {
+		t.Fatal("no scan ran kernels")
 	}
 }
 
 func TestCompileComputedAttr(t *testing.T) {
-	scope := tupleScope{
-		names: []string{"x", "f"},
-		comps: map[string]Node{
-			"twice":  mustParse(t, "x * 2"),
-			"ratio":  mustParse(t, "f / float(x)"),
-			"broken": mustParse(t, "x / 0"), // always errors: reads as null
+	fx := fixture{
+		cols: []rel.Column{{Name: "x", Kind: types.Int}, {Name: "f", Kind: types.Float}},
+		comps: [][2]string{
+			{"twice", "x * 2"},
+			{"ratio", "f / float(x)"},
+			{"broken", "x / 0"}, // always errors: reads as null
 		},
 	}
 	tuples := [][]types.Value{
@@ -158,40 +200,15 @@ func TestCompileComputedAttr(t *testing.T) {
 		{types.NewInt(0), types.NewFloat(1.0)},
 		{types.Null, types.NewFloat(2.0)},
 	}
-	for _, src := range []string{
-		"twice + 1", "ratio > 0.4", "twice * twice", "broken", "broken = 0",
-	} {
-		checkAgree(t, src, scope, tuples)
-	}
-}
-
-func TestCompileUnknownAttrFails(t *testing.T) {
-	if _, err := Compile(mustParse(t, "nope + 1"), compileCols); err == nil {
-		t.Fatal("unknown attribute compiled")
-	}
-}
-
-func TestCompilePredicate(t *testing.T) {
-	p, err := CompilePredicate(mustParse(t, "x > y"), compileCols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ok, err := p.Eval(compileTuple(10, 3, 0, 0, "", "", false, 0))
-	if err != nil || !ok {
-		t.Fatalf("10 > 3 = %v, %v", ok, err)
-	}
-	// A null predicate result means "does not pass", not an error.
-	ok, err = p.Eval([]types.Value{types.Null, types.NewInt(1), {}, {}, {}, {}, {}, {}})
-	if err != nil || ok {
-		t.Fatalf("null > 1 = %v, %v; want false, nil", ok, err)
-	}
-	// A non-bool predicate is an error in both modes.
-	p, err = CompilePredicate(mustParse(t, "x + y"), compileCols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Eval(compileTuple(1, 2, 0, 0, "", "", false, 0)); err == nil {
-		t.Fatal("non-bool predicate accepted")
+	scans := kernelScans(func() {
+		for _, src := range []string{
+			"twice + 1", "ratio > 0.4", "twice * twice", "broken", "broken = 0",
+		} {
+			checkAgree(t, fx, src, tuples)
+		}
+	})
+	if scans == 0 {
+		t.Fatal("no scan ran kernels")
 	}
 }
 
@@ -311,52 +328,38 @@ func randKind(r *rand.Rand) types.Kind {
 	return []types.Kind{types.Int, types.Float, types.Text, types.Bool}[r.Intn(4)]
 }
 
-// randTuple draws random column values, with nulls mixed in.
-func randTuple(r *rand.Rand) []types.Value {
-	tu := compileTuple(
-		int64(r.Intn(21)-10), int64(r.Intn(5)-2),
-		r.Float64()*20-10, r.Float64()*4-2,
-		[]string{"", "a", "abc", "zz"}[r.Intn(4)], []string{"", "a", "b"}[r.Intn(3)],
-		r.Intn(2) == 0, int64(r.Intn(10000)))
-	for i := range tu {
-		if r.Intn(6) == 0 {
-			tu[i] = types.Null
+// randTuples draws n tuples of random column values, with nulls mixed in.
+func randTuples(r *rand.Rand, n int) [][]types.Value {
+	tuples := make([][]types.Value, n)
+	for i := range tuples {
+		tu := compileTuple(
+			int64(r.Intn(21)-10), int64(r.Intn(5)-2),
+			r.Float64()*20-10, r.Float64()*4-2,
+			[]string{"", "a", "abc", "zz"}[r.Intn(4)], []string{"", "a", "b"}[r.Intn(3)],
+			r.Intn(2) == 0, int64(r.Intn(10000)))
+		for j := range tu {
+			if r.Intn(6) == 0 {
+				tu[j] = types.Null
+			}
 		}
+		tuples[i] = tu
 	}
-	return tu
+	return tuples
 }
 
 // TestCompileMatchesEvalRandom is the differential property test: for
-// thousands of random expressions and tuples the compiled closure must
-// agree with the tree-walking interpreter on error presence and value.
+// hundreds of random expressions, each over its own random tuples, the
+// compiled kernels must agree with the tree-walking interpreter on every
+// row's verdict and error.
 func TestCompileMatchesEvalRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	exprs := 0
-	for i := 0; i < 400; i++ {
-		src := genKind(r, 4, randKind(r))
-		n, err := Parse(src)
-		if err != nil {
-			t.Fatalf("generator produced unparsable %q: %v", src, err)
+	scans := kernelScans(func() {
+		for i := 0; i < 400; i++ {
+			checkAgree(t, compileCols, genKind(r, 4, randKind(r)), randTuples(r, 25))
 		}
-		c, err := Compile(n, compileCols)
-		if err != nil {
-			t.Fatalf("compile %q: %v", src, err)
-		}
-		exprs++
-		for j := 0; j < 25; j++ {
-			tu := randTuple(r)
-			want, werr := Eval(n, tupleEnv{scope: compileCols, tuple: tu})
-			got, gerr := c.Eval(tu)
-			if (werr != nil) != (gerr != nil) {
-				t.Fatalf("%q on %v: interpreted err=%v, compiled err=%v", src, tu, werr, gerr)
-			}
-			if werr == nil && (got.Kind() != want.Kind() || got.String() != want.String()) {
-				t.Fatalf("%q on %v: interpreted %s, compiled %s", src, tu, want, got)
-			}
-		}
-	}
-	if exprs == 0 {
-		t.Fatal("no expressions generated")
+	})
+	if scans < 100 {
+		t.Fatalf("only %d scans ran kernels: the generator no longer exercises them", scans)
 	}
 }
 
@@ -364,41 +367,23 @@ func TestCompileMatchesEvalRandom(t *testing.T) {
 // random expressions, referenced by random outer expressions.
 func TestCompileMatchesEvalRandomComputed(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	for i := 0; i < 100; i++ {
-		dk := randKind(r)
-		def, err := Parse(genKind(r, 3, dk))
-		if err != nil {
-			t.Fatal(err)
-		}
-		scope := tupleScope{names: compileCols.names, comps: map[string]Node{"c": def}}
-		var op string
-		switch dk {
-		case types.Int, types.Float:
-			op = []string{"+", "=", "<"}[r.Intn(3)]
-		case types.Text:
-			op = "||"
-		default:
-			op = "and"
-		}
-		outer := fmt.Sprintf("(c %s %s)", op, genKind(r, 2, dk))
-		n, err := Parse(outer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := Compile(n, scope)
-		if err != nil {
-			t.Fatalf("compile %q: %v", outer, err)
-		}
-		for j := 0; j < 20; j++ {
-			tu := randTuple(r)
-			want, werr := Eval(n, tupleEnv{scope: scope, tuple: tu})
-			got, gerr := c.Eval(tu)
-			if (werr != nil) != (gerr != nil) {
-				t.Fatalf("%q on %v: interpreted err=%v, compiled err=%v", outer, tu, werr, gerr)
+	scans := kernelScans(func() {
+		for i := 0; i < 100; i++ {
+			dk := randKind(r)
+			fx := fixture{cols: compileCols.cols, comps: [][2]string{{"c", genKind(r, 3, dk)}}}
+			var op string
+			switch dk {
+			case types.Int, types.Float:
+				op = []string{"+", "=", "<"}[r.Intn(3)]
+			case types.Text:
+				op = "||"
+			default:
+				op = "and"
 			}
-			if werr == nil && (got.Kind() != want.Kind() || got.String() != want.String()) {
-				t.Fatalf("%q on %v: interpreted %s, compiled %s", outer, tu, want, got)
-			}
+			checkAgree(t, fx, fmt.Sprintf("(c %s %s)", op, genKind(r, 2, dk)), randTuples(r, 20))
 		}
+	})
+	if scans < 20 {
+		t.Fatalf("only %d scans ran kernels: the generator no longer exercises them", scans)
 	}
 }

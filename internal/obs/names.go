@@ -73,7 +73,6 @@ const (
 
 	// Query-execution fast path (internal/rel, internal/expr via rel;
 	// see DESIGN.md §11).
-	RelCompile    = "rel.compile"     // expressions/predicates compiled to closures
 	RelFusedScans = "rel.fused_scans" // fused restrict/project pipelines executed
 	RelScanChunks = "rel.scan_chunks" // parallel scan chunks dispatched
 
@@ -82,8 +81,8 @@ const (
 	RelChunkEvictions = "rel.chunk_evictions"      // chunks evicted under memory pressure
 	RelResidentBytes  = "rel.resident_bytes"       // net cache-managed chunk bytes resident (Add +/-)
 	RelQuotaWarnings  = "rel.quota_warnings"       // quota-pressure crossings (fired once per crossing)
-	RelKernelScans    = "rel.kernel_scans"         // predicate scans executed as columnar kernels
-	RelKernelFallback = "rel.kernel_fallback_rows" // rows diverted to the row-wise oracle mid-kernel
+	RelKernelScans    = "rel.kernel_scans"         // scans (restrict/project pipelines, join pair filters) run as columnar kernels
+	RelKernelFallback = "rel.kernel_fallback_rows" // rows diverted to the interpreter mid-kernel
 
 	// Session / environment (internal/core).
 	CoreUpdates      = "core.updates"
@@ -124,9 +123,8 @@ const (
 	SpanRenderSpatialBuild      = "render.spatial_build"
 
 	// Relational engine (internal/rel). SpanRelCompile covers the
-	// shape/check/compile pass of a fused scan and runs in both the
-	// compiled and interpreted modes, so trace structure is identical
-	// across the ablation.
+	// shape/check pass of a fused scan and runs with kernels on and off,
+	// so trace structure is identical across the ablation.
 	SpanRelFusedScan = "rel.fused_scan"
 	SpanRelCompile   = "rel.compile.pass"
 

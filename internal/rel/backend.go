@@ -314,9 +314,11 @@ func NewFileBackend(dir string) (*FileBackend, error) {
 // Dir returns the backend's root directory.
 func (b *FileBackend) Dir() string { return b.dir }
 
+// path maps a segment or blob name to its file. A name that could leave
+// the directory names no segment in it: ErrNoSegment.
 func (b *FileBackend) path(name, ext string) (string, error) {
 	if name == "" || strings.ContainsAny(name, "/\\") || strings.Contains(name, "..") {
-		return "", fmt.Errorf("rel: bad segment name %q", name)
+		return "", fmt.Errorf("%w: bad segment name %q", ErrNoSegment, name)
 	}
 	return filepath.Join(b.dir, name+ext), nil
 }

@@ -352,3 +352,30 @@ func TestBackendConcurrentFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFileBackendRejectsBadNames: a name that could leave the backend's
+// directory names no segment in it, so every FileBackend call given one
+// fails with ErrNoSegment, the sentinel a loader checks for.
+func TestFileBackendRejectsBadNames(t *testing.T) {
+	fb, err := NewFileBackend(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := New("T", MustSchema(Column{Name: "a", Kind: types.Int}))
+	r.MustAppend([]types.Value{types.NewInt(1)})
+	for _, name := range []string{"a/b", `a\b`, ".."} {
+		_, getErr := fb.GetBlob(name)
+		_, openErr := fb.OpenSegment(name, r.Schema())
+		for call, err := range map[string]error{
+			"PutBlob":       fb.PutBlob(name, []byte("x")),
+			"GetBlob":       getErr,
+			"WriteSegment":  fb.WriteSegment(name, r),
+			"OpenSegment":   openErr,
+			"RemoveSegment": fb.RemoveSegment(name),
+		} {
+			if !errors.Is(err, ErrNoSegment) {
+				t.Errorf("%s(%q): error %v, want one wrapping ErrNoSegment", call, name, err)
+			}
+		}
+	}
+}

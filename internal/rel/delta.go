@@ -125,7 +125,7 @@ func FusedDelta(ctx context.Context, newIn, oldOut *Relation, ops []FusedOp, d *
 		return nil, nil, false, nil
 	}
 	var outOps []DeltaOp
-	var sc evalScratch
+	var env rowEnv
 	sorted := false
 	for _, op := range deltaOps(d) {
 		switch op.Kind {
@@ -135,7 +135,7 @@ func FusedDelta(ctx context.Context, newIn, oldOut *Relation, ops []FusedOp, d *
 			}
 			row := inLen
 			inLen++
-			pass, err := sh.evalRow(op.Tuple, &sc)
+			pass, err := sh.evalRow(op.Tuple, &env)
 			if err != nil {
 				return nil, nil, false, nil
 			}
@@ -161,7 +161,7 @@ func FusedDelta(ctx context.Context, newIn, oldOut *Relation, ops []FusedOp, d *
 				}
 				sorted = true
 			}
-			pass, err := sh.evalRow(op.Tuple, &sc)
+			pass, err := sh.evalRow(op.Tuple, &env)
 			if err != nil {
 				return nil, nil, false, nil
 			}
@@ -199,15 +199,18 @@ func FusedDelta(ctx context.Context, newIn, oldOut *Relation, ops []FusedOp, d *
 // exactly as hashJoin constructed it, a probe-side index for the reverse
 // lookup build appends need, the (probeRow, buildRow) pair behind every
 // output tuple in emission order, and the output's tuple store. Built once by replaying the
-// join, it then absorbs tuple deltas in O(affected pairs) per frame.
+// join, it then absorbs tuple deltas in O(affected pairs) per frame,
+// interpreting the predicate over each affected pair.
 //
 // A JoinState that returns ok=false from Apply is poisoned — its indexes
 // may be partially advanced — and must be discarded along with the memo
 // it maintained.
 type JoinState struct {
 	*hashBuild
-	shell *Relation // output shape: schema + surviving computed attrs
-	res   *joinResidual
+	shell *Relation  // output shape: schema + surviving computed attrs
+	pred  *boundExpr // the predicate over shell's tuples
+	tuple []types.Value
+	env   rowEnv
 
 	probeIdx   map[valueKey][]int // key -> probe rows, in probe-row order
 	pairs      [][2]int           // (probeRow, buildRow) per output tuple, probe-major
@@ -238,16 +241,28 @@ func BuildJoinState(oldL, oldR, oldOut *Relation, pred expr.Node) (*JoinState, b
 	if !ok {
 		return nil, false
 	}
+	pf, err := newPairFilter(shell, pred, oldL, oldR)
+	if err != nil {
+		return nil, false
+	}
+	defer pf.f.release()
 	s := &JoinState{
 		shell: shell,
-		res:   newJoinResidual(shell, pred),
+		pred:  &boundExpr{node: pred, shape: shell},
 		lLen:  oldL.Len(),
 		rLen:  oldR.Len(),
 	}
-	s.hashBuild, err = hashJoin(oldL, oldR, oldL.schema.Index(la), oldR.schema.Index(ra), s.res,
-		func(prow, brow int) { s.pairs = append(s.pairs, [2]int{prow, brow}) })
-	if err != nil || len(s.pairs) != oldOut.Len() {
+	s.hashBuild, err = hashJoin(oldL, oldR, oldL.schema.Index(la), oldR.schema.Index(ra), pf)
+	if err != nil || len(pf.lrows) != oldOut.Len() {
 		return nil, false
+	}
+	s.pairs = make([][2]int, len(pf.lrows))
+	for i, lrow := range pf.lrows {
+		if s.buildIsRight {
+			s.pairs[i] = [2]int{lrow, pf.rrows[i]}
+		} else {
+			s.pairs[i] = [2]int{pf.rrows[i], lrow}
+		}
 	}
 	_, probe := s.inputs(oldL, oldR)
 	s.probeIdx = make(map[valueKey][]int)
@@ -328,7 +343,7 @@ func (s *JoinState) Apply(newL, newR *Relation, dl, dr *TupleDelta) (*Relation, 
 			if prd.Err() != nil {
 				return nil, nil, false
 			}
-			keep, err := s.res.keep(lt, rt)
+			keep, err := s.keep(lt, rt)
 			if err != nil || keep {
 				return nil, nil, false
 			}
@@ -362,7 +377,7 @@ func (s *JoinState) Apply(newL, newR *Relation, dl, dr *TupleDelta) (*Relation, 
 				if brd.Err() != nil {
 					return nil, nil, false
 				}
-				keep, err := s.res.keep(lt, rt)
+				keep, err := s.keep(lt, rt)
 				if err != nil {
 					return nil, nil, false
 				}
@@ -403,7 +418,7 @@ func (s *JoinState) Apply(newL, newR *Relation, dl, dr *TupleDelta) (*Relation, 
 				if brd.Err() != nil {
 					return nil, nil, false
 				}
-				keep, err := s.res.keep(lt, rt)
+				keep, err := s.keep(lt, rt)
 				if err != nil {
 					return nil, nil, false
 				}
@@ -439,4 +454,10 @@ func (s *JoinState) Apply(newL, newR *Relation, dl, dr *TupleDelta) (*Relation, 
 	s.pairs = pairs
 	s.lLen, s.rLen = newL.Len(), newR.Len()
 	return newOut, &TupleDelta{Ops: outOps}, true
+}
+
+// keep reports whether the pair (lt, rt) satisfies the join predicate.
+func (s *JoinState) keep(lt, rt []types.Value) (bool, error) {
+	s.tuple = append(append(s.tuple[:0], lt...), rt...)
+	return s.pred.test(s.tuple, &s.env)
 }

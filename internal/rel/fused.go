@@ -54,14 +54,11 @@ type FusedResult struct {
 	Shapes []*Relation
 }
 
-// fusedPred is one restriction of the pipeline, prepared over the source
-// relation's tuple layout and bound to the shape it was checked against
-// and the mapping from that shape's stored columns to source ordinals.
+// fusedPred is one restriction of the pipeline, bound to the shape it
+// was checked against over the source relation's tuple layout.
 type fusedPred struct {
-	step   int
-	pred   *compiledPred
-	shape  *Relation
-	colMap []int
+	step int
+	pred *boundExpr
 }
 
 // FusedScan runs the pipeline over r with up to workers scan workers
@@ -73,10 +70,9 @@ func FusedScan(r *Relation, ops []FusedOp, workers int) (*FusedResult, error) {
 
 // FusedScanCtx is FusedScan attributed to the request carried by ctx:
 // the scan records a rel.fused_scan span (parented under the firing that
-// invoked it) with a rel.compile.pass child covering the shape-check and
-// predicate-compilation phase. The compile pass runs — and so records —
-// in both the compiled and interpreted modes, keeping trace structure
-// identical across the ablation.
+// invoked it) with a rel.compile.pass child covering the shape-check
+// pass. The pass runs — and so records — with kernels on and off,
+// keeping trace structure identical across the ablation.
 func FusedScanCtx(ctx context.Context, r *Relation, ops []FusedOp, workers int) (*FusedResult, error) {
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("rel: fused scan: empty pipeline")
@@ -130,15 +126,15 @@ func runStep(r *Relation, op FusedOp, name string) (*Relation, error) {
 
 // fusedShape is the result of a fused pipeline's shape pass over a source
 // relation: the per-step output shapes, the final stored-column mapping
-// back to source ordinals, and the checked, prepared predicates bound to
-// their shapes. run scans with it; the incremental path (FusedDelta)
-// reuses it to evaluate single rows.
+// back to source ordinals, and the checked predicates bound to their
+// shapes. run scans with it; the incremental path (FusedDelta) reuses it
+// to evaluate single rows, and Join to filter candidate pairs.
 type fusedShape struct {
 	shape  *Relation   // final output shape (schema + surviving computed attrs)
 	shapes []*Relation // per-step shapes, last == shape
 	colMap []int       // final stored column -> source tuple ordinal
 	preds  []*fusedPred
-	matp   *matPlan
+	op     string // the operator a predicate error names: "restrict" or "join"
 }
 
 // tracedShapePass is fusedShapePass under a rel.compile.pass span.
@@ -153,32 +149,21 @@ func tracedShapePass(ctx context.Context, r *Relation, ops []FusedOp) (*fusedSha
 
 // fusedShapePass replays the schema and computed-attribute derivations the
 // unfused operators would perform, tracking for every surviving stored
-// column its ordinal in r's tuples. Checking and preparing happen here,
-// once, in step order — the same order the unfused chain would report a
-// bad predicate or projection in. One materialization plan covers every
-// computed attribute any predicate references, evaluated once per source
-// row and shared by all steps: a stored column's source ordinal is
-// invariant across shapes, so one extended row serves every predicate.
+// column its ordinal in r's tuples. Checking happens here, once, in step
+// order — the same order the unfused chain would report a bad predicate
+// or projection in.
 func fusedShapePass(r *Relation, ops []FusedOp) (*fusedShape, error) {
-	var prednodes []expr.Node
-	for _, op := range ops {
-		if op.Pred != nil {
-			prednodes = append(prednodes, op.Pred)
-		}
-	}
-	matp, mat, compile := r.prepare(prednodes...)
 	shape := New("", r.schema)
 	shape.computed = r.computed
 	colMap := identityMap(r.schema.Len())
-	sh := &fusedShape{shapes: make([]*Relation, len(ops)), matp: matp}
+	sh := &fusedShape{shapes: make([]*Relation, len(ops)), op: "restrict"}
 	for i, op := range ops {
 		switch {
 		case op.Pred != nil:
 			if err := expr.CheckPredicate(op.Pred, shape); err != nil {
 				return nil, &FusedStepError{Step: i, Err: err}
 			}
-			scope := mappedScope{shape: shape, colMap: colMap, mat: mat}
-			sh.preds = append(sh.preds, &fusedPred{step: i, pred: newPred(op.Pred, scope, compile), shape: shape, colMap: colMap})
+			sh.preds = append(sh.preds, &fusedPred{step: i, pred: &boundExpr{node: op.Pred, shape: shape, colMap: colMap}})
 			shape = shape.derive(shape.schema, true)
 		case op.Project != nil:
 			ns, err := shape.schema.project(op.Project)
@@ -200,18 +185,14 @@ func fusedShapePass(r *Relation, ops []FusedOp) (*fusedShape, error) {
 	return sh, nil
 }
 
-// evalRow runs every predicate of the pipeline over one source tuple
-// (with the source relation's stored arity), returning whether it
+// evalRow interprets every predicate of the pipeline over one source
+// tuple (with the source relation's stored arity), returning whether it
 // survives.
-func (sh *fusedShape) evalRow(tup []types.Value, sc *evalScratch) (bool, error) {
-	if sh.matp != nil {
-		sc.ext = sh.matp.extend(tup, sc.ext)
-		tup = sc.ext
-	}
+func (sh *fusedShape) evalRow(tup []types.Value, env *rowEnv) (bool, error) {
 	for _, fp := range sh.preds {
-		ok, err := fp.pred.eval(tup, sc)
+		ok, err := fp.pred.test(tup, env)
 		if err != nil {
-			return false, &FusedStepError{Step: fp.step, Err: fmt.Errorf("rel: restrict: %w", err)}
+			return false, &FusedStepError{Step: fp.step, Err: fmt.Errorf("rel: %s: %w", sh.op, err)}
 		}
 		if !ok {
 			return false, nil
@@ -230,9 +211,7 @@ func (sh *fusedShape) projectRow(tup []types.Value) []types.Value {
 }
 
 // run is the one scan behind Restrict, Project and FusedScan. It
-// selects the surviving rows — with the columnar kernel when every
-// predicate kernel-compiles, else in one chunk-parallel row pass through
-// the prepared predicates — and gathers them column by column into the
+// selects the surviving rows and gathers them column by column into the
 // final shape's pinned chunks, with provenance. Predicate failures come
 // back as *FusedStepError; chunk read errors come back bare, for the
 // caller to prefix with its operator name.
@@ -249,38 +228,36 @@ func (sh *fusedShape) run(r *Relation, workers int) (*Relation, error) {
 	return out, nil
 }
 
-// selectRows returns the rows of r that pass every predicate, ascending.
-// Row-pass chunks are contiguous, so concatenating their keep-lists
-// reproduces the serial row order, and runChunks reports the error a
-// serial scan would hit first.
+// selectRows returns the rows of r that pass every predicate, ascending,
+// filtering r's chunks with kernels where they compile (chunkFilter).
+// Workers take contiguous runs of chunks, so concatenating their
+// keep-lists reproduces the serial row order, and runChunks reports the
+// error a serial scan would hit first.
 func (sh *fusedShape) selectRows(r *Relation, workers int) ([]int, error) {
 	n := r.Len()
-	if len(sh.preds) == 0 {
+	if len(sh.preds) == 0 || n == 0 {
 		return identityMap(n), nil
 	}
-	if rows, ok, err := sh.kernelRows(r, workers); ok || err != nil {
-		return rows, err
-	}
-	chunks := scanChunks(n, workers)
-	chunkRows := make([][]int, chunks)
-	err := runChunks(n, chunks, func(c, lo, hi int) error {
-		keep := make([]int, 0, (hi-lo)/4+8)
-		var sc evalScratch
-		rd := r.reader()
-		for i := lo; i < hi; i++ {
-			ok, err := sh.evalRow(rd.at(i), &sc)
+	progs := sh.kernels()
+	cs := r.cols
+	chunkKeep := make([][]int, len(cs.slots))
+	err := runChunks(len(cs.slots), min(scanChunks(n, workers), len(cs.slots)), func(_, lo, hi int) error {
+		f := sh.newFilter(progs)
+		defer f.release()
+		for ci := lo; ci < hi; ci++ {
+			ck, err := cs.chunk(ci)
 			if err != nil {
 				return err
 			}
-			if ok {
-				keep = append(keep, i)
+			base, end := cs.chunkSpan(ci)
+			if chunkKeep[ci], err = f.keep(ck, base, make([]int, 0, (end-base)/4+8)); err != nil {
+				return err
 			}
 		}
-		chunkRows[c] = keep
-		return rd.Err()
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return concatRows(chunkRows), nil
+	return concatRows(chunkKeep), nil
 }

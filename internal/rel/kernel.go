@@ -2,22 +2,21 @@ package rel
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/types"
 )
 
-// This file is the columnar predicate kernel: a second expression
-// compiler that lowers a restriction predicate to monomorphic loops over
-// a chunk's contiguous typed lanes (internal/rel/chunk.go), producing
-// selection bitmaps instead of per-row values. It exists for the hot
-// scan path only — the fused scan behind Restrict, Project and
-// FusedScan — and is strictly best-effort: any node it cannot reproduce
-// EXACTLY rejects compilation and the scan keeps the row-at-a-time path
-// (compiled closures), which the interpreter — the differential oracle
-// — holds to the semantics of record.
+// This file is the columnar predicate kernel, the fast path of every
+// scan: it lowers a predicate to monomorphic loops over a chunk's
+// contiguous typed lanes (internal/rel/chunk.go), producing selection
+// bitmaps instead of per-row values. It runs wherever the scan driver
+// filters chunks — Restrict, Project, FusedScan and the candidate pairs
+// of Join — and is strictly best-effort: any node it cannot reproduce
+// EXACTLY rejects compilation, and the driver evaluates those rows with
+// the interpreter (expr.Eval through a boundExpr), which is the
+// semantics of record and the differential oracle.
 //
 // Exactness argument. Append and Update enforce schema kinds, so at run
 // time every stored value has its declared kind or is null; the static
@@ -25,7 +24,7 @@ import (
 // hold. Within the node set the kernel accepts, the sole reachable
 // runtime error is integer or float division/modulo by zero. Those rows
 // are flagged in a per-chunk error bitmap and re-evaluated row-wise in
-// ascending order through the ordinary path, which both reproduces the
+// ascending order through the interpreter, which both reproduces the
 // exact error value and preserves the "lowest failing row reports
 // first" determinism of a serial scan. Everything else is pure bitmap
 // algebra chosen to mirror the interpreter bit for bit:
@@ -45,26 +44,12 @@ import (
 //     <: a<b, <=: !(a>b), =: !(a<b)&&!(a>b), and so on — never native
 //     int comparisons, which would diverge past 2^53.
 //
-// Rejected outright (row path handles them): Date arithmetic, Bool
-// comparisons, Text ordering and concatenation (Text = / != is kept),
-// float modulo, builtin calls, and null literals. Computed attributes
-// inline their definitions recursively with a per-chunk memo, and an
-// error inside a definition forces that row's attribute to null — the
-// same swallowing Row.AttrValue and the closure compiler perform.
-
-// columnarOff is the kernel's ablation knob, independent of compileOff:
-// the benchmark baseline runs with compilation on and the columnar
-// kernel off to measure exactly the chunk-kernel contribution.
-var columnarOff atomic.Bool
-
-// SetColumnarDisabled turns the columnar chunk kernels off (true) or on
-// (false) process-wide and returns the previous setting. With kernels
-// off every scan takes the row-at-a-time path — the ablation baseline
-// for the columnar_scan benchmark.
-func SetColumnarDisabled(off bool) bool { return columnarOff.Swap(off) }
-
-// ColumnarDisabled reports whether the columnar kernels are disabled.
-func ColumnarDisabled() bool { return columnarOff.Load() }
+// Rejected outright (the interpreter handles them): Date arithmetic,
+// Bool comparisons, Text ordering and concatenation (Text = / != is
+// kept), float modulo, builtin calls, and null literals. Computed
+// attributes inline their definitions recursively with a per-chunk memo,
+// and an error inside a definition forces that row's attribute to null
+// — the same swallowing Row.AttrValue performs.
 
 // ---------------------------------------------------------------------
 // Bitmaps.
@@ -227,37 +212,11 @@ func (a *arena[T]) take(n int) []T {
 // kfn evaluates one compiled node over the context's chunk.
 type kfn func(kc *kctx) *kvec
 
-// kernScope resolves attribute names for the kernel compiler: stored
-// columns map (through colMap when the caller's name space is a fused
-// shape) to chunk column ordinals and their schema kinds; computed
-// attributes yield their definitions for inlining.
-type kernScope struct {
-	schema   *Schema
-	colMap   []int // nil = identity
-	computed []Computed
-}
-
-func (s kernScope) resolve(name string) (ord int, kind types.Kind, def expr.Node, ok bool) {
-	if i := s.schema.Index(name); i >= 0 {
-		ord = i
-		if s.colMap != nil {
-			ord = s.colMap[i]
-		}
-		return ord, s.schema.Col(i).Kind, nil, true
-	}
-	for _, c := range s.computed {
-		if c.Name == name {
-			return -1, c.Kind, c.Expr, true
-		}
-	}
-	return -1, types.Invalid, nil, false
-}
-
-// kernelCompilePred compiles pred to a chunk kernel, or reports false
-// when any node falls outside the exactly-reproducible set.
-func kernelCompilePred(pred expr.Node, scope kernScope) (kfn, bool) {
-	c := &kernCompiler{scope: scope}
-	fn, kind, _, ok := c.compile(pred)
+// kernelCompilePred compiles x's predicate to a chunk kernel, or reports
+// false when any node falls outside the exactly-reproducible set.
+func kernelCompilePred(x *boundExpr) (kfn, bool) {
+	c := &kernCompiler{scope: x}
+	fn, kind, _, ok := c.compile(x.node)
 	if !ok || kind != types.Bool {
 		return nil, false
 	}
@@ -268,7 +227,7 @@ func kernelCompilePred(pred expr.Node, scope kernScope) (kfn, bool) {
 // Compiler.
 
 type kernCompiler struct {
-	scope kernScope
+	scope *boundExpr
 	depth int
 }
 
@@ -487,7 +446,7 @@ func (c *kernCompiler) compileNode(n expr.Node) (kfn, types.Kind, bool, bool) {
 			}
 			if n.Op == "%" {
 				// Float modulo goes through math.Mod in the interpreter;
-				// keep it on the row path.
+				// leave it there.
 				return nil, types.Invalid, false, false
 			}
 			lf = c.coerceFloat(lf, lk, lko)
@@ -514,7 +473,7 @@ func (c *kernCompiler) compileNode(n expr.Node) (kfn, types.Kind, bool, bool) {
 		}
 		return nil, types.Invalid, false, false
 	}
-	// Calls (builtins) and anything unknown: row path.
+	// Calls (builtins) and anything unknown: the interpreter.
 	return nil, types.Invalid, false, false
 }
 
@@ -734,7 +693,7 @@ func (c *kernCompiler) floatCompare(op string, lf, rf kfn) kfn {
 }
 
 // textEq lowers Text equality (the one Text comparison the kernel
-// keeps; ordering goes through strings.Compare on the row path).
+// keeps; ordering goes through strings.Compare in the interpreter).
 func (c *kernCompiler) textEq(neq bool, lf, rf kfn) kfn {
 	return func(kc *kctx) *kvec {
 		l, r := lf(kc), rf(kc)
@@ -764,98 +723,104 @@ func (c *kernCompiler) textEq(neq bool, lf, rf kfn) kfn {
 // ---------------------------------------------------------------------
 // Drivers.
 
-// kernelRows evaluates every restriction of the pipeline over r's
-// chunks with selection-vector composition: step k runs only against
-// rows still selected when entering it (its errors on already-dropped
-// rows are ignored, mirroring the row path's short-circuit), and error
-// rows re-evaluate row-wise through evalRow in ascending order,
-// preserving the exact error and its step. ok=false declines to the row
-// path: every pipeline step must kernel-compile, or none runs. Kernels
-// are a compiled fast path (compileOff ablates them with the rest),
-// columnarOff ablates them alone, and an empty relation has no chunk to
-// run them over.
-func (sh *fusedShape) kernelRows(r *Relation, workers int) ([]int, bool, error) {
-	if columnarOff.Load() || compileOff.Load() || r.Len() == 0 {
-		return nil, false, nil
+// kernels compiles every predicate of the pipeline to a chunk kernel and
+// counts one kernel scan. It returns nil — the scan interprets every
+// row — when SetCompileDisabled is on or any predicate falls outside
+// the kernel's set: a pipeline runs all its predicates as kernels or
+// none.
+func (sh *fusedShape) kernels() []kfn {
+	if compileOff.Load() {
+		return nil
 	}
-	cs := r.cols
 	progs := make([]kfn, len(sh.preds))
 	for i, fp := range sh.preds {
-		sc := kernScope{schema: fp.shape.schema, colMap: fp.colMap, computed: fp.shape.computed}
-		p, ok := kernelCompilePred(fp.pred.node, sc)
+		p, ok := kernelCompilePred(fp.pred)
 		if !ok {
-			return nil, false, nil
+			return nil
 		}
 		progs[i] = p
 	}
 	obs.Inc(obs.RelKernelScans)
-	nchunks := len(cs.slots)
-	w := scanChunks(r.Len(), workers)
-	if w > nchunks {
-		w = nchunks
+	return progs
+}
+
+// chunkFilter is one scan worker's selection state: the pipeline, its
+// kernels (nil = interpret every row), a pooled kernel context, and the
+// interpreter's scratch.
+type chunkFilter struct {
+	sh    *fusedShape
+	progs []kfn
+	kc    *kctx
+	env   rowEnv
+	tup   []types.Value
+}
+
+func (sh *fusedShape) newFilter(progs []kfn) *chunkFilter {
+	f := &chunkFilter{sh: sh, progs: progs}
+	if progs != nil {
+		f.kc = kctxPool.Get().(*kctx)
 	}
-	chunkKeep := make([][]int, nchunks)
-	err := runChunks(nchunks, w, func(_, lo, hi int) error {
-		kc := kctxPool.Get().(*kctx)
-		var sc evalScratch
-		var tup []types.Value
-		for ci := lo; ci < hi; ci++ {
-			ck, err := cs.chunk(ci)
-			if err != nil {
-				return err
-			}
-			base, _ := cs.chunkSpan(ci)
-			kc.reset(ck)
-			cn := kc.n
-			sel := kc.ones(cn)
-			var fallback kbits
-			for _, prog := range progs {
-				v := prog(kc)
-				if v.errs != nil {
-					if nf := kc.and(v.errs, sel); kAny(nf) {
-						fallback = kc.or(fallback, nf)
-					}
-				}
-				sel = kc.and(sel, v.t)
-				if fallback != nil {
-					sel = kc.andNot(sel, fallback)
-				}
-			}
-			keep := make([]int, 0, cn/4+8)
-			if fallback == nil {
-				for i := 0; i < cn; i++ {
-					if sel.test(i) {
-						keep = append(keep, base+i)
-					}
-				}
-			} else {
-				for i := 0; i < cn; i++ {
-					if fallback.test(i) {
-						// Counted at detection so aborting on the error
-						// still reports the diverted row.
-						obs.Inc(obs.RelKernelFallback)
-						tup = ck.DecodeRow(i, tup[:0])
-						ok, err := sh.evalRow(tup, &sc)
-						if err != nil {
-							return err
-						}
-						if ok {
-							keep = append(keep, base+i)
-						}
-					} else if sel.test(i) {
-						keep = append(keep, base+i)
-					}
+	return f
+}
+
+// release returns the kernel context to the pool.
+func (f *chunkFilter) release() {
+	if f.kc != nil {
+		f.kc.c = nil // a pooled context must not pin the last chunk it read
+		clear(f.kc.memo)
+		kctxPool.Put(f.kc)
+		f.kc = nil
+	}
+}
+
+// keep appends base+i to keep for every row i of ck that passes every
+// predicate, ascending. Kernels run step by step with selection-vector
+// composition: step k counts only rows still selected when entering it
+// (its errors on rows already dropped are ignored, mirroring the
+// interpreter's short circuit). Rows a kernel flags with an error, and
+// every row when there are no kernels, run through the interpreter in
+// ascending order, so the error returned, and its step, are the ones a
+// serial row-at-a-time scan hits first.
+func (f *chunkFilter) keep(ck *Chunk, base int, keep []int) ([]int, error) {
+	n := ck.Rows()
+	var sel, fallback kbits
+	if f.progs != nil {
+		kc := f.kc
+		kc.reset(ck)
+		sel = kc.ones(n)
+		for _, prog := range f.progs {
+			v := prog(kc)
+			if v.errs != nil {
+				if nf := kc.and(v.errs, sel); kAny(nf) {
+					fallback = kc.or(fallback, nf)
 				}
 			}
-			chunkKeep[ci] = keep
+			sel = kc.and(sel, v.t)
+			if fallback != nil {
+				sel = kc.andNot(sel, fallback)
+			}
 		}
-		kc.c = nil // a pooled context must not pin the last chunk it read
-		clear(kc.memo)
-		kctxPool.Put(kc)
-		return nil
-	})
-	if err != nil {
-		return nil, true, err
 	}
-	return concatRows(chunkKeep), true, nil
+	for i := 0; i < n; i++ {
+		if f.progs != nil && (fallback == nil || !fallback.test(i)) {
+			if sel.test(i) {
+				keep = append(keep, base+i)
+			}
+			continue
+		}
+		if f.progs != nil {
+			// Counted at detection so aborting on the error still
+			// reports the diverted row.
+			obs.Inc(obs.RelKernelFallback)
+		}
+		f.tup = ck.DecodeRow(i, f.tup[:0])
+		ok, err := f.sh.evalRow(f.tup, &f.env)
+		if err != nil {
+			return keep, err
+		}
+		if ok {
+			keep = append(keep, base+i)
+		}
+	}
+	return keep, nil
 }

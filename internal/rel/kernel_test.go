@@ -11,15 +11,6 @@ import (
 	"repro/internal/types"
 )
 
-// withColumnarOff runs fn with the columnar kernel disabled (compilation
-// stays on), restoring the knob afterwards.
-func withColumnarOff(t testing.TB, fn func()) {
-	t.Helper()
-	prev := SetColumnarDisabled(true)
-	defer SetColumnarDisabled(prev)
-	fn()
-}
-
 // kernelRelation builds a relation above the kernel's row threshold with
 // every storable kind, nulls in every column, zero divisors, NaN floats,
 // and computed attributes (one of which always errors), so the kernel's
@@ -108,9 +99,10 @@ func (s *decodedSource) ChunkRows() int                  { return s.chunkRows }
 func (s *decodedSource) Rows() int                       { return s.rows }
 func (s *decodedSource) ReadChunk(i int) (*Chunk, error) { return decodeChunk(s.images[i]) }
 
-// kernelPreds is the differential corpus. kernel marks predicates the
-// chunk kernel is expected to accept; the rest must reject cleanly and
-// take the row path (Calls, text ordering, date arithmetic, float
+// kernelPreds is the differential corpus, also the seed corpus of
+// FuzzKernelMatchesInterpreter (testdata/fuzz). kernel marks predicates
+// the chunk kernel is expected to accept; the rest must reject cleanly
+// and take the interpreter (Calls, text ordering, date arithmetic, float
 // modulo, bool comparison).
 var kernelPreds = []struct {
 	src    string
@@ -145,10 +137,9 @@ var kernelPreds = []struct {
 	{"contains(tag, 'c')", false},
 }
 
-// TestKernelRestrictMatchesRowPaths holds the kernel equal to both the
-// compiled-closure path and the interpreter over a relation large
-// enough to clear the kernel threshold, and checks the kernel really
-// ran (or really declined) per predicate.
+// TestKernelRestrictMatchesRowPaths holds the kernel equal to the
+// interpreter over a relation spanning several chunks, and checks the
+// kernel really ran (or really declined) per predicate.
 func TestKernelRestrictMatchesRowPaths(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
@@ -164,24 +155,14 @@ func TestKernelRestrictMatchesRowPaths(t *testing.T) {
 		if ran != tc.kernel {
 			t.Errorf("restrict %q: kernel ran=%v, want %v", tc.src, ran, tc.kernel)
 		}
-		var rowPath, interp *Relation
-		withColumnarOff(t, func() {
-			rowPath, err = Restrict(r, pred)
-		})
-		if err != nil {
-			t.Fatalf("compiled restrict %q: %v", tc.src, err)
-		}
+		var interp *Relation
 		withInterpreter(t, func() {
 			interp, err = Restrict(r, pred)
 		})
 		if err != nil {
 			t.Fatalf("interpreted restrict %q: %v", tc.src, err)
 		}
-		kfp := relFingerprint(t, got)
-		if cfp := relFingerprint(t, rowPath); kfp != cfp {
-			t.Errorf("restrict %q: kernel differs from compiled row path", tc.src)
-		}
-		if ifp := relFingerprint(t, interp); kfp != ifp {
+		if relFingerprint(t, got) != relFingerprint(t, interp) {
 			t.Errorf("restrict %q: kernel differs from interpreter", tc.src)
 		}
 	}
@@ -221,9 +202,9 @@ func TestKernelChunkBackedMatches(t *testing.T) {
 }
 
 // TestKernelErrorParity: an unguarded zero divisor must surface the
-// same error, attributed to the same first failing row, in all three
-// execution modes — the kernel's error bitmap plus ascending row-wise
-// fallback reproduces the serial scan's first error exactly.
+// same error, attributed to the same first failing row, with kernels on
+// and off — the kernel's error bitmap plus ascending row-wise fallback
+// reproduces the serial scan's first error exactly.
 func TestKernelErrorParity(t *testing.T) {
 	r := kernelRelation(t, 2*DefaultChunkRows+50)
 	for _, src := range []string{"a / b > 0", "a % b = 0", "y / 0.0 > 1.0", "a > 1 / 0"} {
@@ -232,22 +213,20 @@ func TestKernelErrorParity(t *testing.T) {
 		if kerr == nil {
 			t.Fatalf("restrict %q: kernel path did not error", src)
 		}
-		var cerr, ierr error
-		withColumnarOff(t, func() { _, cerr = Restrict(r, pred) })
+		var ierr error
 		withInterpreter(t, func() { _, ierr = Restrict(r, pred) })
-		if cerr == nil || ierr == nil {
-			t.Fatalf("restrict %q: row paths did not error", src)
+		if ierr == nil {
+			t.Fatalf("restrict %q: interpreter did not error", src)
 		}
-		if kerr.Error() != cerr.Error() || kerr.Error() != ierr.Error() {
-			t.Fatalf("restrict %q error drift:\n  kernel      %v\n  compiled    %v\n  interpreted %v",
-				src, kerr, cerr, ierr)
+		if kerr.Error() != ierr.Error() {
+			t.Fatalf("restrict %q error drift:\n  kernel      %v\n  interpreted %v", src, kerr, ierr)
 		}
 	}
 }
 
 // TestKernelFusedMatchesChain holds the fused kernel equal to the
-// kernel-off fused scan and to the unfused interpreted chain, over both
-// row-major and chunk-backed sources.
+// interpreted fused scan and to the unfused interpreted chain, over both
+// resident and chunk-backed sources.
 func TestKernelFusedMatchesChain(t *testing.T) {
 	r := kernelRelation(t, 2*DefaultChunkRows+123)
 	cb := asChunkBacked(t, r, 512)
@@ -264,7 +243,7 @@ func TestKernelFusedMatchesChain(t *testing.T) {
 		},
 		{
 			// Step 1 rejects kernel compilation (builtin call): the whole
-			// pipeline must take the row path and still agree.
+			// pipeline must take the interpreter and still agree.
 			{Pred: expr.MustParse("a > -8")},
 			{Pred: expr.MustParse("len(tag) >= 1")},
 		},
@@ -277,12 +256,12 @@ func TestKernelFusedMatchesChain(t *testing.T) {
 		}
 		t.Logf("pipeline %d: kernel scans +%d", pi, obs.CounterValue(obs.RelKernelScans)-before)
 		var off *FusedResult
-		withColumnarOff(t, func() { off, err = FusedScan(r, ops, 4) })
+		withInterpreter(t, func() { off, err = FusedScan(r, ops, 4) })
 		if err != nil {
 			t.Fatalf("pipeline %d fused (kernel off): %v", pi, err)
 		}
 		if relFingerprint(t, res.Out) != relFingerprint(t, off.Out) {
-			t.Errorf("pipeline %d: fused kernel differs from row path", pi)
+			t.Errorf("pipeline %d: fused kernel differs from the interpreter", pi)
 		}
 		var want *Relation
 		withInterpreter(t, func() {
@@ -315,7 +294,7 @@ func TestKernelFusedMatchesChain(t *testing.T) {
 // TestKernelFusedErrorAttribution: a row that errors at step k must
 // report step k — and only if it survived the earlier steps. The fused
 // kernel ignores vector-lane errors on rows already deselected, exactly
-// like the row-at-a-time short circuit.
+// like the interpreter's short circuit.
 func TestKernelFusedErrorAttribution(t *testing.T) {
 	r := New("F", MustSchema(Column{Name: "v", Kind: types.Int}))
 	for i := 0; i < 2*DefaultChunkRows; i++ {
@@ -337,9 +316,9 @@ func TestKernelFusedErrorAttribution(t *testing.T) {
 		t.Fatalf("kernel fused error %v not attributed to step 1", err)
 	}
 	var offErr error
-	withColumnarOff(t, func() { _, offErr = FusedScan(r, ops, 4) })
+	withInterpreter(t, func() { _, offErr = FusedScan(r, ops, 4) })
 	if offErr == nil || err.Error() != offErr.Error() {
-		t.Fatalf("kernel fused error %q differs from row path %q", err, offErr)
+		t.Fatalf("kernel fused error %q differs from the interpreter's %q", err, offErr)
 	}
 
 	// Deselect the row at step 0 instead: no error anywhere.
@@ -349,12 +328,12 @@ func TestKernelFusedErrorAttribution(t *testing.T) {
 		t.Fatalf("deselected erroring row still raised: %v", err)
 	}
 	var off *FusedResult
-	withColumnarOff(t, func() { off, offErr = FusedScan(r, ops, 4) })
+	withInterpreter(t, func() { off, offErr = FusedScan(r, ops, 4) })
 	if offErr != nil {
 		t.Fatal(offErr)
 	}
 	if relFingerprint(t, res.Out) != relFingerprint(t, off.Out) {
-		t.Error("fused kernel differs from row path after deselection")
+		t.Error("fused kernel differs from the interpreter after deselection")
 	}
 }
 
@@ -378,4 +357,19 @@ func TestKernelFallbackCounter(t *testing.T) {
 	if got := obs.CounterValue(obs.RelKernelFallback); got <= before {
 		t.Fatal("erroring scan did not count fallback rows")
 	}
+}
+
+// FuzzKernelMatchesInterpreter parses its input as a predicate over
+// kernelRelation's schema. A predicate that checks must give the same
+// Restrict output, tuples and provenance, or the same error, with
+// kernels on as under SetCompileDisabled. The seed corpus is kernelPreds.
+func FuzzKernelMatchesInterpreter(f *testing.F) {
+	r := kernelRelation(f, DefaultChunkRows+57)
+	f.Fuzz(func(t *testing.T, src string) {
+		pred, err := expr.Parse(src)
+		if err != nil || expr.CheckPredicate(pred, r) != nil {
+			return
+		}
+		bothWays(t, "restrict "+src, func() (*Relation, error) { return Restrict(r, pred) })
+	})
 }

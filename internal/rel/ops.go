@@ -136,91 +136,168 @@ func joinShape(l, r *Relation) (*Relation, map[string]string, error) {
 // output schema is l's stored columns followed by r's; name collisions are
 // disambiguated by suffixing r's columns with "_r" (and the predicate sees
 // the disambiguated names). Computed attributes of both inputs are carried
-// over where their references survive.
+// over where their references survive. The hash buckets, or the nested
+// loop, hand candidate pairs to a pairFilter, which evaluates the
+// predicate over them a block at a time; the survivors are then gathered
+// into the output column by column.
 func Join(l, r *Relation, pred expr.Node, strategy JoinStrategy) (*Relation, error) {
 	out, rRename, err := joinShape(l, r)
 	if err != nil {
 		return nil, err
 	}
-
 	if err := expr.CheckPredicate(pred, out); err != nil {
 		return nil, fmt.Errorf("rel: join predicate: %w", err)
 	}
-	res := newJoinResidual(out, pred)
-	// The kept pairs' rows, gathered column by column into the output
-	// once the scan is done.
-	var lrows, rrows []int
-	done := func() (*Relation, error) {
-		var err error
-		out.cols, err = gatherStore(out.schema, 0, part{l.cols, lrows, identityMap(l.schema.Len())}, part{r.cols, rrows, identityMap(r.schema.Len())})
-		if err != nil {
-			return nil, fmt.Errorf("rel: join: %w", err)
-		}
-		obs.Add(obs.RelJoinRowsOut, int64(out.Len()))
-		return out, nil
+	pf, err := newPairFilter(out, pred, l, r)
+	if err != nil {
+		return nil, fmt.Errorf("rel: join: %w", err)
 	}
+	defer pf.f.release()
+	if err := pf.join(l, r, pred, rRename, strategy); err != nil {
+		if se, ok := err.(*FusedStepError); ok {
+			return nil, se.Err
+		}
+		return nil, fmt.Errorf("rel: join: %w", err)
+	}
+	out.cols, err = gatherStore(out.schema, 0, part{l.cols, pf.lrows, identityMap(l.schema.Len())}, part{r.cols, pf.rrows, identityMap(r.schema.Len())})
+	if err != nil {
+		return nil, fmt.Errorf("rel: join: %w", err)
+	}
+	obs.Add(obs.RelJoinRowsOut, int64(out.Len()))
+	return out, nil
+}
 
+// join runs the strategy, leaving the kept pairs in lrows and rrows.
+func (pf *pairFilter) join(l, r *Relation, pred expr.Node, rRename map[string]string, strategy JoinStrategy) error {
 	if strategy == JoinAuto || strategy == JoinHash {
 		if la, ra, ok := equiKey(pred, l, r, rRename); ok {
-			h, err := hashJoin(l, r, l.schema.Index(la), r.schema.Index(ra), res, func(prow, brow int) {
-				lrows, rrows = append(lrows, prow), append(rrows, brow)
-			})
+			_, err := hashJoin(l, r, l.schema.Index(la), r.schema.Index(ra), pf)
 			if err == nil {
 				obs.Inc(obs.RelJoinHash)
-				if !h.buildIsRight {
-					lrows, rrows = rrows, lrows
-				}
-				return done()
 			}
 			if !errors.Is(err, errNaNKey) {
-				return nil, fmt.Errorf("rel: join: %w", err)
+				return err
 			}
-			lrows, rrows = lrows[:0], rrows[:0] // a NaN key: the nested loop keeps its pairs
+			// A NaN key: the nested loop filters every pair afresh.
+			pf.lrows, pf.rrows = pf.lrows[:0], pf.rrows[:0]
 		} else if strategy == JoinHash {
-			return nil, fmt.Errorf("rel: join: hash strategy requires an equality predicate between the inputs")
+			return fmt.Errorf("hash strategy requires an equality predicate between the inputs")
 		}
 	}
-
 	obs.Inc(obs.RelJoinNestedLoop)
-	lrd, rrd := l.reader(), r.reader()
 	for i, ln := 0, l.Len(); i < ln; i++ {
-		lt := lrd.at(i)
 		for j, rn := 0, r.Len(); j < rn; j++ {
-			rt := rrd.at(j)
-			keep, err := res.keep(lt, rt)
-			if err != nil {
-				return nil, fmt.Errorf("rel: join: %w", err)
-			}
-			if keep {
-				lrows, rrows = append(lrows, i), append(rrows, j)
+			if err := pf.add(i, j); err != nil {
+				return err
 			}
 		}
 	}
-	if err := lrd.Err(); err != nil {
-		return nil, fmt.Errorf("rel: join: %w", err)
+	return pf.flush()
+}
+
+// pairFilter evaluates a join predicate over candidate (left, right) row
+// pairs in blocks of up to DefaultChunkRows, in the order they are
+// added. A block gathers only the columns the predicate reads, directly
+// or through computed attributes, into one chunk, and the scan driver's
+// chunkFilter selects the pairs that pass: kernels first, the
+// interpreter for rows kernels decline. lrows and rrows collect the
+// survivors in the order their pairs were added.
+type pairFilter struct {
+	f            *chunkFilter
+	l, r         *colStore
+	lcols, rcols []int // the block's columns, as ordinals of l and of r
+	block        *chunkBuilder
+	lc, rc       []int // the pending block's candidate pairs
+	keep         []int
+	lrows, rrows []int
+}
+
+// newPairFilter prepares pred, checked against the join shape out of l
+// and r, for filtering pairs. The kernels compile once here, counting one
+// rel.kernel_scans for the join.
+func newPairFilter(out *Relation, pred expr.Node, l, r *Relation) (*pairFilter, error) {
+	need := make(map[string]bool)
+	var visit func(n expr.Node)
+	visit = func(n expr.Node) {
+		for _, name := range expr.Refs(n) {
+			if need[name] {
+				continue
+			}
+			need[name] = true
+			for _, c := range out.computed {
+				if c.Name == name {
+					visit(c.Expr)
+				}
+			}
+		}
 	}
-	if err := rrd.Err(); err != nil {
-		return nil, fmt.Errorf("rel: join: %w", err)
+	visit(pred)
+	pf := &pairFilter{l: l.cols, r: r.cols}
+	var names []string
+	for i, lw := 0, l.schema.Len(); i < out.schema.Len(); i++ {
+		if name := out.schema.Col(i).Name; need[name] {
+			names = append(names, name)
+			if i < lw {
+				pf.lcols = append(pf.lcols, i)
+			} else {
+				pf.rcols = append(pf.rcols, i-lw)
+			}
+		}
 	}
-	return done()
+	// The block's columns: l's the predicate reads, then r's.
+	schema, err := out.schema.project(names)
+	if err != nil {
+		return nil, err
+	}
+	sh, err := fusedShapePass(out.derive(schema, true), []FusedOp{{Pred: pred}})
+	if err != nil {
+		return nil, err
+	}
+	sh.op = "join"
+	pf.f = sh.newFilter(sh.kernels())
+	pf.block = newChunkBuilder(schema, 0)
+	return pf, nil
 }
 
-// joinResidual evaluates a join predicate over candidate (lt, rt) pairs,
-// concatenated into one scratch tuple reused across every pair.
-type joinResidual struct {
-	cp   *compiledPred
-	pair []types.Value
-	sc   evalScratch
+// add queues the candidate pair (lrow, rrow), filtering the block once
+// it is full.
+func (pf *pairFilter) add(lrow, rrow int) error {
+	pf.lc, pf.rc = append(pf.lc, lrow), append(pf.rc, rrow)
+	if len(pf.lc) == DefaultChunkRows {
+		return pf.flush()
+	}
+	return nil
 }
 
-func newJoinResidual(shell *Relation, pred expr.Node) *joinResidual {
-	return &joinResidual{cp: shell.compilePredicate(pred)}
-}
-
-// keep reports whether the pair (lt, rt) satisfies the predicate.
-func (j *joinResidual) keep(lt, rt []types.Value) (bool, error) {
-	j.pair = append(append(j.pair[:0], lt...), rt...)
-	return j.cp.eval(j.pair, &j.sc)
+// flush filters the pending block, appending its survivors to lrows and
+// rrows. The block's chunk is rebuilt in place each time.
+func (pf *pairFilter) flush() error {
+	n := len(pf.lc)
+	if n == 0 {
+		return nil
+	}
+	b := pf.block
+	for i := range b.c.cols {
+		v := &b.c.cols[i]
+		v.ints, v.floats, v.strs, v.valid = v.ints[:0], v.floats[:0], v.strs[:0], v.valid[:0]
+	}
+	b.c.rows = 0
+	if err := b.gather(0, pf.l, pf.lc, pf.lcols); err != nil {
+		return err
+	}
+	if err := b.gather(len(pf.lcols), pf.r, pf.rc, pf.rcols); err != nil {
+		return err
+	}
+	b.c.rows = n
+	keep, err := pf.f.keep(b.c, 0, pf.keep[:0])
+	if err != nil {
+		return err
+	}
+	for _, i := range keep {
+		pf.lrows, pf.rrows = append(pf.lrows, pf.lc[i]), append(pf.rrows, pf.rc[i])
+	}
+	pf.keep, pf.lc, pf.rc = keep, pf.lc[:0], pf.rc[:0]
+	return nil
 }
 
 // joinTuple materializes one output row from a kept pair.
@@ -323,11 +400,12 @@ func (h *hashBuild) sides(ptup, btup []types.Value) (lt, rt []types.Value) {
 // hashJoin runs a hash equi-join on key ordinals li of l and ri of r. It
 // builds on the right unless the left is strictly smaller, buckets the
 // build side's non-null keys in row order, then probes in probe-row
-// order, calling emit for each pair the residual keeps — probe-major,
-// bucket order within a probe row. A probe row is decoded only when its
-// key's bucket is non-empty. It returns the build side for incremental
-// maintenance (JoinState), or errNaNKey on a NaN key.
-func hashJoin(l, r *Relation, li, ri int, res *joinResidual, emit func(prow, brow int)) (*hashBuild, error) {
+// order, adding every bucket pair to pf — probe-major, bucket order
+// within a probe row — and filters the last block. It returns the build
+// side for incremental maintenance (JoinState), or errNaNKey on a NaN
+// key once the pairs added before it are filtered, so their errors come
+// first.
+func hashJoin(l, r *Relation, li, ri int, pf *pairFilter) (*hashBuild, error) {
 	h := &hashBuild{bi: ri, pi: li, buildIsRight: true}
 	if l.Len() < r.Len() {
 		h.bi, h.pi, h.buildIsRight = li, ri, false
@@ -349,32 +427,31 @@ func hashJoin(l, r *Relation, li, ri int, res *joinResidual, emit func(prow, bro
 		h.table[k] = append(h.table[k], row)
 	}
 	prd := probe.reader()
-	bget := build.reader() // random access into build during probe
 	for prow, n := 0, probe.Len(); prow < n; prow++ {
 		v := prd.value(prow, h.pi)
 		if v.IsNull() {
 			continue
 		}
 		if h.pf && isNaN(v) {
-			return nil, errNaNKey
-		}
-		bucket := h.table[keyOf(v)]
-		if len(bucket) == 0 {
-			continue
-		}
-		ptup := prd.at(prow)
-		for _, brow := range bucket {
-			lt, rt := h.sides(ptup, bget.at(brow))
-			keep, err := res.keep(lt, rt)
-			if err != nil {
+			if err := pf.flush(); err != nil {
 				return nil, err
 			}
-			if keep {
-				emit(prow, brow)
+			return nil, errNaNKey
+		}
+		for _, brow := range h.table[keyOf(v)] {
+			lrow, rrow := prow, brow
+			if !h.buildIsRight {
+				lrow, rrow = brow, prow
+			}
+			if err := pf.add(lrow, rrow); err != nil {
+				return nil, err
 			}
 		}
 	}
-	for _, rd := range []*rowReader{&brd, &prd, &bget} {
+	if err := pf.flush(); err != nil {
+		return nil, err
+	}
+	for _, rd := range []*rowReader{&brd, &prd} {
 		if err := rd.Err(); err != nil {
 			return nil, err
 		}
@@ -513,17 +590,17 @@ func Partition(r *Relation, preds []expr.Node) ([]*Relation, error) {
 		}
 		outs[i] = r.derive(r.schema, true)
 	}
-	cps := make([]*compiledPred, len(preds))
+	bound := make([]*boundExpr, len(preds))
 	for i, p := range preds {
-		cps[i] = r.compilePredicate(p)
+		bound[i] = &boundExpr{node: p, shape: r}
 	}
 	rows := make([][]int, len(preds))
 	rd := r.reader()
-	var sc evalScratch
+	var env rowEnv
 	for ti, n := 0, r.Len(); ti < n; ti++ {
 		t := rd.at(ti)
-		for pi, cp := range cps {
-			keep, err := cp.eval(t, &sc)
+		for pi, b := range bound {
+			keep, err := b.test(t, &env)
 			if err != nil {
 				return nil, fmt.Errorf("rel: partition: %w", err)
 			}
@@ -568,9 +645,9 @@ func MapColumn(r *Relation, col string, def expr.Node) (*Relation, error) {
 	// construction.
 	cs := r.cols
 	slots := make([]*chunkSlot, len(cs.slots))
-	ce := r.compileExpr(def)
+	ce := &boundExpr{node: def, shape: r}
 	err = runChunks(len(slots), min(scanChunks(cs.rows, 0), len(slots)), func(_, lo, hi int) error {
-		var sc evalScratch
+		var env rowEnv
 		var t []types.Value
 		for k := lo; k < hi; k++ {
 			ck, err := cs.chunk(k)
@@ -581,7 +658,7 @@ func MapColumn(r *Relation, col string, def expr.Node) (*Relation, error) {
 			b := newChunkBuilder(schema, ck.rows)
 			for i := 0; i < ck.rows; i++ {
 				t = ck.DecodeRow(i, t[:0])
-				if t[ci], err = ce.eval(t, &sc); err == nil {
+				if t[ci], err = ce.eval(t, &env); err == nil {
 					err = b.appendRow(t)
 				}
 				if err != nil {

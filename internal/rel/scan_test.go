@@ -12,14 +12,14 @@ import (
 
 // Restrict and Project run as one-step fused scans. These tests pin what that single scan must preserve of the
 // standalone operators: outputs with provenance, the per-call obs
-// counters, the absence of rel.* spans, and error identity — under both
-// the compiled engine and the SetCompileDisabled oracle, over row-major
-// and chunk-backed inputs large enough for the columnar kernel to run.
+// counters, the absence of rel.* spans, and error identity — with
+// kernels on and under the SetCompileDisabled oracle, over resident and
+// chunk-backed inputs spanning several chunks.
 
 // scanCounters are the obs counters a Restrict or Project call may move.
 var scanCounters = []string{
 	obs.RelRestrictScans, obs.RelRestrictRowsIn,
-	obs.RelRestrictRowsOut, obs.RelCompile, obs.RelKernelScans, obs.RelFusedScans,
+	obs.RelRestrictRowsOut, obs.RelKernelScans, obs.RelFusedScans,
 }
 
 func counterValues() map[string]int64 {
@@ -60,16 +60,15 @@ func TestSingleStepScansMatchFusedScan(t *testing.T) {
 	chunked := asChunkBacked(t, row, 1024)
 
 	cases := []struct {
-		name    string
-		op      FusedOp
-		scans   int64 // rel.restrict.scans
-		compile int64 // rel.compile with compilation on
-		kernel  int64 // rel.kernel_scans with compilation on
+		name   string
+		op     FusedOp
+		scans  int64 // rel.restrict.scans
+		kernel int64 // rel.kernel_scans with kernels on
 	}{
-		{"kernel", FusedOp{Pred: expr.MustParse("grp < 4 and val > -10.0")}, 1, 1, 1},
-		{"rejected", FusedOp{Pred: expr.MustParse("len(tag) > 1")}, 1, 1, 0},
-		{"range", FusedOp{Pred: expr.MustParse("id < 3000")}, 1, 1, 1},
-		{"project", FusedOp{Project: []string{"val", "id", "tag"}}, 0, 0, 0},
+		{"kernel", FusedOp{Pred: expr.MustParse("grp < 4 and val > -10.0")}, 1, 1},
+		{"rejected", FusedOp{Pred: expr.MustParse("len(tag) > 1")}, 1, 0},
+		{"range", FusedOp{Pred: expr.MustParse("id < 3000")}, 1, 1},
+		{"project", FusedOp{Project: []string{"val", "id", "tag"}}, 0, 0},
 	}
 	for _, r := range []*Relation{row, chunked} {
 		for _, tc := range cases {
@@ -100,7 +99,6 @@ func TestSingleStepScansMatchFusedScan(t *testing.T) {
 
 				wantDelta := map[string]int64{
 					obs.RelRestrictScans: tc.scans,
-					obs.RelCompile:       tc.compile,
 					obs.RelKernelScans:   tc.kernel,
 				}
 				if tc.op.Pred != nil {
@@ -108,7 +106,7 @@ func TestSingleStepScansMatchFusedScan(t *testing.T) {
 					wantDelta[obs.RelRestrictRowsOut] = int64(got.Len())
 				}
 				if oracle {
-					wantDelta[obs.RelCompile], wantDelta[obs.RelKernelScans] = 0, 0
+					wantDelta[obs.RelKernelScans] = 0
 				}
 				for _, c := range scanCounters {
 					if d := after[c] - before[c]; d != wantDelta[c] {

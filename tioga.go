@@ -101,13 +101,14 @@ var (
 )
 
 // Query fast-path knobs, process-wide. Both return the previous setting.
-// The defaults — compilation on, scan workers auto — are what benchmarks
+// The defaults — kernels on, scan workers auto — are what benchmarks
 // and production use; the setters exist for ablation (measuring one
 // layer of the fast path at a time) and for pinning deterministic serial
 // execution in tests. Fusion is ablated per request with WithoutFusion.
 var (
-	// SetExprCompileDisabled turns per-row expression compilation off,
-	// falling back to the tree-walking interpreter everywhere.
+	// SetExprCompileDisabled turns the columnar predicate kernels off,
+	// so scans and joins evaluate every row with the tree-walking
+	// interpreter: the differential oracle.
 	SetExprCompileDisabled = rel.SetCompileDisabled
 	// SetScanWorkers bounds parallel scan workers (0 = GOMAXPROCS).
 	SetScanWorkers = rel.SetScanWorkers
