@@ -791,10 +791,11 @@ func runRenderBench(out string, quick, verbose bool) error {
 // queryBenchReport is the compiled-vs-interpreted query pipeline
 // comparison written to BENCH_query.json: a restrict→project→restrict
 // dataflow chain plus a hash join with an arithmetic residual predicate,
-// timed with the full fast path (chunk kernels, chain fusion, parallel
-// scans) against the ablated baseline (tree-walking interpreter, per-box
-// firing, serial scans), with the output-identity check the speedup is
-// only meaningful with. The "compiled" keys name the fast path.
+// timed with the full fast path (chunk kernels, parallel scans) against
+// the ablated baseline (tree-walking interpreter, serial scans), with the
+// output-identity check the speedup is only meaningful with. Both legs
+// fire every box of the chain; each box's output views its input's
+// chunks. The "compiled" keys name the fast path.
 type queryBenchReport struct {
 	GeneratedBy        string           `json:"generated_by"`
 	Meta               runMeta          `json:"meta"`
@@ -816,8 +817,8 @@ type queryBenchReport struct {
 
 // buildQueryPipeline gives Stations the computed attributes dist2 (a
 // squared distance from a reference point) and score (derived from
-// dist2), then wires table → restrict → project → restrict — the
-// canonical fusible chain — with predicates that reference the computed
+// dist2), then wires table → restrict → project → restrict — a chain of
+// views over one table's chunks — with predicates that reference the computed
 // attributes repeatedly. This is the workload the fast path is built
 // for: the interpreter re-walks a computed definition at every
 // reference, the kernels evaluate each once per chunk.
@@ -908,8 +909,8 @@ func runQueryBench(out string, quick, verbose bool) error {
 	}
 
 	// The two engine configurations. Baseline ablates every fast-path
-	// layer: interpreter instead of chunk kernels, per-box firing
-	// instead of fused scans, one scan worker instead of chunking.
+	// layer: interpreter instead of chunk kernels, one scan worker
+	// instead of chunking.
 	workers := runtime.GOMAXPROCS(0)
 	baseline := func() (dataflow.Value, *rel.Relation, error) {
 		prevC := rel.SetCompileDisabled(true)
@@ -918,12 +919,11 @@ func runQueryBench(out string, quick, verbose bool) error {
 			rel.SetCompileDisabled(prevC)
 			rel.SetScanWorkers(prevW)
 		}()
-		return iterate(dataflow.WithoutFusion(), dataflow.WithWorkers(1))
+		return iterate(dataflow.WithWorkers(1))
 	}
 	fast := func() (dataflow.Value, *rel.Relation, error) {
-		// One eval worker: the fused scan inherits it and runs on one
-		// worker too, so scan chunking does not parallelize inside the
-		// firing either.
+		// One eval worker fires the chain's boxes in order; each box's
+		// scan keeps the package's scan-worker setting.
 		return iterate(dataflow.WithWorkers(1))
 	}
 
@@ -1039,7 +1039,7 @@ func runQueryBench(out string, quick, verbose bool) error {
 	}
 	if verbose {
 		fmt.Printf("%-24s %12d ns/op (interpreted)\n", "query_pipeline", interpNs)
-		fmt.Printf("%-24s %12d ns/op (kernels+fused)\n", "", fastNs)
+		fmt.Printf("%-24s %12d ns/op (kernels)\n", "", fastNs)
 	}
 	fmt.Printf("wrote %s (speedup %.2fx, outputs identical: %v; stations_live %.1fx, outputs identical: %v)\n",
 		out, report.Speedup, identical, live.Speedup, live.OutputsIdentical)

@@ -8,9 +8,10 @@ import (
 // GenBump enforces the generation-stamp invariant behind every
 // cross-frame render cache (DESIGN.md "Render caching &
 // invalidation"): any method on rel.Relation that writes the backing
-// data — the tuple store pointer or the computed-field table — must bump
-// the relation's generation in the same body, or stale display lists and
-// spatial indexes survive the mutation.
+// data — the tuple store pointer, the selection and column map that
+// view it, or the computed-field table — must bump the relation's
+// generation in the same body, or stale display lists and spatial
+// indexes survive the mutation.
 var GenBump = &Analyzer{
 	Name:  "genbump",
 	Doc:   "mutating methods on rel.Relation must call bumpGen(); JoinState maintained state and colStore chunk directories only mutate through declared mutators",
@@ -29,6 +30,10 @@ var genbumpFields = map[string]bool{
 	// cols is the tuple store: installing a new store version is the
 	// data mutation.
 	"cols": true,
+	// sel and colMap pick a view's tuples and columns out of cols:
+	// changing either changes the tuples the relation holds.
+	"sel":    true,
+	"colMap": true,
 }
 
 // The incremental-join surface: JoinState's maintained state — the hash

@@ -6,6 +6,8 @@ package rel
 type Relation struct {
 	computed map[string]int
 	cols     *colStore
+	sel      []int
+	colMap   []int
 	name     string
 	gen      int64
 }
@@ -59,6 +61,22 @@ func (r *Relation) BrokenSwapCols(cs *colStore) { // want `BrokenSwapCols writes
 	r.cols = cs
 }
 
+// A view's selection and column map choose its tuples out of the store:
+// rewriting either is a data mutation like swapping the store.
+
+func (r *Relation) Own(cs *colStore) {
+	r.cols, r.sel, r.colMap = cs, nil, nil
+	r.bumpGen()
+}
+
+func (r *Relation) BrokenReselect(rows []int) { // want `BrokenReselect writes r\.sel but never calls r\.bumpGen`
+	r.sel = rows
+}
+
+func (r *Relation) BrokenRemap(j, c int) { // want `BrokenRemap writes r\.colMap but never calls r\.bumpGen`
+	r.colMap[j] = c
+}
+
 // Shapes that must stay clean.
 
 // Len only reads.
@@ -67,7 +85,7 @@ func (r *Relation) Len() int { return r.cols.rows }
 // Clone writes a fresh relation through a local, not the receiver.
 func (r *Relation) Clone() *Relation {
 	out := &Relation{}
-	out.cols = r.cols
+	out.cols, out.sel = r.cols, r.sel
 	return out
 }
 

@@ -129,12 +129,10 @@ func TestCleanProgram(t *testing.T) {
 	}
 }
 
-// TestFusedChainStillChecked pins the contract between the static
-// checker and the evaluator's plan-time fusion pass: a fusible
-// restrict→project→restrict chain is checked exactly like any other
-// program. Fusion happens inside the evaluator, after preflight, and is
-// invisible here — so the TV002 and TV004 diagnostics the fused_chain
-// fixture carries alongside its fusible chain must always surface.
+// TestFusedChainStillChecked pins that a restrict→project→restrict
+// chain is checked exactly like any other program: the TV002 and TV004
+// diagnostics the fused_chain fixture carries alongside its chain must
+// always surface.
 func TestFusedChainStillChecked(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "fused_chain.json"))
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/dataflow"
 	"repro/internal/draw"
 	"repro/internal/viewer"
 )
@@ -410,6 +411,67 @@ func TestUpdatePath(t *testing.T) {
 	restored := stations.Row(row).Attr("altitude")
 	if !restored.Equal(before) {
 		t.Fatalf("undo did not restore: %s, want %s", restored, before)
+	}
+}
+
+// An update reaches the base table through restrict → sort → limit:
+// each of the three returns a selection of the Stations store, and the
+// clicked object traces through all of them to its Stations row.
+func TestUpdatePathThroughSortAndLimit(t *testing.T) {
+	env := seededEnv(t)
+	boxes, err := addChain(env,
+		[2]interface{}{"table", dataflow.Params{"name": "Stations"}},
+		[2]interface{}{"restrict", dataflow.Params{"pred": "state = 'LA'"}},
+		[2]interface{}{"sort", dataflow.Params{"attr": "altitude", "desc": "true"}},
+		[2]interface{}{"limit", dataflow.Params{"n": "5"}},
+		[2]interface{}{"setdisplay", dataflow.Params{"name": "display", "spec": "circle r=0.05 color=blue", "active": "true"}},
+		[2]interface{}{"setlocation", dataflow.Params{"attrs": "longitude,latitude,altitude"}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := env.AddViewer("Highest", boxes[len(boxes)-1].ID, 0, 640, 480)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mapViewDefaults(v); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := v.Render(); err != nil {
+		t.Fatal(err)
+	}
+	hits := v.Hits()
+	if len(hits) == 0 {
+		t.Fatal("nothing rendered to click on")
+	}
+	h := hits[len(hits)-1]
+	if n := h.Ext.Rel.Len(); n != 5 {
+		t.Fatalf("limit kept %d stations, want 5", n)
+	}
+	base, row := h.Ext.Rel.BaseRow(h.Row)
+	if base.Name() != "Stations" {
+		t.Fatalf("provenance resolved to %q, want Stations", base.Name())
+	}
+	clicked := h.Ext.Rel.Row(h.Row)
+	if !base.Row(row).Attr("id").Equal(clicked.Attr("id")) {
+		t.Fatalf("tuple %d traces to Stations row %d, which is another station", h.Row, row)
+	}
+	cx := (h.Screen.Min.X + h.Screen.Max.X) / 2
+	cy := (h.Screen.Min.Y + h.Screen.Max.Y) / 2
+	if err := env.UpdateAt("Highest", cx, cy, "altitude", "9999.5"); err != nil {
+		t.Fatalf("update: %v", err)
+	}
+	stations, _ := env.DB.Table("Stations")
+	if after := stations.Row(row).Attr("altitude"); after.Float() != 9999.5 {
+		t.Fatalf("update did not land on Stations row %d: altitude %s", row, after)
+	}
+	// The updated station now sorts first.
+	if _, _, err := v.Render(); err != nil {
+		t.Fatalf("render after update: %v", err)
+	}
+	top := v.Hits()[0].Ext.Rel.Row(0)
+	if !top.Attr("id").Equal(clicked.Attr("id")) || top.Attr("altitude").Float() != 9999.5 {
+		t.Fatalf("after the update the first station is %v, want id %v at 9999.5", top.Attr("id"), clicked.Attr("id"))
 	}
 }
 

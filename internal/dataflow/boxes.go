@@ -122,7 +122,7 @@ func registerDatabaseBoxes(r *Registry) {
 			if err != nil {
 				return nil, err
 			}
-			op, err := fusedOp("project", p)
+			op, err := stepOp("project", p)
 			if err != nil {
 				return nil, err
 			}
@@ -132,8 +132,8 @@ func registerDatabaseBoxes(r *Registry) {
 			}
 			return []Value{rederive(e, out)}, nil
 		},
-		FireDelta: func(ctx context.Context, fc *FireContext, p Params, d *DeltaFire) ([]Value, *rel.TupleDelta, bool, error) {
-			return fusedBoxDelta(ctx, d, "project", p)
+		FireDelta: func(_ context.Context, fc *FireContext, p Params, d *DeltaFire) ([]Value, *rel.TupleDelta, bool, error) {
+			return stepDelta(d, "project", p)
 		},
 	})
 
@@ -147,7 +147,7 @@ func registerDatabaseBoxes(r *Registry) {
 			if err != nil {
 				return nil, err
 			}
-			op, err := fusedOp("restrict", p)
+			op, err := stepOp("restrict", p)
 			if err != nil {
 				return nil, err
 			}
@@ -157,8 +157,8 @@ func registerDatabaseBoxes(r *Registry) {
 			}
 			return []Value{rederive(e, out)}, nil
 		},
-		FireDelta: func(ctx context.Context, fc *FireContext, p Params, d *DeltaFire) ([]Value, *rel.TupleDelta, bool, error) {
-			return fusedBoxDelta(ctx, d, "restrict", p)
+		FireDelta: func(_ context.Context, fc *FireContext, p Params, d *DeltaFire) ([]Value, *rel.TupleDelta, bool, error) {
+			return stepDelta(d, "restrict", p)
 		},
 	})
 
@@ -202,11 +202,7 @@ func registerDatabaseBoxes(r *Registry) {
 			if err != nil {
 				return nil, err
 			}
-			src, err := p.Need("pred")
-			if err != nil {
-				return nil, err
-			}
-			pred, err := expr.Parse(src)
+			pred, err := parsePred(p)
 			if err != nil {
 				return nil, err
 			}
@@ -233,10 +229,6 @@ func registerDatabaseBoxes(r *Registry) {
 			default:
 				return nil, nil, false, nil // nested loop is delta-opaque
 			}
-			pred, ok := parsePredParam(p)
-			if !ok {
-				return nil, nil, false, nil
-			}
 			l, err := asExtended(d.In[0])
 			if err != nil {
 				return nil, nil, false, nil
@@ -249,8 +241,14 @@ func registerDatabaseBoxes(r *Registry) {
 			if err != nil {
 				return nil, nil, false, nil
 			}
+			// A kept state holds its own bound predicate (a params change
+			// clears it), so only building one reads pred.
 			st, _ := (*d.State).(*rel.JoinState)
 			if st == nil {
+				pred, err := parsePred(p)
+				if err != nil {
+					return nil, nil, false, nil
+				}
 				oldL, err := asExtended(d.OldIn[0])
 				if err != nil {
 					return nil, nil, false, nil

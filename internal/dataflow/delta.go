@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 
 	"repro/internal/display"
@@ -15,7 +16,7 @@ import (
 // write can enqueue a tuple-level delta (EnqueueTableDelta). The next
 // demand runs an incremental pass before the wavefront: it patches the
 // table box's memo to the new relation version, then propagates the delta
-// through every delta-capable consumer (fused restrict/project chains via
+// through every delta-capable consumer (restrict and project boxes via
 // rel.FusedDelta, hash joins via a maintained rel.JoinState, any kind
 // exposing FireDelta), replacing memoized outputs WITHOUT moving stamps.
 // A box the delta cannot flow through falls back to the invalidation the
@@ -281,27 +282,16 @@ func (e *Evaluator) applyDeltas(ctx context.Context, p *plan) {
 
 	// Phase 2 — propagate through the plan in level order. A node whose
 	// producers all went unchanged is untouched; one with a dropped
-	// producer drops too; otherwise its kind (or fused chain) gets one
-	// chance to maintain the memo in place.
+	// producer drops too; otherwise its kind gets one chance to maintain
+	// the memo in place.
 	for _, level := range p.levels[1:] {
 		for _, n := range level {
-			if p.inlined[n.id] {
-				continue // fused interiors carry no memos
-			}
-			var producers []int
-			if ch := p.fused[n.id]; ch != nil {
-				producers = []int{ch.src.From}
-			} else {
-				for _, edge := range n.deps {
-					producers = append(producers, edge.From)
-				}
-			}
 			anyChanged, anyDropped := false, false
-			for _, pid := range producers {
-				if applied[pid] != nil {
+			for _, edge := range n.deps {
+				if applied[edge.From] != nil {
 					anyChanged = true
 				}
-				if dropped[pid] {
+				if dropped[edge.From] {
 					anyDropped = true
 				}
 			}
@@ -312,12 +302,7 @@ func (e *Evaluator) applyDeltas(ctx context.Context, p *plan) {
 				dropNode(n.id)
 				continue
 			}
-			var res *deltaResult
-			if ch := p.fused[n.id]; ch != nil {
-				res = e.applyFusedDelta(ctx, n, ch, applied)
-			} else {
-				res = e.applyKindDelta(ctx, n, applied)
-			}
+			res := e.applyKindDelta(ctx, n, applied)
 			if res == nil {
 				dropNode(n.id)
 				continue
@@ -367,66 +352,24 @@ func (e *Evaluator) applyDeltas(ctx context.Context, p *plan) {
 	sp.End()
 }
 
-// applyFusedDelta maintains a fused restrict/project chain tail through
-// rel.FusedDelta, mirroring fireFused's parameter reading and display
-// rederivation. A nil return means fall back. Called under e.mu.
-func (e *Evaluator) applyFusedDelta(ctx context.Context, n *planNode, ch *fusedChain, applied map[int]*deltaResult) *deltaResult {
-	in := applied[ch.src.From]
-	oldVals, ok := e.cache[n.id]
-	if in == nil || !ok || len(oldVals) == 0 {
-		return nil
-	}
-	if ch.src.FromPort >= len(in.newVals) || in.newVals[ch.src.FromPort] == nil {
-		return nil
-	}
-	headBox := ch.steps[0].box
-	pv, err := PromoteValue(in.newVals[ch.src.FromPort], headBox.In[ch.src.ToPort])
-	if err != nil {
-		return nil
-	}
-	ein, err := asExtended(pv)
-	if err != nil {
-		return nil
-	}
-	oldTail, err := asExtended(oldVals[0])
-	if err != nil {
-		return nil
-	}
-	ops, ok := fusedOps(ch)
-	if !ok {
-		return nil
-	}
-	res, outDelta, ok, err := rel.FusedDelta(ctx, ein.Rel, oldTail.Rel, ops, in.delta)
-	if err != nil || !ok {
-		return nil
-	}
-	cur := ein
-	for i := range ch.steps {
-		cur = rederive(cur, res.Shapes[i])
-	}
-	return &deltaResult{delta: outDelta, oldVals: oldVals, newVals: []Value{cur}}
-}
-
-// fusedOps reads a chain's parameters into rel.FusedOps, exactly like
-// fireFused; any parameter problem reports !ok so the full refire can
-// surface the error with proper box attribution.
-func fusedOps(ch *fusedChain) ([]rel.FusedOp, bool) {
-	ops := make([]rel.FusedOp, len(ch.steps))
-	for i, s := range ch.steps {
-		op, err := fusedOp(s.box.Kind, s.box.Params)
-		if err != nil {
-			return nil, false
+// stepOp reads a restrict or project box's parameters into the
+// rel.FusedOp it runs as, whether it fires in full or incrementally.
+func stepOp(kind string, p Params) (rel.FusedOp, error) {
+	if kind == "project" {
+		attrs := p.List("attrs")
+		if len(attrs) == 0 {
+			return rel.FusedOp{}, fmt.Errorf("project needs attrs=")
 		}
-		ops[i] = op
+		return rel.FusedOp{Project: attrs}, nil
 	}
-	return ops, true
+	pred, err := parsePred(p)
+	return rel.FusedOp{Pred: pred}, err
 }
 
-// fusedBoxDelta maintains an individual restrict or project box (one not
-// absorbed into a fused chain) through the one-step fused delta path.
+// stepDelta maintains a restrict or project box through rel.FusedDelta.
 // A parameter problem falls back to the full firing, which reports it.
-func fusedBoxDelta(ctx context.Context, d *DeltaFire, kind string, p Params) ([]Value, *rel.TupleDelta, bool, error) {
-	op, err := fusedOp(kind, p)
+func stepDelta(d *DeltaFire, kind string, p Params) ([]Value, *rel.TupleDelta, bool, error) {
+	op, err := stepOp(kind, p)
 	if err != nil {
 		return nil, nil, false, nil
 	}
@@ -438,24 +381,20 @@ func fusedBoxDelta(ctx context.Context, d *DeltaFire, kind string, p Params) ([]
 	if err != nil {
 		return nil, nil, false, nil
 	}
-	res, outDelta, ok, err := rel.FusedDelta(ctx, in.Rel, old.Rel, []rel.FusedOp{op}, d.InDelta[0])
+	out, outDelta, ok, err := rel.FusedDelta(in.Rel, old.Rel, op, d.InDelta[0])
 	if err != nil || !ok {
 		return nil, nil, false, nil
 	}
-	return []Value{rederive(in, res.Out)}, outDelta, true, nil
+	return []Value{rederive(in, out)}, outDelta, true, nil
 }
 
-// parsePredParam reads and parses a box's "pred" parameter.
-func parsePredParam(p Params) (expr.Node, bool) {
+// parsePred reads and parses a box's "pred" parameter.
+func parsePred(p Params) (expr.Node, error) {
 	src, err := p.Need("pred")
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
-	pred, err := expr.Parse(src)
-	if err != nil {
-		return nil, false
-	}
-	return pred, true
+	return expr.Parse(src)
 }
 
 // applyKindDelta maintains one regular box through its kind's FireDelta.

@@ -351,8 +351,8 @@ func TestDeltaDisabledDegradesToTouch(t *testing.T) {
 	d := writeTable(rng, src, "Stations")
 	ev.EnqueueTableDelta("Stations", []TableDelta{d})
 	got, refired := demandRel(t, ev, target)
-	if refired != 2 {
-		t.Fatalf("disabled path refired %d boxes, want 2 (table + fused chain)", refired)
+	if refired != 3 {
+		t.Fatalf("disabled path refired %d boxes, want 3 (table, restrict, project)", refired)
 	}
 	sameRel(t, "disabled ablation", got, fullRecompute(t, g, src, target))
 }

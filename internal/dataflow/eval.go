@@ -10,10 +10,9 @@ import (
 // EvalOptions configures one evaluation request. Build it with the
 // functional options (WithWorkers, WithLabel, ...) passed to Eval.
 type EvalOptions struct {
-	// Workers bounds concurrent box firings within one request, and the
-	// scan workers of a fused chain's firing. Zero or negative means
-	// GOMAXPROCS concurrent firings, while fused chains, like single
-	// boxes, inherit the rel package's scan setting (rel.SetScanWorkers).
+	// Workers bounds concurrent box firings within one request. Zero or
+	// negative means GOMAXPROCS concurrent firings; a box's scans inherit
+	// the rel package's scan setting (rel.SetScanWorkers) either way.
 	// One is the single-threaded fallback: the wavefront runs level by
 	// level in one goroutine, firing boxes in deterministic order —
 	// useful for debugging and as the determinism baseline.
@@ -21,10 +20,6 @@ type EvalOptions struct {
 	// Label annotates the request's trace span and Result, so concurrent
 	// requests can be told apart in a Chrome trace.
 	Label string
-	// NoFusion disables the plan-time fusion of adjacent restrict/project
-	// chains into single fused scans (see fuse.go), firing every box
-	// individually — the ablation baseline for the query fast path.
-	NoFusion bool
 }
 
 // EvalOption mutates EvalOptions.
@@ -35,11 +30,6 @@ func WithWorkers(n int) EvalOption { return func(o *EvalOptions) { o.Workers = n
 
 // WithLabel names the request in traces and results.
 func WithLabel(label string) EvalOption { return func(o *EvalOptions) { o.Label = label } }
-
-// WithoutFusion opts the request out of restrict/project chain fusion,
-// firing every box of the chain individually. Useful as the ablation
-// baseline and for tests that want per-box memo entries.
-func WithoutFusion() EvalOption { return func(o *EvalOptions) { o.NoFusion = true } }
 
 // Request names what to evaluate: output Port of box Box, or — when
 // Input is set — whatever feeds input Port of box Box (how a viewer box
@@ -355,7 +345,6 @@ func (e *Evaluator) preflight(target int) error {
 func (e *Evaluator) EvaluateAll() error {
 	var o EvalOptions
 	o.Workers = 1
-	o.NoFusion = true // eager mode wants a memo entry for every box
 	for _, b := range e.g.Boxes() {
 		if _, _, err := e.evalTarget(context.Background(), b.ID, o); err != nil {
 			return err

@@ -46,11 +46,11 @@ func TestLazyDemandTouchesOnlyUpstream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Only the demand's upstream fired — the table plus the fused
-	// restrict→project chain; the second branch (table2, sample) is
-	// untouched — the paper's lazy evaluation.
-	if res.Fires != 2 {
-		t.Fatalf("fired %d boxes, want 2 (table + fused chain)", res.Fires)
+	// Only the demand's upstream fired — the table, restrict and
+	// project; the second branch (table2, sample) is untouched — the
+	// paper's lazy evaluation.
+	if res.Fires != 3 {
+		t.Fatalf("fired %d boxes, want 3 (table, restrict, project)", res.Fires)
 	}
 }
 
@@ -77,8 +77,8 @@ func TestIncrementalEditRefiresOnlySuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Editing the restrict predicate re-fires the fused restrict→project
-	// chain (one firing), not the table.
+	// Editing the restrict predicate re-fires restrict and project, not
+	// the table.
 	if err := g.SetParams(boxes["restrict"].ID, Params{"pred": "state = 'TX'"}); err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +86,8 @@ func TestIncrementalEditRefiresOnlySuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Fires != 1 {
-		t.Fatalf("incremental edit re-fired %d boxes, want 1 (fused chain)", res.Fires)
+	if res.Fires != 2 {
+		t.Fatalf("incremental edit re-fired %d boxes, want 2 (restrict, project)", res.Fires)
 	}
 }
 
@@ -102,8 +102,8 @@ func TestTouchInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Fires != 2 {
-		t.Fatalf("touch re-fired %d boxes, want all (table + fused chain)", res.Fires)
+	if res.Fires != 3 {
+		t.Fatalf("touch re-fired %d boxes, want all 3", res.Fires)
 	}
 }
 

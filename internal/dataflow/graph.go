@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -128,6 +129,9 @@ func (g *Graph) AddBox(kind string, params Params) (*Box, error) {
 	}
 	in, out, err := k.Ports(params)
 	if err != nil {
+		if !errors.Is(err, ErrBadParam) {
+			err = fmt.Errorf("%w: %v", ErrBadParam, err)
+		}
 		return nil, fmt.Errorf("dataflow: %s: %w", kind, err)
 	}
 	b := &Box{
@@ -363,6 +367,9 @@ func (g *Graph) ReplaceBox(id int, kind string, params Params) (*Box, error) {
 	}
 	in, out, err := k.Ports(params)
 	if err != nil {
+		if !errors.Is(err, ErrBadParam) {
+			err = fmt.Errorf("%w: %v", ErrBadParam, err)
+		}
 		return nil, fmt.Errorf("dataflow: %s: %w", kind, err)
 	}
 	if len(in) != len(old.In) || len(out) != len(old.Out) {

@@ -250,23 +250,28 @@ func defFromJSON(dj *defJSON) (*EncapDef, error) {
 	for _, b := range dj.Boxes {
 		def.Boxes = append(def.Boxes, BoxSpec{Kind: b.Kind, Label: b.Label, Params: b.Params, Hole: b.Hole})
 	}
-	for _, hj := range dj.Holes {
+	for i, hj := range dj.Holes {
 		var h HoleSpec
-		for _, s := range hj.In {
-			t, err := parsePortType(s)
-			if err != nil {
-				return nil, err
-			}
-			h.In = append(h.In, t)
+		var err error
+		if h.In, err = parsePortTypes(hj.In); err == nil {
+			h.Out, err = parsePortTypes(hj.Out)
 		}
-		for _, s := range hj.Out {
-			t, err := parsePortType(s)
-			if err != nil {
-				return nil, err
-			}
-			h.Out = append(h.Out, t)
+		if err != nil {
+			return nil, fmt.Errorf("dataflow: hole %d: %w: %v", i, ErrBadRegion, err)
 		}
 		def.Holes = append(def.Holes, h)
 	}
 	return def, nil
+}
+
+func parsePortTypes(ss []string) ([]PortType, error) {
+	var out []PortType
+	for _, s := range ss {
+		t, err := parsePortType(s)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+	}
+	return out, nil
 }

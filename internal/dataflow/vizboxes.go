@@ -87,6 +87,9 @@ func registerVizBoxes(r *Registry) {
 		},
 	})
 
+	// maxStitch bounds a stitch's input ports, so a stored program cannot
+	// make its loader allocate without limit. Figure 10 stitches 2.
+	const maxStitch = 256
 	r.MustRegister(&Kind{
 		Name:          "stitch",
 		Doc:           "Stitch: combine 'n' composites into a group laid out 'layout' (horizontal, vertical, or tabular with 'cols') (Section 7.3).",
@@ -96,8 +99,8 @@ func registerVizBoxes(r *Registry) {
 			if err != nil {
 				return nil, nil, err
 			}
-			if n < 1 {
-				return nil, nil, fmt.Errorf("stitch needs n >= 1")
+			if n < 1 || n > maxStitch {
+				return nil, nil, fmt.Errorf("%w: stitch needs 1 <= n <= %d, got %d", ErrBadParam, maxStitch, n)
 			}
 			ins := make([]PortType, n)
 			for i := range ins {

@@ -31,14 +31,9 @@ type planNode struct {
 }
 
 // plan is the demanded subgraph partitioned into dependency levels.
-// fused and inlined are populated by the fusion pass (fuse.go): fused
-// maps a chain tail's id to the steps its firing executes as one scan,
-// inlined marks the chain interiors the wavefront must skip.
 type plan struct {
-	nodes   map[int]*planNode
-	levels  [][]*planNode
-	fused   map[int]*fusedChain
-	inlined map[int]bool
+	nodes  map[int]*planNode
+	levels [][]*planNode
 }
 
 // buildPlan walks upstream from target, detecting cycles and dangling
@@ -102,9 +97,6 @@ func (e *Evaluator) evalTarget(ctx context.Context, target int, o EvalOptions) (
 	p, err := e.buildPlan(target)
 	if err != nil {
 		return nil, res, err
-	}
-	if !o.NoFusion {
-		e.fuseChains(p, target)
 	}
 	e.applyDeltas(ctx, p)
 	res.Waves = len(p.levels)
@@ -173,9 +165,6 @@ func (e *Evaluator) runLevel(ctx context.Context, p *plan, level []*planNode, o 
 	}
 	if workers <= 1 || len(level) == 1 {
 		for _, n := range level {
-			if p.inlined[n.id] {
-				continue // fused into its downstream consumer's firing
-			}
 			if err := ctx.Err(); err != nil {
 				obs.Inc(obs.EvalCancels)
 				return err
@@ -220,9 +209,6 @@ func (e *Evaluator) runLevel(ctx context.Context, p *plan, level []*planNode, o 
 		}(w)
 	}
 	for i := range level {
-		if p.inlined[level[i].id] {
-			continue // fused into its downstream consumer's firing
-		}
 		idx <- i
 	}
 	close(idx)
@@ -327,12 +313,8 @@ func (e *Evaluator) resolve(ctx context.Context, p *plan, n *planNode, o EvalOpt
 
 // fire gathers a box's promoted inputs and executes its kind. Inputs come
 // from the memo table; a missing producer entry (an Invalidate racing the
-// request, or resolve called outside a wavefront) recurses upstream. A
-// chain tail the fusion pass rewrote executes its whole chain instead.
+// request, or resolve called outside a wavefront) recurses upstream.
 func (e *Evaluator) fire(ctx context.Context, p *plan, n *planNode, o EvalOptions, rs *runStats) ([]Value, int64, error) {
-	if ch := p.fused[n.id]; ch != nil {
-		return e.fireFused(ctx, p, n, ch, o, rs)
-	}
 	b := n.box
 	stamp := n.stamp
 	inVals := make([]Value, len(b.In))
@@ -412,8 +394,6 @@ func (e *Evaluator) resolveProducer(ctx context.Context, p *plan, id int, o Eval
 		n = p.nodes[id]
 	}
 	if n == nil {
-		// An on-the-fly sub-plan never fuses: the demanded box itself must
-		// land in the memo table.
 		sub, err := e.buildPlan(id)
 		if err != nil {
 			return nil, 0, err

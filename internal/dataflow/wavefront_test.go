@@ -105,8 +105,8 @@ func TestEvalResultProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Fires != 2 || res.CacheHits != 0 {
-		t.Errorf("cold demand: fires=%d hits=%d, want 2/0 (table + fused chain)", res.Fires, res.CacheHits)
+	if res.Fires != 3 || res.CacheHits != 0 {
+		t.Errorf("cold demand: fires=%d hits=%d, want 3/0 (table, restrict, project)", res.Fires, res.CacheHits)
 	}
 	if res.Waves != 3 {
 		t.Errorf("cold demand saw %d waves, want 3", res.Waves)

@@ -73,7 +73,6 @@ const (
 
 	// Query-execution fast path (internal/rel, internal/expr via rel;
 	// see DESIGN.md §11).
-	RelFusedScans = "rel.fused_scans" // fused restrict/project pipelines executed
 	RelScanChunks = "rel.scan_chunks" // parallel scan chunks dispatched
 
 	// Columnar chunk storage (internal/rel; see DESIGN.md §16).
@@ -122,12 +121,6 @@ const (
 	SpanRenderWormhole          = "render.wormhole"
 	SpanRenderSpatialBuild      = "render.spatial_build"
 
-	// Relational engine (internal/rel). SpanRelCompile covers the
-	// shape/check pass of a fused scan and runs with kernels on and off,
-	// so trace structure is identical across the ablation.
-	SpanRelFusedScan = "rel.fused_scan"
-	SpanRelCompile   = "rel.compile.pass"
-
 	// Database (internal/db).
 	SpanDBSave = "db.save"
 	SpanDBLoad = "db.load"
@@ -142,8 +135,3 @@ const (
 	SpanServerOp    = "server.op"    // one client operation applied
 	SpanServerApply = "server.apply" // one batch of db events applied to a session
 )
-
-// FusedKindPrefix prefixes the "kind" arg of an eval.fire span that
-// executed a fused restrict/project chain ("fused:<steps>"), replacing
-// the string literal the fusion pass used before the obsnames audit.
-const FusedKindPrefix = "fused:"

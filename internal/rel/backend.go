@@ -60,8 +60,12 @@ var segMagic = [8]byte{'T', 'G', 'S', 'E', 'G', '0', '0', '1'}
 // writeSegmentTo streams r's chunks through w in the segment format,
 // one chunk at a time: a segment-backed relation faults each chunk in
 // only while it is written, so peak memory is one chunk, not the table.
+// A view writes its own tuples, gathered first.
 func writeSegmentTo(w io.Writer, r *Relation) error {
-	cs := r.cols
+	cs, err := r.store()
+	if err != nil {
+		return err
+	}
 	nchunks := len(cs.slots)
 	hdr := make([]byte, 0, 24)
 	hdr = append(hdr, segMagic[:]...)
@@ -97,7 +101,7 @@ func writeSegmentTo(w io.Writer, r *Relation) error {
 		tail = binary.LittleEndian.AppendUint32(tail, e.crc)
 	}
 	tail = binary.LittleEndian.AppendUint64(tail, off)
-	_, err := w.Write(tail)
+	_, err = w.Write(tail)
 	return err
 }
 

@@ -305,6 +305,26 @@ func (b *chunkBuilder) gather(first int, src *colStore, rows, colMap []int) erro
 	return nil
 }
 
+// refill empties the builder's chunk, keeping its lanes' capacity, and
+// gathers parts into it, each part filling the next len(colMap) columns
+// from its (equally long) row list.
+func (b *chunkBuilder) refill(parts ...part) error {
+	for i := range b.c.cols {
+		v := &b.c.cols[i]
+		v.ints, v.floats, v.strs, v.valid = v.ints[:0], v.floats[:0], v.strs[:0], v.valid[:0]
+	}
+	b.c.rows = 0
+	first := 0
+	for _, p := range parts {
+		if err := b.gather(first, p.src, p.rows, p.colMap); err != nil {
+			return err
+		}
+		first += len(p.colMap)
+	}
+	b.c.rows = len(parts[0].rows)
+	return nil
+}
+
 // gatherLane appends src[row-lo] for each row.
 func gatherLane[T any](dst, src []T, rows []int, lo int) []T {
 	for _, row := range rows {

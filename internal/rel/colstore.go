@@ -74,6 +74,16 @@ func newColStore(schema *Schema, src ChunkSource) *colStore {
 	return cs
 }
 
+// faults reports whether any chunk of the store faults in from a source.
+func (cs *colStore) faults() bool {
+	for _, s := range cs.slots {
+		if s.src != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // chunkSpan returns the [lo, hi) row range of chunk i.
 func (cs *colStore) chunkSpan(i int) (lo, hi int) {
 	lo = i * cs.chunkRows
@@ -196,23 +206,24 @@ type part struct {
 
 // gatherStore builds a store of pinned chunks holding one row per entry
 // of the parts' (equally long) row lists, each part filling the next
-// len(colMap) output columns (see chunkBuilder.gather). Output chunks
-// are independent, so a large gather fills them with up to workers
-// scan workers (0 inherits the package setting, as for scans).
-func gatherStore(schema *Schema, workers int, parts ...part) (*colStore, error) {
+// len(colMap) output columns (see chunkBuilder.gather). Join, and a view
+// that needs its rows in a store of its own, gather this way. Output
+// chunks are independent, so a large gather fills them in parallel, as
+// a scan splits.
+func gatherStore(schema *Schema, parts ...part) (*colStore, error) {
 	n := len(parts[0].rows)
 	slots := make([]*chunkSlot, (n+DefaultChunkRows-1)/DefaultChunkRows)
-	err := runChunks(len(slots), min(scanChunks(n, workers), len(slots)), func(_, lo, hi int) error {
+	err := runChunks(len(slots), min(scanChunks(n), len(slots)), func(_, lo, hi int) error {
+		sub := make([]part, len(parts))
 		for k := lo; k < hi; k++ {
 			from, to := k*DefaultChunkRows, min((k+1)*DefaultChunkRows, n)
-			cb, first := newChunkBuilder(schema, to-from), 0
-			for _, p := range parts {
-				if err := cb.gather(first, p.src, p.rows[from:to], p.colMap); err != nil {
-					return err
-				}
-				first += len(p.colMap)
+			for i, p := range parts {
+				sub[i] = part{p.src, p.rows[from:to], p.colMap}
 			}
-			cb.c.rows = to - from
+			cb := newChunkBuilder(schema, to-from)
+			if err := cb.refill(sub...); err != nil {
+				return err
+			}
 			slots[k] = pinnedSlot(cb.finish())
 		}
 		return nil

@@ -1,7 +1,7 @@
 package rel
 
 import (
-	"context"
+	"slices"
 	"sort"
 
 	"repro/internal/expr"
@@ -10,7 +10,7 @@ import (
 
 // Tuple-level deltas: the currency of incremental view maintenance. A
 // table write is described as a small list of DeltaOps; each maintained
-// operator (the fused restrict/project pipeline, the hash equi-join)
+// operator (restrict, project, the hash equi-join)
 // transforms an input delta into an output delta plus an updated output
 // relation, touching O(delta) rows instead of rescanning. Every function
 // here is conservative: whenever the incremental result could differ from
@@ -78,121 +78,137 @@ func countAppends(d *TupleDelta) int {
 	return n
 }
 
-// FusedDelta incrementally maintains the output of a fused restrict/
-// project pipeline. newIn is the input relation AFTER the delta d has
-// been applied to it; oldOut is the memoized pipeline output over the
-// previous version. On success it returns the new output (sharing
-// untouched chunks and lanes with oldOut), the pipeline's own output
-// delta, and ok=true; any situation the incremental path cannot handle —
-// predicate errors, membership changes that would insert or delete
-// interior rows, provenance shapes it cannot reason about — returns
-// ok=false and the caller refires the full scan.
+// FusedOp is one restrict (Pred set) or project (Project set) step, the
+// unit FusedDelta maintains. Exactly one field is set.
+type FusedOp struct {
+	Pred    expr.Node
+	Project []string
+}
+
+// FusedDelta incrementally maintains the output of one restrict or
+// project step. newIn is the input relation AFTER the delta d has been
+// applied to it (d's rows index newIn); oldOut is the memoized output
+// over the previous version. A projection is a column map of newIn, so
+// its output is rebuilt outright and d passes through projected. A
+// restriction extends or keeps oldOut's selection: an appended row that
+// passes joins the end of the selection, and an update that keeps a row
+// in (or out) changes nothing but the values the new store holds. On
+// success it returns the new output, the step's own output delta, and
+// ok=true; any situation the incremental path cannot handle — predicate
+// errors, membership changes that would insert or delete interior rows,
+// a memo that is not a selection of newIn's store — returns ok=false and
+// the caller refires the full step.
 //
-// oldOut is never mutated: its tuples change only through the store's
-// copy-on-write mutators, the ones table writes use, and its provenance
-// list only grows past its length (invisible to holders of the old
-// slice header).
-func FusedDelta(ctx context.Context, newIn, oldOut *Relation, ops []FusedOp, d *TupleDelta) (*FusedResult, *TupleDelta, bool, error) {
-	if len(ops) == 0 || newIn == nil || oldOut == nil {
-		return nil, nil, false, nil
-	}
-	// The output's provenance rows must index newIn directly: newIn with
-	// its own provenance would compose, and an output whose provenance was
-	// lost (or points elsewhere) cannot be patched positionally.
-	if newIn.provBase != nil || oldOut.provBase == nil {
-		return nil, nil, false, nil
-	}
-	sh, err := tracedShapePass(ctx, newIn, ops)
-	if err != nil {
-		// The full chain would fail the same way; let the refire surface
-		// it with standard step attribution.
-		return nil, nil, false, nil
-	}
-	// Params changed shape under the memo → the memo is for a different
-	// pipeline; refire.
-	if !sh.shape.schema.Equal(oldOut.schema) {
+// oldOut is never mutated: the new output views newIn's store, and its
+// selection only grows past oldOut's length (invisible to holders of the
+// old slice header), so each memo has one successor.
+func FusedDelta(newIn, oldOut *Relation, op FusedOp, d *TupleDelta) (*Relation, *TupleDelta, bool, error) {
+	if newIn == nil || oldOut == nil {
 		return nil, nil, false, nil
 	}
 	inLen := newIn.Len() - countAppends(d)
-	keep := oldOut.provRows
-	out := oldOut.cols
-	if inLen < 0 || len(keep) != out.rows {
+	if op.Project != nil {
+		out, err := Project(newIn, op.Project)
+		if err != nil || !out.schema.Equal(oldOut.schema) || oldOut.Len() != inLen {
+			return nil, nil, false, nil
+		}
+		outOps := make([]DeltaOp, 0, len(deltaOps(d)))
+		for _, o := range deltaOps(d) {
+			if len(o.Tuple) != newIn.schema.Len() || (o.Kind == DeltaUpdate && len(o.Old) != len(o.Tuple)) {
+				return nil, nil, false, nil
+			}
+			o.Tuple = projectRow(o.Tuple, newIn, out)
+			if o.Old != nil {
+				o.Old = projectRow(o.Old, newIn, out)
+			}
+			outOps = append(outOps, o)
+		}
+		return out, &TupleDelta{Ops: outOps}, true, nil
+	}
+	// The memo must select store rows of newIn's store lineage, under the
+	// same columns and provenance indirection, with the same shape.
+	if op.Pred == nil || oldOut.provBase == nil || oldOut.provRows != nil || newIn.provRows != nil ||
+		!slices.Equal(oldOut.colMap, newIn.colMap) || !newIn.schema.Equal(oldOut.schema) || inLen < 0 {
 		return nil, nil, false, nil
 	}
-	if len(keep) > 0 && keep[len(keep)-1] >= inLen {
-		// The memo's provenance points past the pre-delta input length, so
-		// it cannot be a view over the previous version of newIn.
+	if err := expr.CheckPredicate(op.Pred, newIn); err != nil {
+		// The full step would fail the same way; let the refire surface it.
 		return nil, nil, false, nil
 	}
+	keep := oldOut.sel
+	if keep == nil {
+		keep = identityMap(oldOut.Len())
+	}
+	if len(keep) > 0 && keep[len(keep)-1] >= newIn.cols.rows {
+		// The memo selects past the store's end, so it cannot be a view
+		// over the previous version of newIn's store.
+		return nil, nil, false, nil
+	}
+	x := &boundExpr{node: op.Pred, shape: newIn}
 	var outOps []DeltaOp
 	var env rowEnv
 	sorted := false
-	for _, op := range deltaOps(d) {
-		switch op.Kind {
+	for _, o := range deltaOps(d) {
+		if len(o.Tuple) != newIn.schema.Len() {
+			return nil, nil, false, nil
+		}
+		pass, err := x.test(o.Tuple, &env)
+		if err != nil {
+			return nil, nil, false, nil
+		}
+		switch o.Kind {
 		case DeltaAppend:
-			if op.Row != inLen || len(op.Tuple) != newIn.schema.Len() {
+			if o.Row != inLen {
 				return nil, nil, false, nil
 			}
-			row := inLen
 			inLen++
-			pass, err := sh.evalRow(op.Tuple, &env)
-			if err != nil {
-				return nil, nil, false, nil
+			if pass {
+				keep = append(keep, newIn.storeRow(o.Row))
+				outOps = append(outOps, DeltaOp{Kind: DeltaAppend, Row: len(keep) - 1, Tuple: slices.Clone(o.Tuple)})
 			}
-			if !pass {
-				continue
-			}
-			nt := sh.projectRow(op.Tuple)
-			if out, err = out.withAppend(nt); err != nil {
-				return nil, nil, false, nil
-			}
-			keep = append(keep, row)
-			outOps = append(outOps, DeltaOp{Kind: DeltaAppend, Row: out.rows - 1, Tuple: nt})
 		case DeltaUpdate:
-			if op.Row < 0 || op.Row >= inLen || len(op.Tuple) != newIn.schema.Len() {
+			if o.Row < 0 || o.Row >= inLen || len(o.Old) != len(o.Tuple) {
 				return nil, nil, false, nil
 			}
 			if !sorted {
-				// Membership lookups binary-search the keep list; every
-				// producer of a restrict/project output emits rows in
-				// ascending order, but verify once rather than assume.
+				// Membership lookups binary-search the selection; a restrict
+				// over an ascending input keeps store rows ascending, but
+				// verify once rather than assume.
 				if !sort.IntsAreSorted(keep) {
 					return nil, nil, false, nil
 				}
 				sorted = true
 			}
-			pass, err := sh.evalRow(op.Tuple, &env)
-			if err != nil {
-				return nil, nil, false, nil
-			}
-			j := sort.SearchInts(keep, op.Row)
-			member := j < len(keep) && keep[j] == op.Row
+			j, member := slices.BinarySearch(keep, newIn.storeRow(o.Row))
 			switch {
 			case member && pass:
-				nt := sh.projectRow(op.Tuple)
-				old, err := out.tuple(j)
-				if err == nil {
-					out, err = out.withRow(j, nt)
-				}
-				if err != nil {
-					return nil, nil, false, nil
-				}
-				outOps = append(outOps, DeltaOp{Kind: DeltaUpdate, Row: j, Tuple: nt, Old: old})
+				outOps = append(outOps, DeltaOp{Kind: DeltaUpdate, Row: j, Tuple: slices.Clone(o.Tuple), Old: slices.Clone(o.Old)})
 			case !member && !pass:
 				// Was filtered out, still is: nothing to do.
 			default:
 				// The update flips predicate membership — an interior
-				// insert or delete the positional patch cannot express.
+				// insert or delete the selection cannot absorb in place.
 				return nil, nil, false, nil
 			}
 		default:
 			return nil, nil, false, nil
 		}
 	}
-	res := sh.shape
-	res.cols = out
-	res.setProv(newIn, keep)
-	return &FusedResult{Out: res, Shapes: sh.shapes}, &TupleDelta{Ops: outOps}, true, nil
+	if newIn.sel == nil && len(keep) == newIn.Len() {
+		keep = nil
+	}
+	out := view(newIn.derive(newIn.schema, true), newIn, keep, newIn.colMap)
+	return out, &TupleDelta{Ops: outOps}, true, nil
+}
+
+// projectRow maps a tuple of in onto the stored columns of out, a
+// projection of in.
+func projectRow(t []types.Value, in, out *Relation) []types.Value {
+	nt := make([]types.Value, out.schema.Len())
+	for j := range nt {
+		nt[j] = t[in.schema.Index(out.schema.Col(j).Name)]
+	}
+	return nt
 }
 
 // JoinState is the maintained state of a hash equi-join: the build side
@@ -234,7 +250,7 @@ func BuildJoinState(oldL, oldR, oldOut *Relation, pred expr.Node) (*JoinState, b
 	if err := expr.CheckPredicate(pred, shell); err != nil {
 		return nil, false
 	}
-	if !shell.schema.Equal(oldOut.schema) {
+	if !shell.schema.Equal(oldOut.schema) || oldOut.sel != nil || oldOut.colMap != nil {
 		return nil, false
 	}
 	la, ra, ok := equiKey(pred, oldL, oldR, rRename)

@@ -1,7 +1,6 @@
 package rel
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -65,24 +64,31 @@ func sameTuples(t *testing.T, label string, got, want *Relation) {
 	}
 }
 
-// Differential property: maintaining a fused restrict→project pipeline
-// through FusedDelta over a random write sequence produces exactly the
-// relation a full scan of the final input produces — including
-// provenance — with fallbacks allowed only where membership flips.
+// Differential property: maintaining a restrict→project chain through
+// one FusedDelta per step over a random write sequence produces exactly
+// the relations a full run of the steps over the final input produces —
+// including provenance — with fallbacks allowed only where membership
+// flips.
 func TestFusedDeltaDifferential(t *testing.T) {
 	ops := []FusedOp{
 		{Pred: expr.MustParse("v > 0.0")},
 		{Project: []string{"k", "v"}},
 	}
-	ctx := context.Background()
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cur := randomRelation(30, seed)
-		res, err := fusedScan(ctx, cur, ops, 0)
-		if err != nil {
-			t.Fatal(err)
+		full := func(in *Relation) []*Relation {
+			outs := make([]*Relation, len(ops))
+			for i, op := range ops {
+				var err error
+				if outs[i], err = runChain(in, []FusedOp{op}); err != nil {
+					t.Fatal(err)
+				}
+				in = outs[i]
+			}
+			return outs
 		}
-		memo := res.Out
+		memo := full(cur)
 		fallbacks, applied := 0, 0
 		for step := 0; step < 60; step++ {
 			// Batch 1-3 writes between frames, like a burst between renders.
@@ -94,35 +100,35 @@ func TestFusedDeltaDifferential(t *testing.T) {
 				d.Ops = append(d.Ops, op)
 			}
 			cur = next
-			inc, outDelta, ok, err := FusedDelta(ctx, cur, memo, ops, &d)
-			if err != nil {
-				t.Fatalf("seed %d step %d: %v", seed, step, err)
-			}
-			full, err := fusedScan(ctx, cur, ops, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				fallbacks++
-				memo = full.Out
-				continue
-			}
-			applied++
-			sameTuples(t, fmt.Sprintf("seed %d step %d", seed, step), inc.Out, full.Out)
-			// Provenance must match the full scan's positionally.
-			for i := 0; i < inc.Out.Len(); i++ {
-				ib, ir := inc.Out.BaseRow(i)
-				fb, fr := full.Out.BaseRow(i)
-				if ib != fb || ir != fr {
-					t.Fatalf("seed %d step %d: provenance row %d: got (%p,%d) want (%p,%d)",
-						seed, step, i, ib, ir, fb, fr)
+			want := full(cur)
+			in, delta := cur, &d
+			for i, op := range ops {
+				inc, outDelta, ok, err := FusedDelta(in, memo[i], op, delta)
+				if err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
+				if !ok {
+					fallbacks++
+					copy(memo[i:], want[i:])
+					break
+				}
+				applied++
+				label := fmt.Sprintf("seed %d step %d op %d", seed, step, i)
+				sameTuples(t, label, inc, want[i])
+				// Provenance must match the full run's positionally.
+				for r := 0; r < inc.Len(); r++ {
+					ib, ir := inc.BaseRow(r)
+					fb, fr := want[i].BaseRow(r)
+					if ib != fb || ir != fr {
+						t.Fatalf("%s: provenance row %d: got (%p,%d) want (%p,%d)", label, r, ib, ir, fb, fr)
+					}
+				}
+				// The output delta must replay the memo into the new output.
+				if outDelta == nil {
+					t.Fatalf("%s: ok with nil output delta", label)
+				}
+				memo[i], in, delta = inc, inc, outDelta
 			}
-			// The output delta must replay the memo into the new output.
-			if outDelta == nil {
-				t.Fatalf("seed %d step %d: ok with nil output delta", seed, step)
-			}
-			memo = inc.Out
 		}
 		if applied == 0 {
 			t.Fatalf("seed %d: delta path never applied (%d fallbacks)", seed, fallbacks)
@@ -131,10 +137,9 @@ func TestFusedDeltaDifferential(t *testing.T) {
 }
 
 // An update that flips predicate membership is an interior insert or
-// delete; the positional patch must refuse it.
+// delete; the selection must refuse it.
 func TestFusedDeltaMembershipFlipFallback(t *testing.T) {
-	ctx := context.Background()
-	ops := []FusedOp{{Pred: expr.MustParse("v > 0.0")}}
+	op := FusedOp{Pred: expr.MustParse("v > 0.0")}
 	r := New("T", MustSchema(
 		Column{Name: "k", Kind: types.Int},
 		Column{Name: "v", Kind: types.Float},
@@ -145,7 +150,7 @@ func TestFusedDeltaMembershipFlipFallback(t *testing.T) {
 			types.NewInt(int64(i)), types.NewFloat(float64(i) - 2), types.NewText("x"),
 		})
 	}
-	res, err := fusedScan(ctx, r, ops, 0)
+	memo, err := Restrict(r, op.Pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +161,7 @@ func TestFusedDeltaMembershipFlipFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := &TupleDelta{Ops: []DeltaOp{{Kind: DeltaUpdate, Row: 1, Tuple: nt.Tuple(1), Old: old}}}
-	if _, _, ok, err := FusedDelta(ctx, nt, res.Out, ops, d); err != nil || ok {
+	if _, _, ok, err := FusedDelta(nt, memo, op, d); err != nil || ok {
 		t.Fatalf("membership flip: ok=%v err=%v, want fallback", ok, err)
 	}
 	// A non-flipping update on the same row applies.
@@ -166,28 +171,26 @@ func TestFusedDeltaMembershipFlipFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	d2 := &TupleDelta{Ops: []DeltaOp{{Kind: DeltaUpdate, Row: 2, Tuple: nt2.Tuple(2), Old: old2}}}
-	inc, _, ok, err := FusedDelta(ctx, nt2, res.Out, ops, d2)
+	inc, _, ok, err := FusedDelta(nt2, memo, op, d2)
 	if err != nil || !ok {
 		t.Fatalf("in-place update: ok=%v err=%v, want applied", ok, err)
 	}
-	full, err := fusedScan(ctx, nt2, ops, 0)
+	full, err := Restrict(nt2, op.Pred)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameTuples(t, "in-place update", inc.Out, full.Out)
+	sameTuples(t, "in-place update", inc, full)
 }
 
 // The memoized output must never be mutated by a delta application —
 // holders of the old version (a client frame in flight) keep their rows.
 func TestFusedDeltaDoesNotMutateMemo(t *testing.T) {
-	ctx := context.Background()
-	ops := []FusedOp{{Pred: expr.MustParse("v > 0.0")}}
+	op := FusedOp{Pred: expr.MustParse("v > 0.0")}
 	r := randomRelation(20, 7)
-	res, err := fusedScan(ctx, r, ops, 0)
+	memo, err := Restrict(r, op.Pred)
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo := res.Out
 	wantLen := memo.Len()
 	want := make([][]types.Value, wantLen)
 	for i := range want {
@@ -196,18 +199,16 @@ func TestFusedDeltaDoesNotMutateMemo(t *testing.T) {
 	cur := r
 	for step := 0; step < 40; step++ {
 		rng := rand.New(rand.NewSource(int64(step)))
-		next, op := randomMutation(rng, cur)
+		next, dop := randomMutation(rng, cur)
 		cur = next
-		inc, _, ok, err := FusedDelta(ctx, cur, memo, ops, &TupleDelta{Ops: []DeltaOp{op}})
+		inc, _, ok, err := FusedDelta(cur, memo, op, &TupleDelta{Ops: []DeltaOp{dop}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
-			full, err := fusedScan(ctx, cur, ops, 0)
-			if err != nil {
+			if inc, err = Restrict(cur, op.Pred); err != nil {
 				t.Fatal(err)
 			}
-			inc = full
 		}
 		if memo.Len() != wantLen {
 			t.Fatalf("step %d: memo grew from %d to %d rows", step, wantLen, memo.Len())
@@ -219,7 +220,7 @@ func TestFusedDeltaDoesNotMutateMemo(t *testing.T) {
 				}
 			}
 		}
-		memo = inc.Out
+		memo = inc
 		wantLen = memo.Len()
 		want = make([][]types.Value, wantLen)
 		for i := range want {

@@ -1,7 +1,6 @@
 package rel
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -212,16 +211,11 @@ func asPredicate(t *testing.T, src string, scope expr.Scope) expr.Node {
 }
 
 // sameOutcome fails unless the kernel run and the interpreter run gave
-// the same relation — tuples and provenance — or the same error,
-// attributed to the same fused step.
+// the same relation — tuples and provenance — or the same error.
 func sameOutcome(t *testing.T, what string, got *Relation, gerr error, want *Relation, werr error) {
 	t.Helper()
 	if (gerr != nil) != (werr != nil) || gerr != nil && gerr.Error() != werr.Error() {
 		t.Fatalf("%s:\n  kernels     err=%v\n  interpreter err=%v", what, gerr, werr)
-	}
-	var gs, ws *FusedStepError
-	if errors.As(gerr, &gs) != errors.As(werr, &ws) || gs != nil && gs.Step != ws.Step {
-		t.Fatalf("%s: error steps differ: %v vs %v", what, gerr, werr)
 	}
 	if gerr == nil && relFingerprint(t, got) != relFingerprint(t, want) {
 		t.Fatalf("%s: kernels and interpreter keep different tuples", what)
@@ -260,9 +254,10 @@ var differentialTable = []string{
 // TestRandomExprsMatchInterpreter is the differential property test of
 // the two evaluators: for random well-typed predicates over relations
 // with nulls, NaN, zero divisors and random computed attributes, below
-// and above the chunk size, Restrict, FusedScan and Join under both
-// strategies return the same tuples, or the same first error, with
-// kernels on as under SetCompileDisabled.
+// and above the chunk size, Restrict, a restrict/restrict/project chain,
+// Partition, MapColumn (over the source and over a selection) and Join
+// under both strategies return the same tuples, or the same first error,
+// with kernels on as under SetCompileDisabled.
 func TestRandomExprsMatchInterpreter(t *testing.T) {
 	prevObs := obs.Enabled()
 	obs.SetEnabled(true)
@@ -310,12 +305,28 @@ func TestRandomExprsMatchInterpreter(t *testing.T) {
 
 			second := asPredicate(t, genKind(rng, lcols, 3, types.Bool), l)
 			ops := []FusedOp{{Pred: pred}, {Pred: second}, {Project: []string{"x", "f", "s"}}}
-			bothWays(t, fmt.Sprintf("fused %s; %s", what, second), func() (*Relation, error) {
-				res, err := FusedScan(l, ops, 2)
+			bothWays(t, fmt.Sprintf("chain %s; %s", what, second), func() (*Relation, error) {
+				return runChain(l, ops)
+			})
+			for part := 0; part < 2; part++ {
+				bothWays(t, fmt.Sprintf("partition %d %s; %s", part, what, second), func() (*Relation, error) {
+					parts, err := Partition(l, []expr.Node{pred, second})
+					if err != nil {
+						return nil, err
+					}
+					return parts[part], nil
+				})
+			}
+			def := expr.MustParse(genKind(rng, lcols, 4, randKind(rng)))
+			bothWays(t, fmt.Sprintf("map column %s", def), func() (*Relation, error) {
+				return MapColumn(l, "x", def)
+			})
+			bothWays(t, fmt.Sprintf("map column %s over %s", def, second), func() (*Relation, error) {
+				sel, err := Restrict(l, second)
 				if err != nil {
 					return nil, err
 				}
-				return res.Out, nil
+				return MapColumn(sel, "y", def)
 			})
 
 			jpred := expr.MustParse(fmt.Sprintf("x = k and %s", asPredicate(t, jsrc, joined)))

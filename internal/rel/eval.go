@@ -45,23 +45,14 @@ func SetScanWorkers(n int) int { return int(scanWorkers.Swap(int64(n))) }
 // ScanWorkers returns the configured scan worker count (0 = GOMAXPROCS).
 func ScanWorkers() int { return int(scanWorkers.Load()) }
 
-// effectiveWorkers resolves a caller-requested worker count (0 = inherit
-// the package setting, which itself defaults to GOMAXPROCS).
-func effectiveWorkers(n int) int {
-	if n > 0 {
-		return n
-	}
-	if w := int(scanWorkers.Load()); w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // scanChunks decides how many contiguous chunks an n-row scan splits
 // into: 1 (serial) below the threshold or with one worker, else up to the
-// effective worker count.
-func scanChunks(n, workers int) int {
-	w := effectiveWorkers(workers)
+// scan-worker setting (GOMAXPROCS when unset).
+func scanChunks(n int) int {
+	w := int(scanWorkers.Load())
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
 	if w <= 1 || n < DefaultScanThreshold {
 		return 1
 	}
@@ -126,8 +117,8 @@ func concatRows(chunkRows [][]int) []int {
 
 // boundExpr is an expression bound to the tuple layout it reads: the
 // attribute names of shape over tuples whose stored columns sit at
-// colMap's ordinals (nil = identity; a fused scan's steps all read the
-// SOURCE tuples). The kernel compiler resolves names through it, and its
+// colMap's ordinals (nil = identity; a view's predicate reads its
+// store's chunks). The kernel compiler resolves names through it, and its
 // eval and test methods are the one row-at-a-time evaluator: expr.Eval
 // over the tuple.
 type boundExpr struct {

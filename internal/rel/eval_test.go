@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -178,54 +179,86 @@ func TestJoinResidualCompiledMatchesInterpreted(t *testing.T) {
 	}
 }
 
-// FusedScan against the chain of individual operators it replaces: same
-// schema, computed attributes, tuples, and provenance.
+// runChain applies ops through Restrict and Project in order: the chain
+// a restrict/project program fires box by box, each step a view of the
+// source's chunks.
+func runChain(r *Relation, ops []FusedOp) (*Relation, error) {
+	for _, op := range ops {
+		var err error
+		if op.Pred != nil {
+			r, err = Restrict(r, op.Pred)
+		} else {
+			r, err = Project(r, op.Project)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
+}
+
+// refChain runs ops through the row-by-row reference of view_test.go.
+func refChain(t testing.TB, r *Relation, ops []FusedOp) string {
+	t.Helper()
+	f := refSource(r)
+	for _, op := range ops {
+		s := viewStep{kind: "project", names: op.Project}
+		if op.Pred != nil {
+			s = viewStep{kind: "restrict", preds: []expr.Node{op.Pred}}
+		}
+		var err error
+		if f, err = s.ref(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return viewFingerprint(f.r, func(i int) (string, int) { return f.base[i], f.rows[i] })
+}
+
+// chainFingerprint is viewFingerprint over a relation's own provenance.
+func chainFingerprint(r *Relation) string {
+	return viewFingerprint(r, func(i int) (string, int) {
+		base, row := r.BaseRow(i)
+		return base.Name(), row
+	})
+}
+
+// A restrict/project chain — selections and column maps over the
+// source's chunks, which a fused scan once computed in one pass — keeps
+// the schema, computed attributes, tuples and provenance of a reference
+// that materializes every step row by row, with any scan-worker count
+// and under the interpreter.
 func TestFusedScanMatchesChain(t *testing.T) {
-	r := bigRelation(t, 600)
+	r := bigRelation(t, 2*DefaultChunkRows+600)
 	ops := []FusedOp{
 		{Pred: expr.MustParse("val > -25.0")},
 		{Project: []string{"id", "grp", "val"}},
 		{Pred: expr.MustParse("id % 2 = 0 and grp != 3")},
 	}
-	want := r
-	var err error
-	if want, err = Restrict(want, ops[0].Pred); err != nil {
-		t.Fatal(err)
-	}
-	if want, err = Project(want, ops[1].Project); err != nil {
-		t.Fatal(err)
-	}
-	if want, err = Restrict(want, ops[2].Pred); err != nil {
-		t.Fatal(err)
-	}
-
+	want := refChain(t, r, ops)
 	for _, workers := range []int{1, 4} {
-		res, err := FusedScan(r, ops, workers)
+		prev := SetScanWorkers(workers)
+		got, err := runChain(r, ops)
+		SetScanWorkers(prev)
 		if err != nil {
-			t.Fatalf("fused scan (workers=%d): %v", workers, err)
+			t.Fatalf("chain (workers=%d): %v", workers, err)
 		}
-		if got := relFingerprint(t, res.Out); got != relFingerprint(t, want) {
-			t.Errorf("fused scan (workers=%d) differs from chain", workers)
-		}
-		if len(res.Shapes) != len(ops) || res.Shapes[len(ops)-1] != res.Out {
-			t.Fatalf("shapes misreported: %d entries", len(res.Shapes))
+		if chainFingerprint(got) != want {
+			t.Errorf("chain (workers=%d) differs from the reference", workers)
 		}
 	}
-
-	// Interpreted fused scan (kernels off) agrees too.
 	withInterpreter(t, func() {
-		res, err := FusedScan(r, ops, 1)
+		got, err := runChain(r, ops)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if relFingerprint(t, res.Out) != relFingerprint(t, want) {
-			t.Error("interpreted fused scan differs from chain")
+		if chainFingerprint(got) != want {
+			t.Error("interpreted chain differs from the reference")
 		}
 	})
 }
 
-// Randomized fused-vs-chain property: random pipelines over random
-// relations, fused output must match the operator chain exactly.
+// Randomized chain property: random restrict/project pipelines over
+// random relations match the row-by-row reference exactly.
 func TestFusedScanMatchesChainRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	preds := append([]string{}, differentialPreds...)
@@ -273,67 +306,43 @@ func TestFusedScanMatchesChainRandom(t *testing.T) {
 		if len(ops) == 0 {
 			continue
 		}
-		want := r
-		var err error
-		for _, op := range ops {
-			if op.Pred != nil {
-				want, err = Restrict(want, op.Pred)
-			} else {
-				want, err = Project(want, op.Project)
-			}
-			if err != nil {
-				t.Fatalf("trial %d chain: %v", trial, err)
-			}
-		}
-		res, err := FusedScan(r, ops, 1+rng.Intn(4))
+		prev := SetScanWorkers(1 + rng.Intn(4))
+		got, err := runChain(r, ops)
+		SetScanWorkers(prev)
 		if err != nil {
-			t.Fatalf("trial %d fused: %v", trial, err)
+			t.Fatalf("trial %d chain: %v", trial, err)
 		}
-		if relFingerprint(t, res.Out) != relFingerprint(t, want) {
-			t.Fatalf("trial %d: fused differs from chain (%d ops)", trial, len(ops))
+		if chainFingerprint(got) != refChain(t, r, ops) {
+			t.Fatalf("trial %d: chain differs from the reference (%d ops)", trial, len(ops))
 		}
 	}
 }
 
+// A chain fails at the step that fails, with that step's own error: a
+// bad predicate at step 1 is its check error, a runtime failure at step 0
+// the restrict's evaluation error.
 func TestFusedScanStepErrors(t *testing.T) {
 	r := bigRelation(t, 50)
-	// Shape-time failure: unknown attribute in step 1.
-	_, err := FusedScan(r, []FusedOp{
+	ok, err := Restrict(r, expr.MustParse("val > 0.0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Restrict(ok, expr.MustParse("nope = 1"))
+	_, chainErr := runChain(r, []FusedOp{
 		{Pred: expr.MustParse("val > 0.0")},
 		{Pred: expr.MustParse("nope = 1")},
-	}, 1)
-	var se *FusedStepError
-	if err == nil {
-		t.Fatal("bad predicate accepted")
+	})
+	if err == nil || chainErr == nil || chainErr.Error() != err.Error() {
+		t.Fatalf("bad predicate at step 1: chain error %v, want %v", chainErr, err)
 	}
-	if !asStepError(err, &se) || se.Step != 1 {
-		t.Fatalf("error %v not attributed to step 1", err)
-	}
-	// Runtime failure: division by zero in step 0.
-	_, err = FusedScan(r, []FusedOp{
+	_, err = runChain(r, []FusedOp{
 		{Pred: expr.MustParse("id / (id - id) > 0")},
-	}, 1)
-	if err == nil {
-		t.Fatal("erroring predicate succeeded")
+		{Project: []string{"id"}},
+	})
+	var ee *expr.EvalError
+	if err == nil || !errors.As(err, &ee) || !strings.HasPrefix(err.Error(), "rel: restrict: ") {
+		t.Fatalf("runtime error %v not the step 0 restrict's evaluation error", err)
 	}
-	if !asStepError(err, &se) || se.Step != 0 {
-		t.Fatalf("runtime error %v not attributed to step 0", err)
-	}
-}
-
-func asStepError(err error, out **FusedStepError) bool {
-	for err != nil {
-		if se, ok := err.(*FusedStepError); ok {
-			*out = se
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // Parallel scans must be byte-deterministic: many workers over an input
@@ -364,22 +373,23 @@ func TestParallelScanDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		mcs := relFingerprint(t, mc)
-		res, err := FusedScan(r, []FusedOp{{Pred: pred}, {Project: []string{"id", "val"}}}, 8)
+		ops := []FusedOp{{Pred: pred}, {Project: []string{"id", "val"}}, {Pred: expr.MustParse("id % 5 != 1")}}
+		res, err := runChain(r, ops)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs := relFingerprint(t, res.Out)
+		fs := relFingerprint(t, res)
 		if i == 0 {
-			t.Logf("rows: restrict=%d map=%d fused=%d", par.Len(), mc.Len(), res.Out.Len())
+			t.Logf("rows: restrict=%d map=%d chain=%d", par.Len(), mc.Len(), res.Len())
 		}
 		for j := 0; j < 2; j++ {
 			mc2, _ := MapColumn(r, "val", expr.MustParse("val * 3.0"))
 			if relFingerprint(t, mc2) != mcs {
 				t.Fatal("parallel map column nondeterministic")
 			}
-			res2, _ := FusedScan(r, []FusedOp{{Pred: pred}, {Project: []string{"id", "val"}}}, 8)
-			if relFingerprint(t, res2.Out) != fs {
-				t.Fatal("parallel fused scan nondeterministic")
+			res2, _ := runChain(r, ops)
+			if relFingerprint(t, res2) != fs {
+				t.Fatal("parallel chain nondeterministic")
 			}
 		}
 	}
@@ -413,12 +423,12 @@ func TestParallelScanErrorDeterminism(t *testing.T) {
 	}
 }
 
-// A fused scan's worker count bounds its whole firing: with one worker
-// neither the selection nor the gather of its (multi-chunk) output
-// dispatches parallel chunks, whatever the package setting.
+// The scan-worker setting bounds every scan of a chain, the chunk scan
+// of a source and the block scan of a selection alike: with one worker
+// none dispatches parallel chunks.
 func TestFusedScanWorkersBoundGather(t *testing.T) {
 	r := bigRelation(t, 3*DefaultScanThreshold)
-	ops := []FusedOp{{Pred: expr.MustParse("id >= 0")}, {Project: []string{"id", "tag"}}}
+	ops := []FusedOp{{Pred: expr.MustParse("id >= 0")}, {Project: []string{"id", "tag"}}, {Pred: expr.MustParse("id % 2 = 0")}}
 	prevObs := obs.Enabled()
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(prevObs)
@@ -426,22 +436,25 @@ func TestFusedScanWorkersBoundGather(t *testing.T) {
 	defer SetScanWorkers(prevW)
 
 	chunksDuring := func(workers int) int64 {
-		before := obs.CounterValue(obs.RelScanChunks)
-		res, err := FusedScan(r, ops, workers)
+		SetScanWorkers(workers)
+		first, err := Restrict(r, ops[0].Pred)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Out.Len() != r.Len() {
-			t.Fatalf("kept %d of %d rows", res.Out.Len(), r.Len())
+		if first.Len() != r.Len() {
+			t.Fatalf("kept %d of %d rows", first.Len(), r.Len())
+		}
+		before := obs.CounterValue(obs.RelScanChunks)
+		if _, err := runChain(first, ops[1:]); err != nil {
+			t.Fatal(err)
 		}
 		return obs.CounterValue(obs.RelScanChunks) - before
 	}
 	if got := chunksDuring(1); got != 0 {
-		t.Fatalf("FusedScan with one worker dispatched %d parallel chunks", got)
+		t.Fatalf("a selection scan with one worker dispatched %d parallel chunks", got)
 	}
-	// The package setting still applies when the caller inherits it.
-	if got := chunksDuring(0); got == 0 {
-		t.Fatal("FusedScan inheriting 4 workers dispatched no parallel chunks")
+	if got := chunksDuring(4); got == 0 {
+		t.Fatal("a selection scan with 4 workers dispatched no parallel chunks")
 	}
 }
 
@@ -519,33 +532,23 @@ func TestMaterializedComputedMatchesInterpreted(t *testing.T) {
 		}
 	}
 
-	// The same predicates through a fused scan, against the unfused
-	// interpreted chain.
+	// The same predicates through a chain whose last step scans a
+	// selection, against the interpreted chain.
 	ops := []FusedOp{
 		{Pred: expr.MustParse(preds[0])},
 		{Project: []string{"id", "grp", "val"}},
 		{Pred: expr.MustParse("c1 + c2 < 900.0 and c1 * 2.0 > -100.0")},
 	}
-	res, err := FusedScan(r, ops, 1)
+	res, err := runChain(r, ops)
 	if err != nil {
-		t.Fatalf("fused scan: %v", err)
+		t.Fatalf("chain: %v", err)
 	}
 	var want *Relation
-	withInterpreter(t, func() {
-		s1, err := Restrict(r, ops[0].Pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s2, err := Project(s1, ops[1].Project)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err = Restrict(s2, ops[2].Pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	if got, wantFP := relFingerprint(t, res.Out), relFingerprint(t, want); got != wantFP {
-		t.Errorf("fused scan differs:\n  compiled    %.120s\n  interpreted %.120s", got, wantFP)
+	withInterpreter(t, func() { want, err = runChain(r, ops) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, wantFP := relFingerprint(t, res), relFingerprint(t, want); got != wantFP {
+		t.Errorf("chain differs:\n  compiled    %.120s\n  interpreted %.120s", got, wantFP)
 	}
 }

@@ -1,6 +1,8 @@
 package rel
 
 import (
+	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/expr"
@@ -8,12 +10,12 @@ import (
 	"repro/internal/types"
 )
 
-// This file is the columnar predicate kernel, the fast path of every
-// scan: it lowers a predicate to monomorphic loops over a chunk's
+// This file is the columnar expression kernel, the fast path of every
+// scan: it lowers an expression to monomorphic loops over a chunk's
 // contiguous typed lanes (internal/rel/chunk.go), producing selection
-// bitmaps instead of per-row values. It runs wherever the scan driver
-// filters chunks — Restrict, Project, FusedScan and the candidate pairs
-// of Join — and is strictly best-effort: any node it cannot reproduce
+// bitmaps for predicates and value lanes for MapColumn. It runs wherever
+// the scan driver filters chunks — Restrict, Partition and the candidate
+// pairs of Join — and is strictly best-effort: any node it cannot reproduce
 // EXACTLY rejects compilation, and the driver evaluates those rows with
 // the interpreter (expr.Eval through a boundExpr), which is the
 // semantics of record and the differential oracle.
@@ -212,15 +214,13 @@ func (a *arena[T]) take(n int) []T {
 // kfn evaluates one compiled node over the context's chunk.
 type kfn func(kc *kctx) *kvec
 
-// kernelCompilePred compiles x's predicate to a chunk kernel, or reports
-// false when any node falls outside the exactly-reproducible set.
-func kernelCompilePred(x *boundExpr) (kfn, bool) {
+// kernelCompile compiles x to a chunk kernel producing its value vector
+// and kind, or reports false when any node falls outside the
+// exactly-reproducible set.
+func kernelCompile(x *boundExpr) (kfn, types.Kind, bool) {
 	c := &kernCompiler{scope: x}
 	fn, kind, _, ok := c.compile(x.node)
-	if !ok || kind != types.Bool {
-		return nil, false
-	}
-	return fn, true
+	return fn, kind, ok
 }
 
 // ---------------------------------------------------------------------
@@ -723,40 +723,40 @@ func (c *kernCompiler) textEq(neq bool, lf, rf kfn) kfn {
 // ---------------------------------------------------------------------
 // Drivers.
 
-// kernels compiles every predicate of the pipeline to a chunk kernel and
-// counts one kernel scan. It returns nil — the scan interprets every
-// row — when SetCompileDisabled is on or any predicate falls outside
-// the kernel's set: a pipeline runs all its predicates as kernels or
-// none.
-func (sh *fusedShape) kernels() []kfn {
+// kernels compiles every predicate to a chunk kernel and counts one
+// kernel scan. It returns nil — the scan interprets every row — when
+// SetCompileDisabled is on or any predicate falls outside the kernel's
+// set: a scan runs all its predicates as kernels or none.
+func kernels(preds []*boundExpr) []kfn {
 	if compileOff.Load() {
 		return nil
 	}
-	progs := make([]kfn, len(sh.preds))
-	for i, fp := range sh.preds {
-		p, ok := kernelCompilePred(fp.pred)
-		if !ok {
+	progs := make([]kfn, len(preds))
+	for i, p := range preds {
+		fn, kind, ok := kernelCompile(p)
+		if !ok || kind != types.Bool {
 			return nil
 		}
-		progs[i] = p
+		progs[i] = fn
 	}
 	obs.Inc(obs.RelKernelScans)
 	return progs
 }
 
-// chunkFilter is one scan worker's selection state: the pipeline, its
-// kernels (nil = interpret every row), a pooled kernel context, and the
-// interpreter's scratch.
+// chunkFilter is one scan worker's selection state: the predicates,
+// their kernels (nil = interpret every row), a pooled kernel context,
+// and the interpreter's scratch.
 type chunkFilter struct {
-	sh    *fusedShape
+	preds []*boundExpr
 	progs []kfn
 	kc    *kctx
+	match []kbits
 	env   rowEnv
 	tup   []types.Value
 }
 
-func (sh *fusedShape) newFilter(progs []kfn) *chunkFilter {
-	f := &chunkFilter{sh: sh, progs: progs}
+func newFilter(preds []*boundExpr, progs []kfn) *chunkFilter {
+	f := &chunkFilter{preds: preds, progs: progs}
 	if progs != nil {
 		f.kc = kctxPool.Get().(*kctx)
 	}
@@ -773,38 +773,48 @@ func (f *chunkFilter) release() {
 	}
 }
 
-// keep appends base+i to keep for every row i of ck that passes every
-// predicate, ascending. Kernels run step by step with selection-vector
-// composition: step k counts only rows still selected when entering it
-// (its errors on rows already dropped are ignored, mirroring the
-// interpreter's short circuit). Rows a kernel flags with an error, and
-// every row when there are no kernels, run through the interpreter in
-// ascending order, so the error returned, and its step, are the ones a
-// serial row-at-a-time scan hits first.
-func (f *chunkFilter) keep(ck *Chunk, base int, keep []int) ([]int, error) {
+// keep appends base+i to outs[k] for every row i of ck whose first
+// satisfied predicate is k, ascending. Kernels run predicate by
+// predicate over the rows no earlier predicate took (first-match
+// bitmaps): predicate k counts only those rows, so its errors on rows
+// already routed are ignored, mirroring the interpreter's short circuit.
+// Rows a kernel flags with an error, and every row when there are no
+// kernels, run through the interpreter in ascending order, so the error
+// returned is the one a serial row-at-a-time scan hits first.
+func (f *chunkFilter) keep(ck *Chunk, base int, outs [][]int) error {
 	n := ck.Rows()
-	var sel, fallback kbits
+	var fallback kbits
 	if f.progs != nil {
 		kc := f.kc
 		kc.reset(ck)
-		sel = kc.ones(n)
+		rest := kc.ones(n)
+		f.match = f.match[:0]
 		for _, prog := range f.progs {
 			v := prog(kc)
 			if v.errs != nil {
-				if nf := kc.and(v.errs, sel); kAny(nf) {
+				if nf := kc.and(v.errs, rest); kAny(nf) {
 					fallback = kc.or(fallback, nf)
+					rest = kc.andNot(rest, nf)
 				}
 			}
-			sel = kc.and(sel, v.t)
-			if fallback != nil {
-				sel = kc.andNot(sel, fallback)
+			m := kc.and(rest, v.t)
+			f.match = append(f.match, m)
+			rest = kc.andNot(rest, m)
+		}
+		if fallback == nil {
+			for k, m := range f.match {
+				outs[k] = appendSet(outs[k], m, n, base)
 			}
+			return nil
 		}
 	}
 	for i := 0; i < n; i++ {
-		if f.progs != nil && (fallback == nil || !fallback.test(i)) {
-			if sel.test(i) {
-				keep = append(keep, base+i)
+		if f.progs != nil && !fallback.test(i) {
+			for k, m := range f.match {
+				if m.test(i) {
+					outs[k] = append(outs[k], base+i)
+					break
+				}
 			}
 			continue
 		}
@@ -814,13 +824,88 @@ func (f *chunkFilter) keep(ck *Chunk, base int, keep []int) ([]int, error) {
 			obs.Inc(obs.RelKernelFallback)
 		}
 		f.tup = ck.DecodeRow(i, f.tup[:0])
-		ok, err := f.sh.evalRow(f.tup, &f.env)
-		if err != nil {
-			return keep, err
-		}
-		if ok {
-			keep = append(keep, base+i)
+		for k, p := range f.preds {
+			ok, err := p.test(f.tup, &f.env)
+			if err != nil {
+				return err
+			}
+			if ok {
+				outs[k] = append(outs[k], base+i)
+				break
+			}
 		}
 	}
-	return keep, nil
+	return nil
+}
+
+// appendSet appends base+i for every set bit i < n of b, ascending.
+func appendSet(dst []int, b kbits, n, base int) []int {
+	set := 0
+	for _, word := range b {
+		set += bits.OnesCount64(word)
+	}
+	dst = slices.Grow(dst, set)
+	for w, word := range b {
+		for word != 0 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			if i >= n {
+				return dst
+			}
+			dst = append(dst, base+i)
+			word &= word - 1
+		}
+	}
+	return dst
+}
+
+// newLane returns an n-row column of kind k holding only nulls.
+func newLane(k types.Kind, n int) colVec {
+	v := colVec{kind: k, valid: make([]uint64, (n+63)/64)}
+	switch k {
+	case types.Float:
+		v.floats = make([]float64, n)
+	case types.Text:
+		v.strs = make([]string, n)
+	default:
+		v.ints = make([]int64, n)
+	}
+	return v
+}
+
+// lane writes v, a kernel vector over n rows, into a fresh column of
+// kind k with the chunk invariants: a null or error row has a clear
+// validity bit and a zero lane slot, and no bit is set past n.
+func lane(v *kvec, k types.Kind, n int) colVec {
+	out := newLane(k, n)
+	for w := range out.valid {
+		x := ^uint64(0)
+		if v.null != nil {
+			x &^= v.null[w]
+		}
+		if v.errs != nil {
+			x &^= v.errs[w]
+		}
+		if rem := n - w<<6; rem < 64 {
+			x &= 1<<uint(rem) - 1
+		}
+		out.valid[w] = x
+	}
+	for i := 0; i < n; i++ {
+		if !out.isValid(i) {
+			continue
+		}
+		switch k {
+		case types.Float:
+			out.floats[i] = v.floats[i]
+		case types.Text:
+			out.strs[i] = v.strs[i]
+		case types.Bool:
+			if v.t.test(i) {
+				out.ints[i] = 1
+			}
+		default:
+			out.ints[i] = v.ints[i]
+		}
+	}
+	return out
 }

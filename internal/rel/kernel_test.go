@@ -1,7 +1,7 @@
 package rel
 
 import (
-	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -224,9 +224,10 @@ func TestKernelErrorParity(t *testing.T) {
 	}
 }
 
-// TestKernelFusedMatchesChain holds the fused kernel equal to the
-// interpreted fused scan and to the unfused interpreted chain, over both
-// resident and chunk-backed sources.
+// TestKernelFusedMatchesChain holds a restrict/project chain with
+// kernels equal to the same chain under the interpreter, over both
+// resident and chunk-backed sources; the steps after the first scan
+// selections, a block at a time.
 func TestKernelFusedMatchesChain(t *testing.T) {
 	r := kernelRelation(t, 2*DefaultChunkRows+123)
 	cb := asChunkBacked(t, r, 512)
@@ -242,59 +243,44 @@ func TestKernelFusedMatchesChain(t *testing.T) {
 			{Project: []string{"id", "x"}},
 		},
 		{
-			// Step 1 rejects kernel compilation (builtin call): the whole
-			// pipeline must take the interpreter and still agree.
+			// Step 1 rejects kernel compilation (builtin call): that step
+			// takes the interpreter and must still agree.
 			{Pred: expr.MustParse("a > -8")},
 			{Pred: expr.MustParse("len(tag) >= 1")},
 		},
 	}
+	prev := SetScanWorkers(4)
+	defer SetScanWorkers(prev)
 	for pi, ops := range pipelines {
 		before := obs.CounterValue(obs.RelKernelScans)
-		res, err := FusedScan(r, ops, 4)
+		res, err := runChain(r, ops)
 		if err != nil {
-			t.Fatalf("pipeline %d fused: %v", pi, err)
+			t.Fatalf("pipeline %d: %v", pi, err)
 		}
 		t.Logf("pipeline %d: kernel scans +%d", pi, obs.CounterValue(obs.RelKernelScans)-before)
-		var off *FusedResult
-		withInterpreter(t, func() { off, err = FusedScan(r, ops, 4) })
-		if err != nil {
-			t.Fatalf("pipeline %d fused (kernel off): %v", pi, err)
-		}
-		if relFingerprint(t, res.Out) != relFingerprint(t, off.Out) {
-			t.Errorf("pipeline %d: fused kernel differs from the interpreter", pi)
-		}
 		var want *Relation
-		withInterpreter(t, func() {
-			want = r
-			for _, op := range ops {
-				if op.Pred != nil {
-					want, err = Restrict(want, op.Pred)
-				} else {
-					want, err = Project(want, op.Project)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
-		if relFingerprint(t, res.Out) != relFingerprint(t, want) {
-			t.Errorf("pipeline %d: fused kernel differs from interpreted chain", pi)
-		}
-
-		cres, err := FusedScan(cb, ops, 4)
+		withInterpreter(t, func() { want, err = runChain(r, ops) })
 		if err != nil {
-			t.Fatalf("pipeline %d chunk-backed fused: %v", pi, err)
+			t.Fatalf("pipeline %d (kernel off): %v", pi, err)
 		}
-		if cres.Out.Len() != want.Len() {
-			t.Errorf("pipeline %d: chunk-backed fused %d rows, want %d", pi, cres.Out.Len(), want.Len())
+		if relFingerprint(t, res) != relFingerprint(t, want) {
+			t.Errorf("pipeline %d: kernels differ from the interpreter", pi)
+		}
+		cres, err := runChain(cb, ops)
+		if err != nil {
+			t.Fatalf("pipeline %d chunk-backed: %v", pi, err)
+		}
+		if cres.Len() != want.Len() {
+			t.Errorf("pipeline %d: chunk-backed %d rows, want %d", pi, cres.Len(), want.Len())
 		}
 	}
 }
 
-// TestKernelFusedErrorAttribution: a row that errors at step k must
-// report step k — and only if it survived the earlier steps. The fused
-// kernel ignores vector-lane errors on rows already deselected, exactly
-// like the interpreter's short circuit.
+// TestKernelFusedErrorAttribution: a row that errors at step k fails
+// step k — and only if it survived the earlier steps. The selection step
+// k scans holds only those survivors, so a row deselected earlier never
+// reaches step k's kernel; a kernel ignores lane errors on rows it does
+// not keep, exactly like the interpreter's short circuit.
 func TestKernelFusedErrorAttribution(t *testing.T) {
 	r := New("F", MustSchema(Column{Name: "v", Kind: types.Int}))
 	for i := 0; i < 2*DefaultChunkRows; i++ {
@@ -310,30 +296,34 @@ func TestKernelFusedErrorAttribution(t *testing.T) {
 	if target != 4196 {
 		t.Fatalf("test constant drift: target=%d", target)
 	}
-	_, err := FusedScan(r, ops, 4)
-	var se *FusedStepError
-	if err == nil || !errors.As(err, &se) || se.Step != 1 {
-		t.Fatalf("kernel fused error %v not attributed to step 1", err)
+	first, err := Restrict(r, ops[0].Pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = runChain(r, ops)
+	_, stepErr := Restrict(first, ops[1].Pred)
+	if err == nil || stepErr == nil || err.Error() != stepErr.Error() {
+		t.Fatalf("kernel chain error %v is not step 1's error %v", err, stepErr)
 	}
 	var offErr error
-	withInterpreter(t, func() { _, offErr = FusedScan(r, ops, 4) })
+	withInterpreter(t, func() { _, offErr = runChain(r, ops) })
 	if offErr == nil || err.Error() != offErr.Error() {
-		t.Fatalf("kernel fused error %q differs from the interpreter's %q", err, offErr)
+		t.Fatalf("kernel chain error %q differs from the interpreter's %q", err, offErr)
 	}
 
 	// Deselect the row at step 0 instead: no error anywhere.
 	ops[0] = FusedOp{Pred: expr.MustParse("v % 2 = 1")}
-	res, err := FusedScan(r, ops, 4)
+	res, err := runChain(r, ops)
 	if err != nil {
 		t.Fatalf("deselected erroring row still raised: %v", err)
 	}
-	var off *FusedResult
-	withInterpreter(t, func() { off, offErr = FusedScan(r, ops, 4) })
+	var off *Relation
+	withInterpreter(t, func() { off, offErr = runChain(r, ops) })
 	if offErr != nil {
 		t.Fatal(offErr)
 	}
-	if relFingerprint(t, res.Out) != relFingerprint(t, off.Out) {
-		t.Error("fused kernel differs from the interpreter after deselection")
+	if relFingerprint(t, res) != relFingerprint(t, off) {
+		t.Error("kernel chain differs from the interpreter after deselection")
 	}
 }
 
@@ -359,17 +349,35 @@ func TestKernelFallbackCounter(t *testing.T) {
 	}
 }
 
-// FuzzKernelMatchesInterpreter parses its input as a predicate over
-// kernelRelation's schema. A predicate that checks must give the same
-// Restrict output, tuples and provenance, or the same error, with
-// kernels on as under SetCompileDisabled. The seed corpus is kernelPreds.
+// FuzzKernelMatchesInterpreter parses its input as an expression over
+// kernelRelation's schema. One that checks must give the same MapColumn
+// output, and a predicate the same Restrict output and Partition parts,
+// tuples and provenance, or the same error, with kernels on as under
+// SetCompileDisabled. The seed corpus is kernelPreds.
 func FuzzKernelMatchesInterpreter(f *testing.F) {
 	r := kernelRelation(f, DefaultChunkRows+57)
+	other := expr.MustParse("a % 3 = 0 or x < 1.0")
 	f.Fuzz(func(t *testing.T, src string) {
-		pred, err := expr.Parse(src)
-		if err != nil || expr.CheckPredicate(pred, r) != nil {
+		n, err := expr.Parse(src)
+		if err != nil {
 			return
 		}
-		bothWays(t, "restrict "+src, func() (*Relation, error) { return Restrict(r, pred) })
+		if _, err := expr.Check(n, r); err != nil {
+			return
+		}
+		bothWays(t, "map column "+src, func() (*Relation, error) { return MapColumn(r, "a", n) })
+		if expr.CheckPredicate(n, r) != nil {
+			return
+		}
+		bothWays(t, "restrict "+src, func() (*Relation, error) { return Restrict(r, n) })
+		for part := 0; part < 2; part++ {
+			bothWays(t, fmt.Sprintf("partition %d %s", part, src), func() (*Relation, error) {
+				parts, err := Partition(r, []expr.Node{other, n})
+				if err != nil {
+					return nil, err
+				}
+				return parts[part], nil
+			})
+		}
 	})
 }

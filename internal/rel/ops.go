@@ -17,39 +17,36 @@ import (
 // named stored columns in the given order. Computed attributes whose
 // references survive are carried along; others are dropped, matching the
 // paper's note that projecting out fields a display function needs changes
-// the visualization (the default display adapts). It runs as a one-step
-// fused scan.
+// the visualization (the default display adapts). The result views the
+// input's store under a new column map and reads no tuple.
 func Project(r *Relation, names []string) (*Relation, error) {
-	return runStep(r, FusedOp{Project: names}, "project")
+	schema, err := r.schema.project(names)
+	if err != nil {
+		return nil, err
+	}
+	cols := make([]int, len(names))
+	for j, name := range names {
+		cols[j] = r.storeCol(r.schema.Index(name))
+	}
+	return view(r.derive(schema, true), r, r.sel, cols), nil
 }
 
-// Restrict filters a relation to tuples satisfying a predicate (Figure 3).
-// Every row is evaluated by a one-step fused scan.
+// Restrict filters a relation to tuples satisfying a predicate (Figure 3)
+// with one scan, and returns the survivors as a selection of the input's
+// store.
 func Restrict(r *Relation, pred expr.Node) (*Relation, error) {
 	if err := expr.CheckPredicate(pred, r); err != nil {
 		return nil, err
 	}
 	obs.Add(obs.RelRestrictRowsIn, int64(r.Len()))
 	obs.Inc(obs.RelRestrictScans)
-	out, err := runStep(r, FusedOp{Pred: pred}, "restrict")
+	rows, err := scanRows(r, []expr.Node{pred})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("rel: restrict: %w", err)
 	}
+	out := keepRows(r, rows[0])
 	obs.Add(obs.RelRestrictRowsOut, int64(out.Len()))
 	return out, nil
-}
-
-// takeRows fills a freshly derived out with rows of src, in the given
-// order, gathered column by column into pinned chunks, and records them
-// as out's provenance.
-func takeRows(out, src *Relation, rows []int) error {
-	cs, err := gatherStore(out.schema, 0, part{src.cols, rows, identityMap(src.schema.Len())})
-	if err != nil {
-		return err
-	}
-	out.cols = cs
-	out.setProv(src, rows)
-	return nil
 }
 
 // Sample produces a random subset of the input: each tuple is retained
@@ -63,17 +60,13 @@ func Sample(r *Relation, p float64, seed int64) (*Relation, error) {
 	}
 	obs.Inc(obs.RelSamples)
 	rng := rand.New(rand.NewSource(seed))
-	out := r.derive(r.schema, true)
 	var rows []int
 	for i, n := 0, r.Len(); i < n; i++ {
 		if rng.Float64() < p {
 			rows = append(rows, i)
 		}
 	}
-	if err := takeRows(out, r, rows); err != nil {
-		return nil, fmt.Errorf("rel: sample: %w", err)
-	}
-	return out, nil
+	return keepRows(r, rows), nil
 }
 
 // JoinStrategy selects the join algorithm behind the Join box.
@@ -148,18 +141,21 @@ func Join(l, r *Relation, pred expr.Node, strategy JoinStrategy) (*Relation, err
 	if err := expr.CheckPredicate(pred, out); err != nil {
 		return nil, fmt.Errorf("rel: join predicate: %w", err)
 	}
+	if l, err = l.resident(); err == nil {
+		r, err = r.resident()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("rel: join: %w", err)
+	}
 	pf, err := newPairFilter(out, pred, l, r)
 	if err != nil {
 		return nil, fmt.Errorf("rel: join: %w", err)
 	}
 	defer pf.f.release()
 	if err := pf.join(l, r, pred, rRename, strategy); err != nil {
-		if se, ok := err.(*FusedStepError); ok {
-			return nil, se.Err
-		}
 		return nil, fmt.Errorf("rel: join: %w", err)
 	}
-	out.cols, err = gatherStore(out.schema, 0, part{l.cols, pf.lrows, identityMap(l.schema.Len())}, part{r.cols, pf.rrows, identityMap(r.schema.Len())})
+	out.cols, err = gatherStore(out.schema, part{l.cols, l.pick(pf.lrows), l.storeCols()}, part{r.cols, r.pick(pf.rrows), r.storeCols()})
 	if err != nil {
 		return nil, fmt.Errorf("rel: join: %w", err)
 	}
@@ -204,11 +200,11 @@ func (pf *pairFilter) join(l, r *Relation, pred expr.Node, rRename map[string]st
 // survivors in the order their pairs were added.
 type pairFilter struct {
 	f            *chunkFilter
-	l, r         *colStore
-	lcols, rcols []int // the block's columns, as ordinals of l and of r
+	l, r         *Relation
+	lp, rp       part // the block's store rows and columns of l and of r
 	block        *chunkBuilder
 	lc, rc       []int // the pending block's candidate pairs
-	keep         []int
+	keep         [][]int
 	lrows, rrows []int
 }
 
@@ -216,32 +212,13 @@ type pairFilter struct {
 // and r, for filtering pairs. The kernels compile once here, counting one
 // rel.kernel_scans for the join.
 func newPairFilter(out *Relation, pred expr.Node, l, r *Relation) (*pairFilter, error) {
-	need := make(map[string]bool)
-	var visit func(n expr.Node)
-	visit = func(n expr.Node) {
-		for _, name := range expr.Refs(n) {
-			if need[name] {
-				continue
-			}
-			need[name] = true
-			for _, c := range out.computed {
-				if c.Name == name {
-					visit(c.Expr)
-				}
-			}
-		}
-	}
-	visit(pred)
-	pf := &pairFilter{l: l.cols, r: r.cols}
-	var names []string
-	for i, lw := 0, l.schema.Len(); i < out.schema.Len(); i++ {
-		if name := out.schema.Col(i).Name; need[name] {
-			names = append(names, name)
-			if i < lw {
-				pf.lcols = append(pf.lcols, i)
-			} else {
-				pf.rcols = append(pf.rcols, i-lw)
-			}
+	names := readCols(out, pred)
+	pf := &pairFilter{l: l, r: r, lp: part{src: l.cols}, rp: part{src: r.cols}, keep: make([][]int, 1)}
+	for _, name := range names {
+		if i, lw := out.schema.Index(name), l.schema.Len(); i < lw {
+			pf.lp.colMap = append(pf.lp.colMap, l.storeCol(i))
+		} else {
+			pf.rp.colMap = append(pf.rp.colMap, r.storeCol(i-lw))
 		}
 	}
 	// The block's columns: l's the predicate reads, then r's.
@@ -249,12 +226,8 @@ func newPairFilter(out *Relation, pred expr.Node, l, r *Relation) (*pairFilter, 
 	if err != nil {
 		return nil, err
 	}
-	sh, err := fusedShapePass(out.derive(schema, true), []FusedOp{{Pred: pred}})
-	if err != nil {
-		return nil, err
-	}
-	sh.op = "join"
-	pf.f = sh.newFilter(sh.kernels())
+	bound := []*boundExpr{{node: pred, shape: out.derive(schema, true)}}
+	pf.f = newFilter(bound, kernels(bound))
 	pf.block = newChunkBuilder(schema, 0)
 	return pf, nil
 }
@@ -263,6 +236,8 @@ func newPairFilter(out *Relation, pred expr.Node, l, r *Relation) (*pairFilter, 
 // it is full.
 func (pf *pairFilter) add(lrow, rrow int) error {
 	pf.lc, pf.rc = append(pf.lc, lrow), append(pf.rc, rrow)
+	pf.lp.rows = append(pf.lp.rows, pf.l.storeRow(lrow))
+	pf.rp.rows = append(pf.rp.rows, pf.r.storeRow(rrow))
 	if len(pf.lc) == DefaultChunkRows {
 		return pf.flush()
 	}
@@ -272,31 +247,21 @@ func (pf *pairFilter) add(lrow, rrow int) error {
 // flush filters the pending block, appending its survivors to lrows and
 // rrows. The block's chunk is rebuilt in place each time.
 func (pf *pairFilter) flush() error {
-	n := len(pf.lc)
-	if n == 0 {
+	if len(pf.lc) == 0 {
 		return nil
 	}
-	b := pf.block
-	for i := range b.c.cols {
-		v := &b.c.cols[i]
-		v.ints, v.floats, v.strs, v.valid = v.ints[:0], v.floats[:0], v.strs[:0], v.valid[:0]
-	}
-	b.c.rows = 0
-	if err := b.gather(0, pf.l, pf.lc, pf.lcols); err != nil {
+	if err := pf.block.refill(pf.lp, pf.rp); err != nil {
 		return err
 	}
-	if err := b.gather(len(pf.lcols), pf.r, pf.rc, pf.rcols); err != nil {
+	pf.keep[0] = pf.keep[0][:0]
+	if err := pf.f.keep(pf.block.c, 0, pf.keep); err != nil {
 		return err
 	}
-	b.c.rows = n
-	keep, err := pf.f.keep(b.c, 0, pf.keep[:0])
-	if err != nil {
-		return err
-	}
-	for _, i := range keep {
+	for _, i := range pf.keep[0] {
 		pf.lrows, pf.rrows = append(pf.lrows, pf.lc[i]), append(pf.rrows, pf.rc[i])
 	}
-	pf.keep, pf.lc, pf.rc = keep, pf.lc[:0], pf.rc[:0]
+	pf.lc, pf.rc = pf.lc[:0], pf.rc[:0]
+	pf.lp.rows, pf.rp.rows = pf.lp.rows[:0], pf.rp.rows[:0]
 	return nil
 }
 
@@ -517,22 +482,27 @@ func appendKeyBytes(b []byte, v types.Value) []byte {
 }
 
 // Sort returns the relation ordered by the named attribute (stored or
-// computed), ascending or descending. Used by default displays and by the
-// elevation map's drawing-order view.
+// computed), ascending or descending, as a selection of the input's
+// store. Used by default displays and by the elevation map's
+// drawing-order view.
 func Sort(r *Relation, attr string, descending bool) (*Relation, error) {
 	if !r.HasAttr(attr) {
 		return nil, fmt.Errorf("rel: sort: no attribute %q", attr)
 	}
 	obs.Inc(obs.RelSorts)
-	rows := make([]int, r.Len())
-	for i := range rows {
-		rows[i] = i
+	keys := make([]types.Value, r.Len())
+	cu := r.NewCursor()
+	for i := range keys {
+		cu.Seek(i)
+		keys[i] = cu.Attr(attr)
 	}
+	if err := cu.Err(); err != nil {
+		return nil, fmt.Errorf("rel: sort on %q: %w", attr, err)
+	}
+	rows := identityMap(len(keys))
 	var sortErr error
 	sort.SliceStable(rows, func(a, b int) bool {
-		va := r.Row(rows[a]).Attr(attr)
-		vb := r.Row(rows[b]).Attr(attr)
-		c, err := va.Compare(vb)
+		c, err := keys[rows[a]].Compare(keys[rows[b]])
 		if err != nil && sortErr == nil {
 			sortErr = err
 		}
@@ -544,11 +514,7 @@ func Sort(r *Relation, attr string, descending bool) (*Relation, error) {
 	if sortErr != nil {
 		return nil, fmt.Errorf("rel: sort on %q: %w", attr, sortErr)
 	}
-	out := r.derive(r.schema, true)
-	if err := takeRows(out, r, rows); err != nil {
-		return nil, fmt.Errorf("rel: sort on %q: %w", attr, err)
-	}
-	return out, nil
+	return view(r.derive(r.schema, true), r, r.pick(rows), r.colMap), nil
 }
 
 // Union concatenates relations with equal schemas.
@@ -581,49 +547,32 @@ func Union(rels ...*Relation) (*Relation, error) {
 // Partition splits a relation by a list of predicates; tuple membership is
 // decided by the first predicate that matches (tuples matching none are
 // dropped). This is the relational engine beneath Replicate (Section 7.4)
-// and the multi-output Partition box.
+// and the multi-output Partition box. One scan routes every tuple, and
+// each part is a selection of the input's store.
 func Partition(r *Relation, preds []expr.Node) ([]*Relation, error) {
-	outs := make([]*Relation, len(preds))
 	for i, p := range preds {
 		if err := expr.CheckPredicate(p, r); err != nil {
 			return nil, fmt.Errorf("rel: partition predicate %d: %w", i, err)
 		}
-		outs[i] = r.derive(r.schema, true)
 	}
-	bound := make([]*boundExpr, len(preds))
-	for i, p := range preds {
-		bound[i] = &boundExpr{node: p, shape: r}
-	}
-	rows := make([][]int, len(preds))
-	rd := r.reader()
-	var env rowEnv
-	for ti, n := 0, r.Len(); ti < n; ti++ {
-		t := rd.at(ti)
-		for pi, b := range bound {
-			keep, err := b.test(t, &env)
-			if err != nil {
-				return nil, fmt.Errorf("rel: partition: %w", err)
-			}
-			if keep {
-				rows[pi] = append(rows[pi], ti)
-				break
-			}
-		}
-	}
-	if err := rd.Err(); err != nil {
+	rows, err := scanRows(r, preds)
+	if err != nil {
 		return nil, fmt.Errorf("rel: partition: %w", err)
 	}
-	for pi := range outs {
-		if err := takeRows(outs[pi], r, rows[pi]); err != nil {
-			return nil, fmt.Errorf("rel: partition: %w", err)
-		}
+	outs := make([]*Relation, len(preds))
+	for i := range outs {
+		outs[i] = keepRows(r, rows[i])
 	}
 	return outs, nil
 }
 
 // MapColumn materializes a stored column from an expression evaluated per
 // tuple, the engine beneath Set/Scale/Translate Attribute applied to a
-// stored attribute. The column's kind follows the expression's type.
+// stored attribute. The column's kind follows the expression's type. A
+// kernel computes each chunk's values as one vector; the interpreter
+// evaluates the rows the kernel flags with an error, ascending, so the
+// first error reported is the lowest row's. Output chunks share every
+// other column's lanes with the input's chunks.
 func MapColumn(r *Relation, col string, def expr.Node) (*Relation, error) {
 	ci := r.schema.Index(col)
 	if ci < 0 {
@@ -640,41 +589,101 @@ func MapColumn(r *Relation, col string, def expr.Node) (*Relation, error) {
 		return nil, err
 	}
 	out := r.derive(schema, true)
-	// Chunk-parallel above the row threshold: each source chunk maps to
-	// the output chunk at the same position, so order is deterministic by
-	// construction.
-	cs := r.cols
-	slots := make([]*chunkSlot, len(cs.slots))
-	ce := &boundExpr{node: def, shape: r}
-	err = runChunks(len(slots), min(scanChunks(cs.rows, 0), len(slots)), func(_, lo, hi int) error {
+	// A relation viewing its store whole maps store chunk by store chunk;
+	// one with a selection maps blocks of its rows gathered into chunks.
+	n, cs := r.Len(), r.cols
+	x := &boundExpr{node: def, shape: r, colMap: r.colMap}
+	chunkRows, blocks, all := cs.chunkRows, len(cs.slots), r.storeCols()
+	if r.sel != nil {
+		x.colMap, chunkRows, blocks = nil, DefaultChunkRows, (n+DefaultChunkRows-1)/DefaultChunkRows
+	}
+	var prog kfn
+	if !compileOff.Load() {
+		if fn, kind, ok := kernelCompile(x); ok && kind == k {
+			prog = fn
+			obs.Inc(obs.RelKernelScans)
+		}
+	}
+	slots := make([]*chunkSlot, blocks)
+	err = runChunks(blocks, min(scanChunks(n), blocks), func(_, lo, hi int) error {
+		var kc *kctx
+		if prog != nil {
+			kc = kctxPool.Get().(*kctx)
+			defer func() { kc.c = nil; clear(kc.memo); kctxPool.Put(kc) }()
+		}
 		var env rowEnv
 		var t []types.Value
-		for k := lo; k < hi; k++ {
-			ck, err := cs.chunk(k)
+		for b := lo; b < hi; b++ {
+			ck, base, err := mapBlock(r, b, chunkRows, all)
 			if err != nil {
 				return err
 			}
-			base, _ := cs.chunkSpan(k)
-			b := newChunkBuilder(schema, ck.rows)
-			for i := 0; i < ck.rows; i++ {
+			m := ck.rows
+			var vals colVec
+			var check kbits // the rows to interpret; nil with a kernel: none
+			if prog != nil {
+				kc.reset(ck)
+				v := prog(kc)
+				vals, check = lane(v, k, m), v.errs
+			} else {
+				vals = newLane(k, m)
+			}
+			for i := 0; i < m; i++ {
+				if prog != nil && (check == nil || !check.test(i)) {
+					continue
+				}
+				if prog != nil {
+					obs.Inc(obs.RelKernelFallback)
+				}
 				t = ck.DecodeRow(i, t[:0])
-				if t[ci], err = ce.eval(t, &env); err == nil {
-					err = b.appendRow(t)
+				v, err := x.eval(t, &env)
+				if err == nil && !v.IsNull() && v.Kind() != k {
+					err = fmt.Errorf("column %q wants %s, got %s", col, k, v.Kind())
 				}
 				if err != nil {
 					return fmt.Errorf("rel: map column %q row %d: %w", col, base+i, err)
 				}
+				if !v.IsNull() {
+					vals.store(i, v)
+				}
 			}
-			slots[k] = pinnedSlot(b.finish())
+			oc := &Chunk{rows: m, cols: make([]colVec, len(all))}
+			for j := range oc.cols {
+				if j == ci {
+					oc.cols[j] = vals
+				} else if r.sel == nil {
+					oc.cols[j] = ck.cols[all[j]]
+				} else {
+					oc.cols[j] = ck.cols[j]
+				}
+			}
+			slots[b] = pinnedSlot(oc)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out.cols = &colStore{schema: schema, slots: slots, rows: cs.rows, chunkRows: cs.chunkRows}
-	out.setProv(r, identityMap(cs.rows))
+	out.cols = &colStore{schema: schema, slots: slots, rows: n, chunkRows: chunkRows}
+	out.provBase, out.provRows = r.baseRows()
 	return out, nil
+}
+
+// mapBlock returns block b of r for MapColumn, and its first tuple: the
+// store chunk itself when r views its store whole, else the block's
+// tuples gathered into a chunk in r's column order.
+func mapBlock(r *Relation, b, chunkRows int, all []int) (*Chunk, int, error) {
+	base := b * chunkRows
+	if r.sel == nil {
+		ck, err := r.cols.chunk(b)
+		return ck, base, err
+	}
+	rows := r.sel[base:min(base+chunkRows, len(r.sel))]
+	cb := newChunkBuilder(r.schema, len(rows))
+	if err := cb.refill(part{r.cols, rows, all}); err != nil {
+		return nil, 0, err
+	}
+	return cb.finish(), base, nil
 }
 
 // SwapColumns interchanges two stored attributes of the same type
@@ -696,12 +705,9 @@ func SwapColumns(r *Relation, a, b string) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := r.derive(schema, true)
-	// Share chunk storage under the renamed schema: the swap only touches
-	// names, and chunks store no names, so the slots carry over untouched.
-	out.cols = &colStore{schema: schema, slots: r.cols.slots, rows: r.cols.rows, chunkRows: r.cols.chunkRows}
-	out.setProv(r, identityMap(r.Len()))
-	return out, nil
+	// The swap only touches names, and chunks store no names, so the view
+	// keeps its store and column map under the renamed schema.
+	return view(r.derive(schema, true), r, r.sel, r.colMap), nil
 }
 
 // DropColumn removes one stored column (Remove Attribute on a stored
@@ -748,10 +754,10 @@ func DistinctValues(r *Relation, attr string) ([]types.Value, error) {
 }
 
 // Distinct removes duplicate tuples (full-tuple equality), keeping first
-// occurrences in order. Computed attributes are carried; provenance maps
-// each survivor to its first occurrence.
+// occurrences in order, as a selection of the input's store. Computed
+// attributes are carried; provenance maps each survivor to its first
+// occurrence.
 func Distinct(r *Relation) (*Relation, error) {
-	out := r.derive(r.schema, true)
 	seen := make(map[string]bool, r.Len())
 	var rows []int
 	var buf []byte
@@ -771,24 +777,14 @@ func Distinct(r *Relation) (*Relation, error) {
 	if err := rd.Err(); err != nil {
 		return nil, fmt.Errorf("rel: distinct: %w", err)
 	}
-	if err := takeRows(out, r, rows); err != nil {
-		return nil, fmt.Errorf("rel: distinct: %w", err)
-	}
-	return out, nil
+	return keepRows(r, rows), nil
 }
 
 // Limit keeps the first n tuples — the quick-look complement to Sample
-// for interactive response.
+// for interactive response — as a selection of the input's store.
 func Limit(r *Relation, n int) (*Relation, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("rel: limit must be non-negative, got %d", n)
 	}
-	if n > r.Len() {
-		n = r.Len()
-	}
-	out := r.derive(r.schema, true)
-	if err := takeRows(out, r, identityMap(n)); err != nil {
-		return nil, fmt.Errorf("rel: limit: %w", err)
-	}
-	return out, nil
+	return keepRows(r, identityMap(min(n, r.Len()))), nil
 }

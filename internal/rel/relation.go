@@ -40,20 +40,30 @@ type Relation struct {
 	name     string
 	schema   *Schema
 	computed []Computed
-	// cols is the tuple storage: typed columnar chunks. Resident tables
-	// and operator outputs hold pinned chunks; relations opened from a
-	// persistent backend (FromChunkSource) fault theirs in lazily through
-	// the bounded chunk cache. colStore values are immutable, so CoW is
-	// plain pointer replacement: mutators install a new store sharing
-	// every untouched chunk slot.
+	// cols is the chunk store the tuples live in. Resident tables and the
+	// chunks Join, Union and MapColumn build are pinned; relations opened
+	// from a persistent backend (FromChunkSource) fault theirs in lazily
+	// through the bounded chunk cache. colStore values are immutable, so
+	// CoW is plain pointer replacement: mutators install a new store
+	// sharing every untouched chunk slot.
 	cols *colStore
-	// provenance: when set, tuple i of this relation derives from tuple
-	// provRows[i] of provBase. Operators that keep tuples intact
-	// (Restrict, Sample, Sort, Project, column maps) maintain it so a
-	// screen object can be traced to a base-table row for updates
-	// (Section 8); Join and Union drop it.
+	// sel and colMap make the relation a view of cols: tuple i is store
+	// row sel[i] (nil: store row i, every row in order) and stored column
+	// j is store column colMap[j] (nil: column j). Restrict, Project,
+	// Sample, Sort, Limit, Distinct and Partition return their input's
+	// store under a new selection or column map and copy no values.
+	sel, colMap []int
+	// provenance: store row s derives from row provRows[s] of provBase
+	// (provRows nil: from row s itself), so a screen object traces
+	// through the selection to a base-table row (Section 8). Every
+	// operator that keeps tuples intact sets it; a base table, and the
+	// output of Join or Union, is its own origin (provBase nil) and views
+	// its store whole.
 	provBase *Relation
 	provRows []int
+	// pinned caches, for a view over a store whose chunks fault in from a
+	// source, the view's tuples gathered into pinned chunks (resident).
+	pinned atomic.Pointer[Relation]
 	// gen is the relation's generation stamp: 0 until first observed,
 	// then a unique value from genCounter, replaced with a fresh one on
 	// every content mutation. Accessed atomically so renders may read it
@@ -81,29 +91,154 @@ func (r *Relation) Generation() int64 {
 // bumpGen invalidates the current stamp after a content mutation.
 func (r *Relation) bumpGen() { atomic.StoreInt64(&r.gen, nextGen()) }
 
-// setProv installs provenance, composing with the source's own provenance
-// so BaseRow always reaches a base table in one hop chain.
-func (r *Relation) setProv(src *Relation, rows []int) {
-	if src.provBase != nil {
-		base := src.provBase
-		composed := make([]int, len(rows))
-		for i, row := range rows {
-			composed[i] = src.provRows[row]
-		}
-		r.provBase, r.provRows = base, composed
-		return
+// view completes shape, a freshly derived relation, as a view of r's
+// store holding store rows sel under store columns colMap (see
+// Relation.sel), with r's provenance. It copies no values.
+func view(shape, r *Relation, sel, colMap []int) *Relation {
+	shape.cols, shape.sel, shape.colMap = r.cols, sel, colMap
+	shape.provBase, shape.provRows = r.provBase, r.provRows
+	if r.provBase == nil {
+		shape.provBase = r
 	}
-	r.provBase, r.provRows = src, rows
+	return shape
+}
+
+// storeRow maps tuple i to its store row.
+func (r *Relation) storeRow(i int) int {
+	if r.sel != nil {
+		return r.sel[i]
+	}
+	return i
+}
+
+// storeCol maps stored column j to its store column.
+func (r *Relation) storeCol(j int) int {
+	if r.colMap != nil {
+		return r.colMap[j]
+	}
+	return j
+}
+
+// storeCols returns the store column of every stored column, in order.
+func (r *Relation) storeCols() []int {
+	if r.colMap != nil {
+		return r.colMap
+	}
+	return identityMap(r.schema.Len())
+}
+
+// pick maps tuple indexes, a list the caller owns, to store rows in
+// place.
+func (r *Relation) pick(rows []int) []int {
+	if r.sel != nil {
+		for i, row := range rows {
+			rows[i] = r.sel[row]
+		}
+	}
+	return rows
+}
+
+// keepRows returns the view of r holding its tuples at rows, which
+// ascend and which it takes over: a selection of r's store, or r's whole
+// view when rows keeps every tuple of a relation without one.
+func keepRows(r *Relation, rows []int) *Relation {
+	sel := r.pick(rows)
+	switch {
+	case r.sel == nil && len(sel) == r.Len():
+		sel = nil
+	case sel == nil:
+		sel = []int{} // keeps nothing; a nil selection would keep everything
+	}
+	return view(r.derive(r.schema, true), r, sel, r.colMap)
 }
 
 // BaseRow traces tuple i to its originating base relation and row. For a
 // relation with no provenance (a base table itself, or the output of Join
 // or Union) it returns the relation and i unchanged.
 func (r *Relation) BaseRow(i int) (*Relation, int) {
-	if r.provBase == nil || i < 0 || i >= len(r.provRows) {
+	if r.provBase == nil || i < 0 || i >= r.Len() {
 		return r, i
 	}
-	return r.provBase, r.provRows[i]
+	s := r.storeRow(i)
+	if r.provRows == nil {
+		if s >= r.provBase.Len() {
+			return r, i // appended to a view after it was derived
+		}
+		return r.provBase, s
+	}
+	if s >= len(r.provRows) {
+		return r, i
+	}
+	return r.provBase, r.provRows[s]
+}
+
+// baseRows returns the origin every tuple of r traces to and, per tuple,
+// its row there (nil when tuple i is row i of the origin).
+func (r *Relation) baseRows() (*Relation, []int) {
+	if r.provBase == nil {
+		return r, nil
+	}
+	if r.sel == nil && r.provRows == nil {
+		return r.provBase, nil
+	}
+	rows := make([]int, r.Len())
+	for i := range rows {
+		_, rows[i] = r.BaseRow(i)
+	}
+	return r.provBase, rows
+}
+
+// store returns r's tuples as a store of their own: cols itself when r
+// views all of it in order, else its selected rows and columns gathered
+// into pinned chunks.
+func (r *Relation) store() (*colStore, error) {
+	if r.sel == nil && r.colMap == nil {
+		return r.cols, nil
+	}
+	rows := r.sel
+	if rows == nil {
+		rows = identityMap(r.cols.rows)
+	}
+	return gatherStore(r.schema, part{r.cols, rows, r.storeCols()})
+}
+
+// own gives a view a store of its own before its first write, so the
+// write cannot reach the store it shares.
+func (r *Relation) own() error {
+	if r.sel == nil && r.colMap == nil {
+		return nil
+	}
+	cs, err := r.store()
+	if err != nil {
+		return err
+	}
+	r.provBase, r.provRows = r.baseRows()
+	if r.provBase == r {
+		r.provBase = nil
+	}
+	r.cols, r.sel, r.colMap = cs, nil, nil
+	r.pinned.Store(nil)
+	r.bumpGen()
+	return nil
+}
+
+// resident returns r, or, when r is a view over a store whose chunks
+// fault in from a source, its tuples gathered once in store order into
+// pinned chunks that later calls share. A join reads its inputs in hash
+// order, which would fault a spilled source's chunks over and over.
+func (r *Relation) resident() (*Relation, error) {
+	if r.sel == nil && r.colMap == nil || !r.cols.faults() {
+		return r, nil
+	}
+	if m := r.pinned.Load(); m != nil {
+		return m, nil
+	}
+	cs, err := r.store()
+	if err != nil {
+		return nil, err
+	}
+	r.pinned.CompareAndSwap(nil, &Relation{name: r.name, schema: r.schema, computed: r.computed, cols: cs})
+	return r.pinned.Load(), nil
 }
 
 // New creates an empty relation with the given schema.
@@ -169,7 +304,7 @@ func FromChunkSource(name string, schema *Schema, src ChunkSource) (*Relation, e
 type rowReader struct {
 	r          *Relation
 	ck         *Chunk
-	ckLo, ckHi int
+	ckLo, ckHi int // the held chunk's store rows
 	buf        []types.Value
 	err        error
 }
@@ -177,42 +312,52 @@ type rowReader struct {
 // reader returns a fresh rowReader over r.
 func (r *Relation) reader() rowReader { return rowReader{r: r} }
 
-// hold positions the reader's chunk window over row i, reporting false
-// — and recording the error for Err — when the chunk cannot be read.
-func (rd *rowReader) hold(i int) bool {
-	if i >= rd.ckLo && i < rd.ckHi {
-		return true
+// hold positions the reader's chunk window over tuple i, returning its
+// offset in the held chunk, or false — recording the error for Err —
+// when the chunk cannot be read.
+func (rd *rowReader) hold(i int) (int, bool) {
+	s := rd.r.storeRow(i)
+	if s >= rd.ckLo && s < rd.ckHi {
+		return s - rd.ckLo, true
 	}
 	cs := rd.r.cols
-	ci, _ := cs.rowChunk(i)
+	ci, off := cs.rowChunk(s)
 	c, err := cs.chunk(ci)
 	if err != nil {
 		rd.err = cmp.Or(rd.err, err)
-		return false
+		return 0, false
 	}
 	rd.ck = c
 	rd.ckLo, rd.ckHi = cs.chunkSpan(ci)
-	return true
+	return off, true
 }
 
-// at returns row i in a scratch buffer valid only until the next at
+// at returns tuple i in a scratch buffer valid only until the next at
 // call. On a chunk read error it returns a null-filled row.
 func (rd *rowReader) at(i int) []types.Value {
-	if !rd.hold(i) {
-		rd.buf = append(rd.buf[:0], make([]types.Value, rd.r.schema.Len())...)
-		return rd.buf
+	rd.buf = rd.buf[:0]
+	off, ok := rd.hold(i)
+	switch {
+	case !ok:
+		rd.buf = append(rd.buf, make([]types.Value, rd.r.schema.Len())...)
+	case rd.r.colMap == nil:
+		rd.buf = rd.ck.DecodeRow(off, rd.buf)
+	default:
+		for _, c := range rd.r.colMap {
+			rd.buf = append(rd.buf, rd.ck.Value(c, off))
+		}
 	}
-	rd.buf = rd.ck.DecodeRow(i-rd.ckLo, rd.buf[:0])
 	return rd.buf
 }
 
-// value reads one stored column of row i without decoding the row; a
+// value reads one stored column of tuple i without decoding the row; a
 // chunk read error reads as null.
 func (rd *rowReader) value(i, col int) types.Value {
-	if !rd.hold(i) {
+	off, ok := rd.hold(i)
+	if !ok {
 		return types.Null
 	}
-	return rd.ck.Value(col, i-rd.ckLo)
+	return rd.ck.Value(rd.r.storeCol(col), off)
 }
 
 // Err reports the first chunk read error the reader hit, if any.
@@ -225,7 +370,12 @@ func (r *Relation) Name() string { return r.name }
 func (r *Relation) Schema() *Schema { return r.schema }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return r.cols.rows }
+func (r *Relation) Len() int {
+	if r.sel != nil {
+		return len(r.sel)
+	}
+	return r.cols.rows
+}
 
 // Computed returns the computed attribute definitions in order.
 func (r *Relation) Computed() []Computed { return append([]Computed(nil), r.computed...) }
@@ -266,6 +416,9 @@ func (r *Relation) AttrNames() []string {
 // Append adds a tuple. The tuple must match the schema arity and types
 // (null is accepted in any column).
 func (r *Relation) Append(tuple []types.Value) error {
+	if err := r.own(); err != nil {
+		return fmt.Errorf("rel: %s: %w", r.name, err)
+	}
 	cs, err := r.cols.withAppend(tuple)
 	if err != nil {
 		return fmt.Errorf("rel: %s: %w", r.name, err)
@@ -288,8 +441,9 @@ func (r *Relation) MustAppend(tuple []types.Value) {
 // out-of-range row — bulk paths that want an error use a reader or
 // Cursor instead.
 func (r *Relation) Tuple(i int) []types.Value {
-	t, err := r.cols.tuple(i)
-	if err != nil {
+	rd := r.reader()
+	t := rd.at(i)
+	if err := rd.Err(); err != nil {
 		panic(fmt.Sprintf("rel: %s: reading tuple %d: %v", r.name, i, err))
 	}
 	return t
@@ -310,6 +464,9 @@ func (r *Relation) Update(row int, col string, v types.Value) error {
 	}
 	if !v.IsNull() && v.Kind() != r.schema.Col(ci).Kind {
 		return fmt.Errorf("rel: %s: column %q wants %s, got %s", r.name, col, r.schema.Col(ci).Kind, v.Kind())
+	}
+	if err := r.own(); err != nil {
+		return fmt.Errorf("rel: %s: %w", r.name, err)
 	}
 	nt, err := r.cols.tuple(row)
 	if err != nil {
@@ -419,8 +576,8 @@ func (p prefixScope) AttrKind(name string) (types.Kind, bool) {
 	return types.Invalid, false
 }
 
-// CowClone returns a copy-on-write clone sharing the tuple store and
-// provenance but with a private computed-attribute list. The db write
+// CowClone returns a copy-on-write clone sharing the tuple store,
+// selection and provenance but with a private computed-attribute list. The db write
 // path uses it to build a table's next version, and attribute boxes use
 // it to extend a derived relation without mutating their input. Stores
 // are immutable — Append and Update install a new store version sharing
@@ -435,17 +592,19 @@ func (r *Relation) CowClone() *Relation {
 		name:     r.name,
 		schema:   r.schema,
 		cols:     r.cols,
+		sel:      r.sel,
+		colMap:   r.colMap,
 		computed: append([]Computed(nil), r.computed...),
 		provBase: r.provBase,
 		provRows: r.provRows,
 	}
 }
 
-// derive builds an anonymous relation sharing this relation's computed
-// attributes but with new (for now empty) tuple storage; operators use
-// it and then install the store they build.
+// derive builds an anonymous relation shape sharing this relation's
+// computed attributes but with no tuple storage yet; operators complete
+// it as a view (view) or install the store they build.
 func (r *Relation) derive(schema *Schema, keepComputed bool) *Relation {
-	out := New("", schema)
+	out := &Relation{schema: schema}
 	if keepComputed {
 		// Keep only computed attributes whose references survive in the
 		// new schema or in earlier surviving computed attributes.

@@ -10,16 +10,17 @@ import (
 	"repro/internal/types"
 )
 
-// Restrict and Project run as one-step fused scans. These tests pin what that single scan must preserve of the
-// standalone operators: outputs with provenance, the per-call obs
-// counters, the absence of rel.* spans, and error identity — with
-// kernels on and under the SetCompileDisabled oracle, over resident and
-// chunk-backed inputs spanning several chunks.
+// Restrict runs one scan and Project none: both return views of their
+// input's chunks. These tests pin what the operators must preserve:
+// outputs with provenance, the per-call obs counters, the absence of
+// rel.* spans, and error identity — with kernels on and under the
+// SetCompileDisabled oracle, over resident and chunk-backed inputs
+// spanning several chunks.
 
 // scanCounters are the obs counters a Restrict or Project call may move.
 var scanCounters = []string{
 	obs.RelRestrictScans, obs.RelRestrictRowsIn,
-	obs.RelRestrictRowsOut, obs.RelKernelScans, obs.RelFusedScans,
+	obs.RelRestrictRowsOut, obs.RelKernelScans,
 }
 
 func counterValues() map[string]int64 {
@@ -83,13 +84,12 @@ func TestSingleStepScansMatchFusedScan(t *testing.T) {
 				got, err := singleStep(r, tc.op)
 				spans := obs.DumpFlight()
 				after := counterValues()
-				want, ferr := FusedScan(r, []FusedOp{tc.op}, 1)
 				SetCompileDisabled(prev)
-				if err != nil || ferr != nil {
-					t.Fatalf("%s: %v / fused %v", name, err, ferr)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
-				if relFingerprint(t, got) != relFingerprint(t, want.Out) {
-					t.Errorf("%s: output differs from the one-step FusedScan", name)
+				if chainFingerprint(got) != refChain(t, r, []FusedOp{tc.op}) {
+					t.Errorf("%s: output differs from the row-by-row reference", name)
 				}
 				for _, e := range spans {
 					if strings.HasPrefix(e.Name, "rel.") {
@@ -145,6 +145,10 @@ func TestSingleStepScanErrorsUnchanged(t *testing.T) {
 	src := kernelRelation(t, 2*DefaultChunkRows+50)
 	chunked := asChunkBacked(t, src, 1024)
 	bad := corruptRelation(t, src)
+	badView, err := Limit(bad, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const readErr = "rel: loading chunk 0: rel: bad segment format: segment tbl: chunk 0 checksum mismatch"
 	cases := []struct {
 		name string
@@ -158,7 +162,7 @@ func TestSingleStepScanErrorsUnchanged(t *testing.T) {
 		{"rejected", src, FusedOp{Pred: expr.MustParse("len(tag) >= 0 and a % b = 0")}, "rel: restrict: expr: evaluating (a % b): modulo by zero", false},
 		{"read-kernel", bad, FusedOp{Pred: expr.MustParse("a > 0")}, "rel: restrict: " + readErr, true},
 		{"read-rejected", bad, FusedOp{Pred: expr.MustParse("len(tag) > 1")}, "rel: restrict: " + readErr, true},
-		{"read-project", bad, FusedOp{Project: []string{"id", "x"}}, "rel: project: " + readErr, true},
+		{"read-selection", badView, FusedOp{Pred: expr.MustParse("a > 0")}, "rel: restrict: " + readErr, true},
 	}
 	for _, tc := range cases {
 		for _, oracle := range []bool{false, true} {
@@ -171,11 +175,7 @@ func TestSingleStepScanErrorsUnchanged(t *testing.T) {
 			if err.Error() != tc.msg {
 				t.Errorf("%s (oracle=%v): error %q, want %q", tc.name, oracle, err, tc.msg)
 			}
-			var se *FusedStepError
 			var ee *expr.EvalError
-			if errors.As(err, &se) {
-				t.Errorf("%s (oracle=%v): error carries a FusedStepError", tc.name, oracle)
-			}
 			if got := errors.As(err, &ee); got == tc.read {
 				t.Errorf("%s (oracle=%v): errors.As(*expr.EvalError) = %v", tc.name, oracle, got)
 			}
@@ -189,8 +189,9 @@ func TestSingleStepScanErrorsUnchanged(t *testing.T) {
 // TestOperatorsReportCorruptChunks runs every rel operator that reads
 // tuples over a relation whose first chunk fails its checksum: each must
 // fail with an error wrapping ErrBadSegment rather than read the chunk
-// as nulls. (SwapColumns is absent: it renames columns without reading
-// a row.)
+// as nulls. Project, DropColumn, Sample, Limit and SwapColumns read no
+// tuple: they return views of the corrupt store, and the first scan of
+// such a view must report the error instead.
 func TestOperatorsReportCorruptChunks(t *testing.T) {
 	bad := corruptRelation(t, kernelRelation(t, 600))
 	good := New("G", MustSchema(Column{Name: "gid", Kind: types.Int}))
@@ -203,22 +204,37 @@ func TestOperatorsReportCorruptChunks(t *testing.T) {
 		run  func() error
 	}{
 		{"Restrict", func() error { _, err := Restrict(bad, pred); return err }},
-		{"Project", func() error { _, err := Project(bad, []string{"id", "a"}); return err }},
-		{"DropColumn", func() error { _, err := DropColumn(bad, "tag"); return err }},
-		{"FusedScan", func() error {
-			_, err := FusedScan(bad, []FusedOp{{Pred: pred}, {Project: []string{"id"}}}, 1)
-			return err
-		}},
-		{"Sample", func() error { _, err := Sample(bad, 0.5, 1); return err }},
 		{"JoinHash", func() error { _, err := Join(bad, good, expr.MustParse("id = gid"), JoinHash); return err }},
 		{"JoinNestedLoop", func() error { _, err := Join(bad, good, expr.MustParse("id < gid"), JoinNestedLoop); return err }},
 		{"Sort", func() error { _, err := Sort(bad, "x", false); return err }},
 		{"Union", func() error { _, err := Union(bad, bad); return err }},
 		{"Partition", func() error { _, err := Partition(bad, []expr.Node{pred}); return err }},
 		{"MapColumn", func() error { _, err := MapColumn(bad, "x", expr.MustParse("x * 2.0")); return err }},
-		{"Limit", func() error { _, err := Limit(bad, 10); return err }},
 		{"DistinctValues", func() error { _, err := DistinctValues(bad, "tag"); return err }},
 		{"Distinct", func() error { _, err := Distinct(bad); return err }},
+	}
+	views := []struct {
+		name string
+		make func() (*Relation, error)
+	}{
+		{"Project", func() (*Relation, error) { return Project(bad, []string{"id", "a"}) }},
+		{"DropColumn", func() (*Relation, error) { return DropColumn(bad, "tag") }},
+		{"Sample", func() (*Relation, error) { return Sample(bad, 0.5, 1) }},
+		{"Limit", func() (*Relation, error) { return Limit(bad, 10) }},
+		{"SwapColumns", func() (*Relation, error) { return SwapColumns(bad, "a", "b") }},
+	}
+	for _, v := range views {
+		ops = append(ops, struct {
+			name string
+			run  func() error
+		}{v.name + " then Restrict", func() error {
+			out, err := v.make()
+			if err != nil {
+				return err
+			}
+			_, err = Restrict(out, pred)
+			return err
+		}})
 	}
 	for _, op := range ops {
 		if err := op.run(); !errors.Is(err, ErrBadSegment) {

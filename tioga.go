@@ -94,17 +94,13 @@ var (
 	WithWorkers = dataflow.WithWorkers
 	// WithEvalLabel names the request in traces and results.
 	WithEvalLabel = dataflow.WithLabel
-	// WithoutFusion opts one request out of restrict/project chain fusion,
-	// firing every box individually — the query fast path's per-request
-	// ablation baseline.
-	WithoutFusion = dataflow.WithoutFusion
 )
 
 // Query fast-path knobs, process-wide. Both return the previous setting.
 // The defaults — kernels on, scan workers auto — are what benchmarks
 // and production use; the setters exist for ablation (measuring one
 // layer of the fast path at a time) and for pinning deterministic serial
-// execution in tests. Fusion is ablated per request with WithoutFusion.
+// execution in tests.
 var (
 	// SetExprCompileDisabled turns the columnar predicate kernels off,
 	// so scans and joins evaluate every row with the tree-walking

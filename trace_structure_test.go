@@ -15,7 +15,7 @@ import (
 
 // These tests pin the causal-tracing acceptance criteria end to end: a
 // single Eval+render request's complete span tree — eval waves, box
-// firings, fused scans, render phases — must be reconstructible from
+// firings, render phases — must be reconstructible from
 // the flight recorder with correct parent links, and the tree's
 // *structure* must be identical across the engine ablations (compiled
 // vs interpreted, caches on vs off), so a trace diff always means a
@@ -121,9 +121,9 @@ func TestGoldenSpanTreeForEvalAndRender(t *testing.T) {
 		t.Fatalf("recorded %d eval.invalidate spans, want 1", invalidations)
 	}
 
-	// The cold frame: demand fires the table and the fused
-	// restrict+project chain (one rel scan with its compile pass —
-	// present in interpreted mode too), then the three render phases.
+	// The cold frame: demand fires the table, the restrict and the
+	// project, one box per wave (rel operators record no spans), then
+	// the three render phases.
 	got := renderTree(t, v)
 	want := strings.Join([]string{
 		"render.frame",
@@ -131,10 +131,9 @@ func TestGoldenSpanTreeForEvalAndRender(t *testing.T) {
 		"    eval.wave",
 		"      eval.fire",
 		"    eval.wave",
+		"      eval.fire",
 		"    eval.wave",
 		"      eval.fire",
-		"        rel.fused_scan",
-		"          rel.compile.pass",
 		"  render.cull",
 		"  render.display_eval",
 		"  render.paint",
